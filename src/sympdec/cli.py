@@ -85,16 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
 
     p = sub.add_parser("induced", help="induced-map matrix for one operation")
-    p.add_argument("op", choices=("direct-sum", "r-fold", "doubling", "tensor-sp-o",
-                                  "tensor-quotient", "tensor-sp-sp", "square-tensor",
-                                  "ttilde", "J"))
+    p.add_argument("op", choices=tuple(induced.FORMULAS))
     p.add_argument("--i", required=True, type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--u", type=int)
-    p.add_argument("--v", type=int)
-    p.add_argument("--z", type=int, choices=(0, 1))
+    for q in dict.fromkeys(q for f in induced.FORMULAS.values() for q in f.params):
+        p.add_argument(f"--{q}", type=int, choices=(0, 1) if q == "z" else None)
     _add_output(p)
 
     p = sub.add_parser("decide", help="decomposability decision report")
@@ -131,45 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, names):
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise SympdecError(f"missing required flags: {', '.join(missing)}")
-
-
 def _cmd_induced(args) -> dict:
     op = args.op
-    if op == "direct-sum":
-        _require(args, ("m", "n"))
-        h = induced.hom_direct_sum(args.i, args.m, args.n)
-    elif op == "r-fold":
-        _require(args, ("n", "r"))
-        h = induced.hom_r_fold(args.i, args.n, args.r)
-    elif op == "doubling":
-        _require(args, ("n",))
-        h = induced.hom_doubling(args.i, args.n)
-    elif op == "tensor-sp-o":
-        _require(args, ("m", "n"))
-        h = induced.hom_tensor_sp_o(args.i, args.m, args.n)
-    elif op == "tensor-quotient":
-        _require(args, ("m", "n"))
-        h = induced.hom_tensor_quotient(args.i, args.m, args.n)
-    elif op == "tensor-sp-sp":
-        _require(args, ("m", "n"))
-        h = induced.hom_tensor_sp_sp(args.i, args.m, args.n)
-    elif op == "square-tensor":
-        _require(args, ("m",))
-        h = induced.hom_square_tensor(args.i, args.m)
-    else:
-        _require(args, ("m", "n"))
-        u, v = args.u, args.v
-        if u is None or v is None:
-            w = lifting.bezout_uv(args.m, args.n)
-            u, v = w.u, w.v
-        if op == "ttilde":
-            h = induced.hom_ttilde(args.i, args.m, args.n, u, v, args.z)
-        else:
-            h = induced.hom_j(args.i, args.m, args.n, u, v, args.z)
+    formula = induced.FORMULAS[op]
+    missing = [f"--{q}" for q in formula.required if getattr(args, q) is None]
+    if missing:
+        raise SympdecError(f"missing required flags: {', '.join(missing)}")
+    h = induced.emitter(op)(args.i, *(getattr(args, q) for q in formula.params))
     body = {"op": op, "i": args.i}
     if isinstance(h, induced.ZDependent):
         body["z_dependent"] = True

@@ -1,10 +1,12 @@
 """Homomorphisms induced on homotopy groups by the group operations.
 
-Each emitter returns an AbHom: an integer matrix on the chosen generators
-of finitely generated abelian groups, with entries reduced modulo the
-target orders and the well-definedness invariant enforced at construction.
-Formulas refuse degrees outside their validity windows instead of
-extrapolating; the windows are part of the mathematics.
+The formulas form one table, FORMULAS, keyed by CLI op; one builder turns
+an entry into an AbHom: an integer matrix on the chosen generators of
+finitely generated abelian groups, with entries reduced modulo the target
+orders and the well-definedness invariant enforced at construction.  The
+hom_* emitters are the public names of the entries.  Formulas refuse
+degrees outside their validity windows instead of extrapolating; the
+windows are part of the mathematics.
 
 Generators are identified along the stabilization maps, so a formula's
 matrix is stated relative to that identification.  Trivial factors carry
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import (
@@ -25,7 +29,7 @@ from sympdec.errors import (
     NotCoprimeError,
     OutOfRangeError,
 )
-from sympdec.homotopy import TableAnswer, pi_classifying, pi_o, pi_psp, pi_so, pi_sp
+from sympdec.homotopy import pi_o, pi_psp, pi_so, pi_sp
 from sympdec.intmatrix import IntMatrix, smith_normal_form
 
 
@@ -142,43 +146,37 @@ def _presentation_matrix(h: AbHom) -> IntMatrix:
     return IntMatrix(m.rows, m.cols + len(rel), [x for row in rows for x in row])
 
 
-def is_surjective(h: AbHom) -> bool:
-    if h.target.ngens == 0:
-        return True
-    ext = _presentation_matrix(h)
-    d, _, _ = smith_normal_form(ext)
-    diag = d.diagonal()
-    return len(diag) == h.target.ngens and all(x == 1 for x in diag)
+def _verdicts(h: AbHom) -> tuple[bool, bool]:
+    """(surjective, injective), both read off one Smith normal form U*P*V = D
+    of the presentation P = [matrix | target relations].
 
-
-def _kernel_lattice_generators(h: AbHom) -> list[list[int]]:
-    """Integer vectors on source generators spanning the kernel preimage lattice."""
+    h is onto when every invariant factor of P is 1.  The columns of V past
+    the nonzero diagonal span the source vectors that P sends into the
+    relations; h is injective when each is zero in the source.
+    """
+    if not h.source.ngens and not h.target.ngens:
+        return True, True
     ext = _presentation_matrix(h)
     d, _, v = smith_normal_form(ext)
     diag = d.diagonal()
-    cols = []
+    surjective = len(diag) == h.target.ngens and all(x == 1 for x in diag)
     vr = v.row_lists()
-    for j in range(ext.cols):
-        if j >= len(diag) or diag[j] == 0:
-            cols.append([vr[r][j] for r in range(ext.cols)][: h.source.ngens])
-    return cols
+    kernel = [j for j in range(ext.cols) if j >= len(diag) or diag[j] == 0]
+    injective = all((vr[r][j] % order if order else vr[r][j]) == 0
+                    for j in kernel for r, order in enumerate(h.source.factors))
+    return surjective, injective
+
+
+def is_surjective(h: AbHom) -> bool:
+    return _verdicts(h)[0]
 
 
 def is_injective(h: AbHom) -> bool:
-    if h.source.ngens == 0:
-        return True
-    for vec in _kernel_lattice_generators(h):
-        for coord, order in zip(vec, h.source.factors):
-            if order == 0:
-                if coord:
-                    return False
-            elif coord % order:
-                return False
-    return True
+    return _verdicts(h)[1]
 
 
 def is_isomorphism(h: AbHom) -> bool:
-    return is_surjective(h) and is_injective(h)
+    return all(_verdicts(h))
 
 
 @dataclass(frozen=True)
@@ -220,94 +218,223 @@ def image_description(h: AbHom) -> ImageDescriptor:
     return ImageDescriptor(modulus, g)
 
 
-# -- degree bookkeeping helpers ------------------------------------------------
-
-def _need(answer: TableAnswer, what: str) -> FgAbGroup:
-    if not answer.is_group():
-        raise OutOfRangeError(f"{what}: {answer.provenance}")
-    return answer.group
-
-
-def _require_range(cond: bool, bound: str):
-    if not cond:
-        raise OutOfRangeError(f"violated bound: {bound}")
-
-
-def _linear(parts, coeffs, target, name, bound) -> AbHom:
-    """Single-row formula hom: sum of coeff * generator over nontrivial factors."""
-    tgroup, tname = target
-    src = FgAbGroup.product(*[g for g, _ in parts])
-    names = tuple(nm for g, nm in parts for _ in g.factors)
-    col = [c for (g, _), c in zip(parts, coeffs) for _ in g.factors]
-    rows = [col for _ in tgroup.factors]
-    return AbHom(
-        src,
-        tgroup,
-        IntMatrix(tgroup.ngens, len(col), [x for row in rows for x in row]),
-        names,
-        (tname,) * tgroup.ngens if tgroup.ngens else (),
-        provenance=name,
-        valid_range=bound,
-    )
-
-
 # -- the formula table ---------------------------------------------------------
+
+_FAMILIES = {"sp": (pi_sp, "Sp"), "psp": (pi_psp, "PSp"), "so": (pi_so, "SO"), "o": (pi_o, "O")}
+
+_SIZES = {
+    "m": lambda p: p.m,
+    "n": lambda p: p.n,
+    "m+n": lambda p: p.m + p.n,
+    "rn": lambda p: p.r * p.n,
+    "mn": lambda p: p.m * p.n,
+    "4mn": lambda p: 4 * p.m * p.n,
+    "4m^2": lambda p: 4 * p.m * p.m,
+    "N": lambda p: 4 * p.u * p.m * p.m + p.v * p.n,
+}
+
+_WINDOW = "window"
+
+
+class Formula(NamedTuple):
+    """One induced-map formula; FORMULAS holds one per CLI op.
+
+    A part is (homotopy family, size rule); the size rule's key also names
+    the size in lookup errors.  A window clause is (bound text, exclusive
+    upper limit of i, or None where the clause does not apply at i).
+    rule(i, p) returns one coefficient row per target part, one coefficient
+    per source part, and the provenance text.
+    """
+
+    params: tuple[str, ...]                 # after i, in the emitter's positional order
+    sources: tuple[tuple[str, str], ...]
+    targets: tuple[tuple[str, str], ...]
+    window: tuple[tuple[str, Callable], ...]
+    rule: Callable
+    checks: tuple = (_WINDOW,)              # run in order; _WINDOW tests the window
+    shift: int = 0                          # 1: i is a classifying degree, parts sit at i - 1
+    z_degree: int | None = None             # the degree whose map depends on z
+    label: Callable = lambda i: f"pi_{i}"   # generator-name prefix at degree i
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        """u, v default to the Bezout witness and z to both candidates."""
+        return tuple(q for q in self.params if q not in ("u", "v", "z"))
+
+
+def _holds(text, cond):
+    def check(p):
+        if not cond(p):
+            raise OutOfRangeError(f"violated bound: {text}")
+    return check
+
+
+def _odd_n(message):
+    def check(p):
+        if p.n % 2 == 0:
+            raise EvenNError(message)
+    return check
+
+
+def _coprime(p):
+    if gcd(p.m, p.n) != 1:
+        raise NotCoprimeError(f"need gcd(m, n) = 1; got gcd({p.m}, {p.n}) = {gcd(p.m, p.n)}")
+
+
+def _bezout(p):
+    if p.u < 1 or p.v < 1 or abs(p.v * p.n - 4 * p.u * p.m * p.m) != 1:
+        raise BadBezoutError(
+            f"need positive u, v with |v*n - 4*u*m^2| = 1; got u={p.u}, v={p.v}")
+
+
+def _ttilde_rule(i, p):
+    r = i % 8
+    if i == 1:
+        return [(p.z, 1)], f"auxiliary map in degree 1: z*x + y with z = {p.z}"
+    if i > 1 and r in (0, 1):
+        return [(0, p.v)], "auxiliary map: v*y in degrees 0, 1 (mod 8)"
+    if r == 3:
+        return [(2 * p.u * p.m, p.v)], "auxiliary map: 2um*x + v*y in degree 3 (mod 8)"
+    if r == 7:
+        return [(8 * p.u * p.m, p.v)], "auxiliary map: 8um*x + v*y in degree 7 (mod 8)"
+    return [(0, 0)], "auxiliary map: zero in degrees 2, 4, 5, 6 (mod 8)"
+
+
+def _pairing_rule(i, p):
+    """The quotient tensor row over the auxiliary row, one group degree down."""
+    if i == 2:
+        return [(1, 0), (p.z, 1)], f"pairing map in degree 2: (x, z*x + y) with z = {p.z}"
+    g = i - 1
+    rows = FORMULAS["tensor-quotient"].rule(g, p)[0] + FORMULAS["ttilde"].rule(g, p)[0]
+    if i == 1:
+        return rows, "pairing map in degree 1: trivial groups"
+    return rows, f"pairing map at classifying degree {i} (group degree {g})"
+
+
+FORMULAS = {
+    "direct-sum": Formula(
+        ("m", "n"), (("sp", "m"), ("sp", "n")), (("sp", "m+n"),),
+        (("i < 4*min(m,n)+2", lambda i, p: 4 * min(p.m, p.n) + 2),),
+        lambda i, p: ([(1, 1)], "direct sum: x + y")),
+    "r-fold": Formula(
+        ("n", "r"), (("sp", "n"),), (("sp", "rn"),),
+        (("i < 4n+2", lambda i, p: 4 * p.n + 2),),
+        lambda i, p: ([(p.r,)], f"{p.r}-fold direct sum: {p.r}*x"),
+        checks=(_holds("r >= 1", lambda p: p.r >= 1), _WINDOW)),
+    "doubling": Formula(
+        ("n",), (("o", "n"),), (("sp", "n"),),
+        (("i < n-1", lambda i, p: p.n - 1),),
+        lambda i, p: ([(2 if i % 8 in (3, 7) else 0,)],
+                      "doubling: 2*x onto the even part in degrees 3, 7 (mod 8); zero otherwise")),
+    "tensor-sp-o": Formula(
+        ("m", "n"), (("sp", "m"), ("o", "n")), (("sp", "mn"),),
+        (("i < 4m+2", lambda i, p: 4 * p.m + 2), ("i < n-1", lambda i, p: p.n - 1)),
+        lambda i, p: ([(p.n, 2 * p.m)], "tensor product: n*x + 2m*y")),
+    "tensor-quotient": Formula(
+        ("m", "n"), (("psp", "m"), ("so", "n")), (("psp", "mn"),),
+        (("i < 4m+2", lambda i, p: 4 * p.m + 2),
+         ("i < n-1", lambda i, p: p.n - 1 if i >= 2 else None)),
+        lambda i, p: ([(0, 0)], "quotient tensor product: zero in degrees 0, 1") if i <= 1
+        else ([(p.n, 2 * p.m)], "quotient tensor product: n*x + 2m*y"),
+        checks=(_odd_n("quotient tensor product needs odd n"), _WINDOW)),
+    "tensor-sp-sp": Formula(
+        ("m", "n"), (("sp", "m"), ("sp", "n")), (("o", "4mn"),),
+        (("i < 4m+2", lambda i, p: 4 * p.m + 2), ("i < 4mn-1", lambda i, p: 4 * p.m * p.n - 1)),
+        lambda i, p: ([{3: (p.n, p.m), 7: (4 * p.n, 4 * p.m)}.get(i % 8, (0, 0))],
+                      "orthonormalized tensor product: n*x + m*y in degree 3, "
+                      "4(n*x + m*y) in degree 7 (mod 8), zero otherwise"),
+        checks=(_holds("m <= n", lambda p: p.m <= p.n), _WINDOW)),
+    "square-tensor": Formula(
+        ("m",), (("sp", "m"),), (("o", "4m^2"),),
+        (("i < 4m+2", lambda i, p: 4 * p.m + 2), ("i < 4m^2-1", lambda i, p: 4 * p.m * p.m - 1)),
+        lambda i, p: ([({3: 2 * p.m, 7: 8 * p.m}.get(i % 8, 0),)],
+                      "squared tensor product: 2m*x in degree 3, 8m*x in degree 7 (mod 8), "
+                      "zero otherwise")),
+    "ttilde": Formula(
+        ("m", "n", "u", "v", "z"), (("psp", "m"), ("so", "n")), (("so", "N"),),
+        (("i < min(4m+2, n-1)", lambda i, p: min(4 * p.m + 2, p.n - 1)),),
+        _ttilde_rule,
+        checks=(_bezout, _WINDOW), z_degree=1),
+    "J": Formula(
+        ("m", "n", "u", "v", "z"), (("psp", "m"), ("so", "n")), (("psp", "mn"), ("so", "N")),
+        (("0 < i < min(4m+3, n)", lambda i, p: min(4 * p.m + 3, p.n)),),
+        _pairing_rule,
+        checks=(_odd_n("pairing map needs odd n"), _coprime, _WINDOW, _bezout),
+        # degree 2 is stated on the classifying spaces, higher degrees on the groups
+        shift=1, z_degree=2, label=lambda i: "pi_2 B" if i == 2 else f"pi_{i - 1}"),
+}
+
+
+def emitter(op: str) -> Callable:
+    """The hom_* function behind a table op, looked up when called."""
+    return globals()["hom_" + op.lower().replace("-", "_")]
+
+
+def _part(family: str, size: str, degree: int, label: str, p):
+    table, name = _FAMILIES[family]
+    k = _SIZES[size](p)
+    answer = table(degree, k)
+    if not answer.is_group():
+        raise OutOfRangeError(f"pi_i {name}({size}): {answer.provenance}")
+    return answer.group, f"{label} {name}({k})"
+
+
+def _build(op: str, i: int, **params):
+    """Build table entry op at degree i: an AbHom, or a ZDependent when z is
+    left unset in the entry's z-dependent degree."""
+    f = FORMULAS[op]
+    p = SimpleNamespace(**params)
+    if "u" in params and (p.u is None or p.v is None):
+        from sympdec.lifting import bezout_uv   # lifting builds on this module
+        w = bezout_uv(p.m, p.n)
+        p.u, p.v = w.u, w.v
+    limits = [(text, limit(i, p)) for text, limit in f.window]
+    bound = " and ".join(f"{text} = {limit}" for text, limit in limits if limit is not None)
+    for check in f.checks:
+        if check is not _WINDOW:
+            check(p)
+        elif not (f.shift <= i and all(limit is None or i < limit for _, limit in limits)):
+            raise OutOfRangeError(f"violated bound: {bound}")
+    label = f.label(i)
+    sources = [_part(fam, size, i - f.shift, label, p) for fam, size in f.sources]
+    targets = [_part(fam, size, i - f.shift, label, p) for fam, size in f.targets]
+    source = FgAbGroup.product(*[g for g, _ in sources])
+    target = FgAbGroup.product(*[g for g, _ in targets])
+    names = (tuple(nm for g, nm in sources for _ in g.factors),
+             tuple(nm for g, nm in targets for _ in g.factors))
+
+    def emit(z):
+        p.z = z
+        rows, provenance = f.rule(i, p)
+        data = [c for (t, _), row in zip(targets, rows) for _ in t.factors
+                for (s, _), c in zip(sources, row) for _ in s.factors]
+        return AbHom(source, target, IntMatrix(target.ngens, source.ngens, data), *names,
+                     provenance=provenance, valid_range=bound)
+
+    z = getattr(p, "z", None)
+    if i == f.z_degree and z is None:
+        return ZDependent(emit(0), emit(1))
+    return emit(None if z is None else z % 2)
+
 
 def hom_direct_sum(i: int, m: int, n: int) -> AbHom:
     """Induced map of the symplectic direct sum: (x, y) -> x + y."""
-    bound = f"i < 4*min(m,n)+2 = {4 * min(m, n) + 2}"
-    _require_range(0 <= i < 4 * min(m, n) + 2, bound)
-    return _linear(
-        [(_need(pi_sp(i, m), "pi_i Sp(m)"), f"pi_{i} Sp({m})"),
-         (_need(pi_sp(i, n), "pi_i Sp(n)"), f"pi_{i} Sp({n})")],
-        [1, 1],
-        (_need(pi_sp(i, m + n), "pi_i Sp(m+n)"), f"pi_{i} Sp({m + n})"),
-        "direct sum: x + y",
-        bound,
-    )
+    return _build("direct-sum", i, m=m, n=n)
 
 
 def hom_r_fold(i: int, n: int, r: int) -> AbHom:
     """Induced map of the r-fold direct sum: x -> r*x."""
-    if r < 1:
-        raise OutOfRangeError("violated bound: r >= 1")
-    bound = f"i < 4n+2 = {4 * n + 2}"
-    _require_range(0 <= i < 4 * n + 2, bound)
-    return _linear(
-        [(_need(pi_sp(i, n), "pi_i Sp(n)"), f"pi_{i} Sp({n})")],
-        [r],
-        (_need(pi_sp(i, r * n), "pi_i Sp(rn)"), f"pi_{i} Sp({r * n})"),
-        f"{r}-fold direct sum: {r}*x",
-        bound,
-    )
+    return _build("r-fold", i, n=n, r=r)
 
 
 def hom_doubling(i: int, n: int) -> AbHom:
     """Induced map of the doubling homomorphism O(n) -> Sp(n)."""
-    bound = f"i < n-1 = {n - 1}"
-    _require_range(0 <= i < n - 1, bound)
-    coeff = 2 if i % 8 in (3, 7) else 0
-    return _linear(
-        [(_need(pi_o(i, n), "pi_i O(n)"), f"pi_{i} O({n})")],
-        [coeff],
-        (_need(pi_sp(i, n), "pi_i Sp(n)"), f"pi_{i} Sp({n})"),
-        "doubling: 2*x onto the even part in degrees 3, 7 (mod 8); zero otherwise",
-        bound,
-    )
+    return _build("doubling", i, n=n)
 
 
 def hom_tensor_sp_o(i: int, m: int, n: int) -> AbHom:
     """Induced map of the symplectic-orthogonal tensor product: n*x + 2m*y."""
-    bound = f"i < 4m+2 = {4 * m + 2} and i < n-1 = {n - 1}"
-    _require_range(0 <= i < 4 * m + 2 and i < n - 1, bound)
-    return _linear(
-        [(_need(pi_sp(i, m), "pi_i Sp(m)"), f"pi_{i} Sp({m})"),
-         (_need(pi_o(i, n), "pi_i O(n)"), f"pi_{i} O({n})")],
-        [n, 2 * m],
-        (_need(pi_sp(i, m * n), "pi_i Sp(mn)"), f"pi_{i} Sp({m * n})"),
-        "tensor product: n*x + 2m*y",
-        bound,
-    )
+    return _build("tensor-sp-o", i, m=m, n=n)
 
 
 def hom_tensor_quotient(i: int, m: int, n: int) -> AbHom:
@@ -316,57 +443,17 @@ def hom_tensor_quotient(i: int, m: int, n: int) -> AbHom:
     The formula n*x + 2m*y applies for i > 1; in degrees 0 and 1 the map
     is emitted as the explicit zero map.
     """
-    if n % 2 == 0:
-        raise EvenNError("quotient tensor product needs odd n")
-    bound = f"i < 4m+2 = {4 * m + 2}" + ("" if i < 2 else f" and i < n-1 = {n - 1}")
-    _require_range(0 <= i < 4 * m + 2, bound)
-    if i >= 2:
-        _require_range(i < n - 1, bound)
-    parts = [(_need(pi_psp(i, m), "pi_i PSp(m)"), f"pi_{i} PSp({m})"),
-             (_need(pi_so(i, n), "pi_i SO(n)"), f"pi_{i} SO({n})")]
-    target = (_need(pi_psp(i, m * n), "pi_i PSp(mn)"), f"pi_{i} PSp({m * n})")
-    if i <= 1:
-        return _linear(parts, [0, 0], target,
-                       "quotient tensor product: zero in degrees 0, 1", bound)
-    return _linear(parts, [n, 2 * m], target,
-                   "quotient tensor product: n*x + 2m*y", bound)
+    return _build("tensor-quotient", i, m=m, n=n)
 
 
 def hom_tensor_sp_sp(i: int, m: int, n: int) -> AbHom:
     """Induced map of the symplectic-symplectic tensor product into O(4mn)."""
-    _require_range(m <= n, "m <= n")
-    bound = f"i < 4m+2 = {4 * m + 2} and i < 4mn-1 = {4 * m * n - 1}"
-    _require_range(0 <= i < 4 * m + 2 and i < 4 * m * n - 1, bound)
-    r = i % 8
-    coeffs = {3: [n, m], 7: [4 * n, 4 * m]}.get(r, [0, 0])
-    return _linear(
-        [(_need(pi_sp(i, m), "pi_i Sp(m)"), f"pi_{i} Sp({m})"),
-         (_need(pi_sp(i, n), "pi_i Sp(n)"), f"pi_{i} Sp({n})")],
-        coeffs,
-        (_need(pi_o(i, 4 * m * n), "pi_i O(4mn)"), f"pi_{i} O({4 * m * n})"),
-        "orthonormalized tensor product: n*x + m*y in degree 3, 4(n*x + m*y) in degree 7 (mod 8), zero otherwise",
-        bound,
-    )
+    return _build("tensor-sp-sp", i, m=m, n=n)
 
 
 def hom_square_tensor(i: int, m: int) -> AbHom:
     """Induced map of the self tensor product A -> A (x) A into O(4m^2)."""
-    bound = f"i < 4m+2 = {4 * m + 2} and i < 4m^2-1 = {4 * m * m - 1}"
-    _require_range(0 <= i < 4 * m + 2 and i < 4 * m * m - 1, bound)
-    r = i % 8
-    coeff = {3: 2 * m, 7: 8 * m}.get(r, 0)
-    return _linear(
-        [(_need(pi_sp(i, m), "pi_i Sp(m)"), f"pi_{i} Sp({m})")],
-        [coeff],
-        (_need(pi_o(i, 4 * m * m), "pi_i O(4m^2)"), f"pi_{i} O({4 * m * m})"),
-        "squared tensor product: 2m*x in degree 3, 8m*x in degree 7 (mod 8), zero otherwise",
-        bound,
-    )
-
-
-def _check_bezout(m: int, n: int, u: int, v: int):
-    if u < 1 or v < 1 or abs(v * n - 4 * u * m * m) != 1:
-        raise BadBezoutError(f"need positive u, v with |v*n - 4*u*m^2| = 1; got u={u}, v={v}")
+    return _build("square-tensor", i, m=m)
 
 
 def hom_ttilde(i: int, m: int, n: int, u: int, v: int, z: int | None = None):
@@ -374,32 +461,9 @@ def hom_ttilde(i: int, m: int, n: int, u: int, v: int, z: int | None = None):
 
     In degree 1 the first coefficient is an undetermined z in Z/2; pass
     z = 0 or 1 to pin it, or leave it None to receive both candidates.
+    u or v None takes the Bezout witness for both.
     """
-    _check_bezout(m, n, u, v)
-    cap = min(4 * m + 2, n - 1)
-    bound = f"i < min(4m+2, n-1) = {cap}"
-    _require_range(0 <= i < cap, bound)
-    nn = 4 * u * m * m + v * n
-    parts = [(_need(pi_psp(i, m), "pi_i PSp(m)"), f"pi_{i} PSp({m})"),
-             (_need(pi_so(i, n), "pi_i SO(n)"), f"pi_{i} SO({n})")]
-    target = (_need(pi_so(i, nn), "pi_i SO(N)"), f"pi_{i} SO({nn})")
-    if i == 1:
-        def mk(zz):
-            return _linear(parts, [zz, 1], target,
-                           f"auxiliary map in degree 1: z*x + y with z = {zz}", bound)
-        if z is None:
-            return ZDependent(mk(0), mk(1))
-        return mk(z % 2)
-    r = i % 8
-    if i > 1 and r in (0, 1):
-        coeffs, name = [0, v], "auxiliary map: v*y in degrees 0, 1 (mod 8)"
-    elif r == 3:
-        coeffs, name = [2 * u * m, v], "auxiliary map: 2um*x + v*y in degree 3 (mod 8)"
-    elif r == 7:
-        coeffs, name = [8 * u * m, v], "auxiliary map: 8um*x + v*y in degree 7 (mod 8)"
-    else:
-        coeffs, name = [0, 0], "auxiliary map: zero in degrees 2, 4, 5, 6 (mod 8)"
-    return _linear(parts, coeffs, target, name, bound)
+    return _build("ttilde", i, m=m, n=n, u=u, v=v, z=z)
 
 
 def hom_j(i: int, m: int, n: int, u: int | None = None, v: int | None = None,
@@ -410,50 +474,4 @@ def hom_j(i: int, m: int, n: int, u: int | None = None, v: int | None = None,
     i - 1.  Degree 2 depends on the mod-2 parameter z exactly as the
     degree-1 auxiliary map does.
     """
-    if n % 2 == 0:
-        raise EvenNError("pairing map needs odd n")
-    if gcd(m, n) != 1:
-        raise NotCoprimeError(f"need gcd(m, n) = 1; got gcd({m}, {n}) = {gcd(m, n)}")
-    cap = min(4 * m + 3, n)
-    bound = f"0 < i < min(4m+3, n) = {cap}"
-    _require_range(0 < i < cap, bound)
-    if u is None or v is None:
-        from sympdec.lifting import bezout_uv
-        w = bezout_uv(m, n)
-        u, v = w.u, w.v
-    _check_bezout(m, n, u, v)
-    nn = 4 * u * m * m + v * n
-    g = i - 1
-    if i == 2:
-        source = FgAbGroup.product(
-            _need(pi_classifying("psp", 2, m), "pi_2 B PSp(m)"),
-            _need(pi_classifying("so", 2, n), "pi_2 B SO(n)"),
-        )
-        target = FgAbGroup.product(
-            _need(pi_classifying("psp", 2, m * n), "pi_2 B PSp(mn)"),
-            _need(pi_classifying("so", 2, nn), "pi_2 B SO(N)"),
-        )
-        names_s = (f"pi_2 B PSp({m})", f"pi_2 B SO({n})")
-
-        def mk(zz):
-            return AbHom(source, target,
-                         IntMatrix.from_rows([[1, 0], [zz % 2, 1]]),
-                         names_s,
-                         (f"pi_2 B PSp({m * n})", f"pi_2 B SO({nn})"),
-                         provenance=f"pairing map in degree 2: (x, z*x + y) with z = {zz % 2}",
-                         valid_range=bound)
-        if z is None:
-            return ZDependent(mk(0), mk(1))
-        return mk(z)
-    if i == 1:
-        # degree-0 groups are all trivial
-        trivial = FgAbGroup.trivial()
-        return AbHom(trivial, trivial, IntMatrix.zeros(0, 0),
-                     provenance="pairing map in degree 1: trivial groups",
-                     valid_range=bound)
-    top = hom_tensor_quotient(g, m, n)
-    bottom = hom_ttilde(g, m, n, u, v, 0)
-    h = stack(top, bottom)
-    return AbHom(h.source, h.target, h.matrix, h.source_names, h.target_names,
-                 provenance=f"pairing map at classifying degree {i} (group degree {g})",
-                 valid_range=bound)
+    return _build("J", i, m=m, n=n, u=u, v=v, z=z)

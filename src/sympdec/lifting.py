@@ -103,6 +103,14 @@ class DecisionReport:
         }
 
 
+def _check_domain(m: int, n: int, dim: int = 0) -> None:
+    """Sizes are positive and dimensions nonnegative; ValueError otherwise."""
+    if m < 1 or n < 1:
+        raise ValueError(f"m and n must be positive; got m = {m}, n = {n}")
+    if dim < 0:
+        raise ValueError(f"dim must be nonnegative; got dim = {dim}")
+
+
 def bezout_uv(m: int, n: int) -> BezoutWitness:
     """Minimal positive witness with |v*n - 4*u*m^2| = 1 and N = 4*u*m^2 + v*n.
 
@@ -110,6 +118,7 @@ def bezout_uv(m: int, n: int) -> BezoutWitness:
     solution families (one per sign) the witness takes the smallest u > 0,
     breaking ties by the smaller v.
     """
+    _check_domain(m, n)
     if n % 2 == 0:
         raise EvenNError("witness requires odd n")
     if gcd(m, n) != 1:
@@ -245,6 +254,7 @@ def decide_azumaya(m: int, n: int, dim: int) -> DecisionReport:
     evidence (the obstruction rules out the universal section, not the
     given input, so it does not upgrade the verdict).
     """
+    _check_domain(m, n, dim)
     rule = "azumaya-decomposition (dim <= 7; coprime; m > 1; odd n > 7)"
     failing = _first_failing_azumaya_hypothesis(m, n, dim)
     if failing is None:
@@ -276,6 +286,7 @@ def decide_azumaya(m: int, n: int, dim: int) -> DecisionReport:
 
 def decide_bundle(m: int, n: int, dim: int) -> DecisionReport:
     """Decomposability verdict for rank-2mn symplectic bundles: odd n, dim <= n."""
+    _check_domain(m, n, dim)
     rule = "bundle-decomposition (odd n; dim <= n)"
     if n % 2 == 0:
         return DecisionReport(
@@ -309,6 +320,7 @@ def postnikov_degree_check(m: int, n: int) -> dict:
     targets degree 3 and is reported separately because the skeleton
     factorization handles it.
     """
+    _check_domain(m, n)
     if n % 2 == 0:
         raise EvenNError("obstruction bookkeeping requires odd n")
     stages = []

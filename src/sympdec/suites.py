@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from sympdec import groups, induced
+from sympdec.abgroup import FgAbGroup
 from sympdec.errors import BoundsTooLargeError
 from sympdec.homotopy import pi_sp
-from sympdec.induced import compose, diagonal_hom, hom_j, is_isomorphism
+from sympdec.induced import (compose, diagonal_hom, hom_j, identity_hom, is_isomorphism,
+                             stack, zero_hom)
 from sympdec.lifting import bezout_uv, connectivity_j
 from sympdec.matrix import ExactMatrix
 
@@ -175,38 +177,28 @@ def run_center(bounds: Bounds, samples: int, seed) -> VerifyReport:
     return rep
 
 
+def _same_map(a, b) -> bool:
+    return (a.source, a.target, a.matrix) == (b.source, b.target, b.matrix)
+
+
 def _tensor_decomposition_consistent(i: int, m: int, n: int) -> bool:
-    """tensor formula equals its left part (n-fold sum) plus right part (m * doubling)."""
+    """tensor formula is [left | right]: the n-fold sum on Sp(m) beside the
+    m-fold sum of doubling on O(n), read off through the two factor inclusions."""
     tensor = induced.hom_tensor_sp_o(i, m, n)
     left = induced.hom_r_fold(i, m, n)
-    right = induced.hom_doubling(i, n)
-    expected_cols = []
-    for col in range(left.matrix.cols):
-        expected_cols.append([left.matrix.entry(r, col) for r in range(left.matrix.rows)])
-    for col in range(right.matrix.cols):
-        expected_cols.append([m * right.matrix.entry(r, col) for r in range(right.matrix.rows)])
-    got = tensor.matrix
-    if got.cols != len(expected_cols):
+    right = compose(induced.hom_r_fold(i, n, m), induced.hom_doubling(i, n))
+    a, b = left.source, right.source
+    if tensor.source != FgAbGroup.product(a, b):
         return False
-    for c, colvals in enumerate(expected_cols):
-        if len(colvals) != got.rows:
-            return False
-        for r, val in enumerate(colvals):
-            order = tensor.target.factors[r]
-            want = val % order if order else val
-            if got.entry(r, c) != want:
-                return False
-    return True
+    return (_same_map(compose(tensor, stack(identity_hom(a), zero_hom(a, b))), left)
+            and _same_map(compose(tensor, stack(zero_hom(b, a), identity_hom(b))), right))
 
 
 def _square_tensor_consistent(i: int, m: int) -> bool:
     """square tensor formula equals the two-variable formula composed with the diagonal."""
     square = induced.hom_square_tensor(i, m)
     both = induced.hom_tensor_sp_sp(i, m, m)
-    diag = diagonal_hom(pi_sp(i, m).group)
-    composed = compose(both, diag)
-    return (square.source == composed.source and square.target == composed.target
-            and square.matrix == composed.matrix)
+    return _same_map(square, compose(both, diagonal_hom(pi_sp(i, m).group)))
 
 
 def run_formulas(bounds: Bounds, samples: int, seed) -> VerifyReport:

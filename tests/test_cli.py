@@ -90,6 +90,16 @@ def test_bezout_command(capsys):
     assert code == 2
 
 
+def test_out_of_domain_sizes_exit_two(capsys):
+    for argv in (("bezout", "--m", "-1", "--n", "3"),
+                 ("bezout", "--m", "0", "--n", "1"),
+                 ("decide", "bundle", "--m", "0", "--n", "3", "--dim", "-5"),
+                 ("decide", "azumaya", "--m", "2", "--n", "9", "--dim", "-1"),
+                 ("postnikov", "--m", "-4", "--n", "5")):
+        code, out = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+
+
 def test_connectivity_command(capsys):
     code, body = run_json(capsys, "connectivity", "--m", "2", "--n", "9")
     assert code == 0 and body["connectivity"] == 7

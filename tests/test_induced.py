@@ -1,4 +1,6 @@
 import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import (
@@ -13,6 +15,7 @@ from sympdec.induced import (
     AbHom,
     ImageDescriptor,
     ZDependent,
+    _presentation_matrix,
     compose,
     diagonal_hom,
     hom_direct_sum,
@@ -92,6 +95,22 @@ def test_iso_predicates_on_knowns():
     mixed = hom((0, 2), (0, 2), [[3, 0], [1, 1]])
     assert not is_surjective(mixed)
     assert is_injective(mixed)
+
+
+def test_isomorphism_agrees_with_its_two_halves(golden_homs):
+    # independent reference: h is onto when sympy finds only unit invariant
+    # factors in its presentation, and an epimorphism between isomorphic
+    # finitely generated abelian groups is an isomorphism (they are Hopfian)
+    isos = 0
+    for h in golden_homs:
+        iso = is_isomorphism(h)
+        assert iso == (is_surjective(h) and is_injective(h)), h
+        p = _presentation_matrix(h)
+        factors = invariant_factors(Matrix(p.rows, p.cols, p.data), domain=ZZ)
+        onto = len(factors) == h.target.ngens and all(x == 1 for x in factors)
+        assert iso == (onto and h.source.is_isomorphic_to(h.target)), h
+        isos += iso
+    assert 0 < isos < len(golden_homs)
 
 
 def test_image_description():

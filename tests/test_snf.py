@@ -1,5 +1,9 @@
 import random
 
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
+
+from sympdec.induced import _presentation_matrix
 from sympdec.intmatrix import IntMatrix, smith_normal_form, xgcd
 
 
@@ -82,3 +86,34 @@ def test_xgcd():
         assert g >= 0
         if a or b:
             assert a % g == 0 and b % g == 0
+
+
+def _agrees_with_sympy(m: IntMatrix):
+    """Our diagonal against sympy's invariant factors, up to sign and trailing zeros."""
+    def canon(diag):
+        diag = [abs(int(x)) for x in diag]
+        while diag and diag[-1] == 0:
+            diag.pop()
+        return diag
+    theirs = invariant_factors(Matrix(m.rows, m.cols, m.data), domain=ZZ)
+    assert canon(check_snf(m).diagonal()) == canon(theirs), m
+
+
+def test_diagonal_matches_sympy_on_random_matrices():
+    rng = random.Random(1729)
+    for _ in range(150):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        grid = [[rng.randint(-30, 30) for _ in range(c)] for _ in range(r)]
+        for row in grid:
+            if rng.random() < 0.2:
+                row[:] = [0] * c
+        for j in range(c):
+            if rng.random() < 0.2:
+                for row in grid:
+                    row[j] = 0
+        _agrees_with_sympy(IntMatrix(r, c, [x for row in grid for x in row]))
+
+
+def test_diagonal_matches_sympy_on_golden_presentations(golden_homs):
+    for h in golden_homs:
+        _agrees_with_sympy(_presentation_matrix(h))
