@@ -9,10 +9,6 @@ class ShapeMismatchError(SympdecError):
     """Matrix dimensions are incompatible with the requested operation."""
 
 
-class SingularMatrixError(SympdecError):
-    """Matrix inversion was requested for a singular matrix."""
-
-
 class NotInGroupError(SympdecError):
     """An input matrix fails the membership predicate of its claimed group."""
 

@@ -13,8 +13,9 @@ The Kronecker basis is ordered left-factor-major, which makes
 J_{2m} kron I_n literally equal to J_{2mn}, so the symplectic-times-
 orthogonal tensor product is the plain Kronecker product.
 
-Random elements are built by exact constructions (Cayley transforms for
-SO, generator products for Sp), never by numerical orthogonalization, so
+Random elements are built by exact constructions (products of complex
+plane rotations for SO, generator products for Sp, each generator with its
+inverse known), never by numerical orthogonalization or elimination, so
 membership holds on the nose and every draw is reproducible from its seed.
 """
 
@@ -196,13 +197,14 @@ def perm_pmn(m: int, n: int) -> ExactMatrix:
 
 
 def verify_l_conjugation(a: ExactMatrix, n: int) -> bool:
-    """Exact identity A kron I_n = diag(P,P) A^{(+n)} diag(P,P)^{-1} with P the m,n shuffle."""
+    """Exact identity A kron I_n = diag(P,P) A^{(+n)} diag(P,P)^T with P the m,n shuffle."""
     _require(is_symplectic(a), "input is not symplectic")
     m = a.rows // 2
     p = perm_pmn(m, n)
     pp = block_diag(p, p)
     left = a.kron(ExactMatrix.identity(n))
-    return left == pp @ r_fold_sum_sp(a, n) @ pp.inverse()
+    # permutation matrices are orthogonal: diag(P,P)^{-1} = diag(P,P)^T
+    return left == pp @ r_fold_sum_sp(a, n) @ pp.transpose()
 
 
 def change_of_basis_p(m: int, n: int) -> ExactMatrix:
@@ -268,47 +270,69 @@ def _rng(label: str, seed) -> random.Random:
     return random.Random(f"sympdec:{label}:{seed}")
 
 
-def _random_skew_gauss(n: int, rng: random.Random) -> ExactMatrix:
-    """Skew-symmetric matrix over small Gaussian integers a + b*i."""
-    i = CycScalar.i()
-    rows = [[CycScalar.zero() for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for c in range(r + 1, n):
-            x = CycScalar(rng.randint(-2, 2)) + i * rng.randint(-2, 2)
-            rows[r][c] = x
-            rows[c][r] = -x
-    return ExactMatrix.from_rows(rows)
+def _times_i(row: list[int]) -> list[int]:
+    """Flat numerators times i = z^2: (a0, a1, a2, a3) -> (-a2, -a3, a0, a1) per entry."""
+    out = [0] * len(row)
+    out[0::4] = [-x for x in row[2::4]]
+    out[1::4] = [-x for x in row[3::4]]
+    out[2::4] = row[0::4]
+    out[3::4] = row[1::4]
+    return out
 
 
 def random_so(n: int, seed=0) -> ExactMatrix:
-    """Cayley transform (I + K)(I - K)^{-1} of a random skew K; always in SO(n)."""
+    """Product of complex rotations, one per coordinate plane, in a seeded order.
+
+    The rotation in plane (p, q) is [[c, -s], [s, c]] with c = 5/4 and
+    s = +-3i/4 (seeded sign), so c^2 + s^2 = 1: every factor, and hence the
+    product, is orthogonal with determinant 1 by construction.
+    """
     rng = _rng(f"so:{n}", seed)
-    ident = ExactMatrix.identity(n)
-    while True:
-        k = _random_skew_gauss(n, rng)
-        if not (ident - k).det().is_zero():
-            break
-    return (ident + k) @ (ident - k).inverse()
+    planes = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    rng.shuffle(planes)
+    num = list(ExactMatrix.identity(n).num)
+    w = 4 * n
+    exp = [0] * n           # row r of the product so far is its numerators / 4^exp[r]
+
+    def row(r: int, e: int) -> list[int]:
+        """Numerators of row r over the denominator 4^e (e >= exp[r])."""
+        f = 4 ** (e - exp[r])
+        return [x * f for x in num[r * w:(r + 1) * w]]
+
+    for p, q in planes:
+        s = 3 * rng.choice((1, -1))
+        e = max(exp[p], exp[q])
+        row_p, row_q = row(p, e), row(q, e)
+        num[p * w:(p + 1) * w] = [5 * x - s * y for x, y in zip(row_p, _times_i(row_q))]
+        num[q * w:(q + 1) * w] = [s * x + 5 * y for x, y in zip(_times_i(row_p), row_q)]
+        exp[p] = exp[q] = e + 1
+    top = max(exp, default=0)
+    return ExactMatrix(n, n, [x for r in range(n) for x in row(r, top)], 4 ** top)
 
 
-def _random_unimodular(k: int, rng: random.Random) -> ExactMatrix:
-    rows = [[CycScalar.one() if i == j else CycScalar.zero() for j in range(k)] for i in range(k)]
+def _random_unimodular(k: int, rng: random.Random) -> tuple[ExactMatrix, ExactMatrix]:
+    """(A, A^{-T}) for a random product A of integer row operations.
+
+    On A the operation is row j += c * row i, i.e. A <- E A with
+    E = I + c e_j e_i^T; then A^{-T} <- E^{-T} A^{-T}, which is row i -= c * row j.
+    """
+    a = [[int(r == c) for c in range(k)] for r in range(k)]
+    a_inv_t = [row[:] for row in a]
     for _ in range(2 * k + 2):
         i, j = rng.randrange(k), rng.randrange(k)
         if i == j:
             continue
         c = rng.randint(-2, 2)
-        rows[j] = [x + c * y for x, y in zip(rows[j], rows[i])]
-    return ExactMatrix.from_rows(rows)
+        a[j] = [x + c * y for x, y in zip(a[j], a[i])]
+        a_inv_t[i] = [x - c * y for x, y in zip(a_inv_t[i], a_inv_t[j])]
+    return ExactMatrix.from_rows(a), ExactMatrix.from_rows(a_inv_t)
 
 
 def _random_symmetric(k: int, rng: random.Random) -> ExactMatrix:
-    rows = [[CycScalar.zero()] * k for _ in range(k)]
+    rows = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            x = CycScalar(rng.randint(-2, 2))
-            rows[i][j] = x
-            rows[j][i] = x
+            rows[i][j] = rows[j][i] = rng.randint(-2, 2)
     return ExactMatrix.from_rows(rows)
 
 
@@ -321,8 +345,8 @@ def random_sp(m: int, seed=0) -> ExactMatrix:
     for _ in range(rng.randint(2, 4)):
         kind = rng.randrange(3)
         if kind == 0:
-            a = _random_unimodular(m, rng)
-            f = block_matrix([[a, zero], [zero, a.transpose().inverse()]])
+            a, a_inv_t = _random_unimodular(m, rng)
+            f = block_matrix([[a, zero], [zero, a_inv_t]])
         elif kind == 1:
             f = block_matrix([[ident, _random_symmetric(m, rng)], [zero, ident]])
         else:
@@ -333,7 +357,7 @@ def random_sp(m: int, seed=0) -> ExactMatrix:
 
 def random_gl(k: int, seed=0) -> ExactMatrix:
     """Random unimodular integer matrix (invertible by construction)."""
-    return _random_unimodular(k, _rng(f"gl:{k}", seed))
+    return _random_unimodular(k, _rng(f"gl:{k}", seed))[0]
 
 
 def with_perturbed_entry(m: ExactMatrix, delta: int = 1) -> ExactMatrix:

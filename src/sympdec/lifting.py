@@ -147,6 +147,7 @@ def connectivity_j(m: int, n: int) -> int:
     undetermined mod-2 parameter; multiples of 8 are the first degrees where
     invertibility can genuinely fail, hence the certificate stops at 7.
     """
+    _check_domain(m, n)
     if n % 2 == 0:
         raise EvenNError("connectivity certificate requires odd n")
     if gcd(m, n) != 1:

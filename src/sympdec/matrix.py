@@ -8,12 +8,11 @@ is structural, and it feeds the multiplication kernel integer-only work.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from sympdec import kernels
 from sympdec.cyclotomic import CycScalar, as_cyc, _mul4
-from sympdec.errors import ShapeMismatchError, SingularMatrixError
+from sympdec.errors import ShapeMismatchError
 
 
 class ExactMatrix:
@@ -157,14 +156,11 @@ class ExactMatrix:
 
     # -- elimination-based operations --------------------------------------
 
-    def _working_rows(self) -> list[list[CycScalar]]:
-        return [self.row(i) for i in range(self.rows)]
-
     def det(self) -> CycScalar:
         if not self.is_square():
             raise ShapeMismatchError("determinant of non-square matrix")
         n = self.rows
-        a = self._working_rows()
+        a = [self.row(i) for i in range(n)]
         det = CycScalar.one()
         for col in range(n):
             pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
@@ -181,30 +177,6 @@ class ExactMatrix:
                 f = a[r][col] * inv
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
         return det
-
-    def inverse(self) -> "ExactMatrix":
-        if not self.is_square():
-            raise ShapeMismatchError("inverse of non-square matrix")
-        n = self.rows
-        a = self._working_rows()
-        b = ExactMatrix.identity(n)._working_rows()
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                b[col], b[pivot] = b[pivot], b[col]
-            inv = a[col][col].inv()
-            a[col] = [x * inv for x in a[col]]
-            b[col] = [x * inv for x in b[col]]
-            for r in range(n):
-                if r == col or a[r][col].is_zero():
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return ExactMatrix.from_rows(b)
 
     # -- comparison / display ----------------------------------------------
 

@@ -95,9 +95,15 @@ def test_out_of_domain_sizes_exit_two(capsys):
                  ("bezout", "--m", "0", "--n", "1"),
                  ("decide", "bundle", "--m", "0", "--n", "3", "--dim", "-5"),
                  ("decide", "azumaya", "--m", "2", "--n", "9", "--dim", "-1"),
-                 ("postnikov", "--m", "-4", "--n", "5")):
+                 ("postnikov", "--m", "-4", "--n", "5"),
+                 ("connectivity", "--m", "-1", "--n", "9"),
+                 ("connectivity", "--m", "2", "--n", "-3"),
+                 ("connectivity", "--m", "0", "--n", "9")):
         code, out = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
+    # the domain is checked before coprimality
+    main(["connectivity", "--m", "0", "--n", "9"])
+    assert "m and n must be positive" in capsys.readouterr().err
 
 
 def test_connectivity_command(capsys):
@@ -134,9 +140,14 @@ def test_verify_bad_bounds_usage_error(capsys):
 
 
 def test_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("SYMPDEC_SEED", "123")
-    code, body = run_json(capsys, "verify", "bezout", "--max-m", "1", "--max-n", "1")
-    assert code == 0 and body["seed"] == 123
+    # the environment is read per call, not when the (cached) parser is built
+    for seed in (123, 456):
+        monkeypatch.setenv("SYMPDEC_SEED", str(seed))
+        code, body = run_json(capsys, "verify", "bezout", "--max-m", "1", "--max-n", "1")
+        assert code == 0 and body["seed"] == seed
+    code, body = run_json(capsys, "verify", "bezout", "--max-m", "1", "--max-n", "1",
+                          "--seed", "7")
+    assert code == 0 and body["seed"] == 7
 
 
 def test_human_output(capsys):

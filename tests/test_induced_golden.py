@@ -16,7 +16,6 @@ Re-record only on purpose: ``PYTHONPATH=src python tests/test_induced_golden.py`
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -74,12 +73,10 @@ def load() -> dict:
     return json.loads(FIXTURE.read_text())
 
 
-def test_induced_cli_matches_golden(monkeypatch):
+def test_induced_cli_matches_golden():
     golden = load()
     cases = grid()
     assert digest(cases) == golden["argv_sha256"], "the grid changed; re-record on purpose"
-    # main() builds its parser on every call; one parser serves every case
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     outcomes = [(code, printed(body), err) for code, body, err in golden["outcomes"]]
     wrong = [argv for argv, k in zip(cases, golden["case_outcome"], strict=True)
              if run(argv) != outcomes[k]]
@@ -108,5 +105,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    cli.build_parser = functools.cache(cli.build_parser)
     record()
