@@ -9,7 +9,9 @@ much is tabulated.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 from sympdec.abgroup import FgAbGroup
@@ -69,6 +71,13 @@ def pi_sp(i: int, n: int) -> TableAnswer:
             f"symplectic boundary degree {i}: Z/2 for odd n, trivial for even n (n = {n})",
         )
     if i == 4 * n + 2:
+        digits = sys.get_int_max_str_digits() or 4300
+        largest = _largest_printable_sp_n(digits)
+        if n > largest:
+            raise ValueError(
+                f"order (2n+1)!{'*2' if n % 2 else ''} of degree 4n+2 = {i} has more "
+                f"than {digits} digits, the integer string conversion limit; "
+                f"n <= {largest} prints")
         order = factorial(2 * n + 1) * (2 if n % 2 else 1)
         return TableAnswer.of(
             (order,),
@@ -78,6 +87,22 @@ def pi_sp(i: int, n: int) -> TableAnswer:
     return TableAnswer.out_of_range(
         f"degree {i} beyond tabulated symplectic range 4n+2 = {4 * n + 2}"
     )
+
+
+@cache
+def _largest_printable_sp_n(digits: int) -> int:
+    """Largest n whose degree-4n+2 order has at most `digits` decimal digits.
+
+    The order grows with n, so one pass of exact multiplications finds the
+    threshold; the factorial of a larger n is never computed.
+    """
+    bound = 10 ** digits          # an order has more than `digits` digits iff >= bound
+    n, f = 0, 1                   # f = (2n+1)!
+    while True:
+        f *= (2 * n + 2) * (2 * n + 3)
+        if f * (2 if (n + 1) % 2 else 1) >= bound:
+            return n
+        n += 1
 
 
 def pi_psp(i: int, n: int) -> TableAnswer:

@@ -23,6 +23,7 @@ from sympdec.errors import (
 from sympdec.induced import (
     AbHom,
     ImageDescriptor,
+    ZDependent,
     hom_j,
     image_description,
     is_isomorphism,
@@ -143,9 +144,13 @@ def connectivity_j(m: int, n: int) -> int:
     """Certify the pairing map as 7-connected and return 7.
 
     Checks the pairing map is an isomorphism on homotopy in every degree
-    0 < i < min(4m+3, n) with i not divisible by 8, for both values of the
-    undetermined mod-2 parameter; multiples of 8 are the first degrees where
-    invertibility can genuinely fail, hence the certificate stops at 7.
+    0 < i < min(4m+3, n) with i not divisible by 8; multiples of 8 are the
+    first degrees where invertibility can genuinely fail, hence the
+    certificate stops at 7.  Each degree is built once with the mod-2
+    parameter z left unset: only degree 2 depends on it, and there both
+    candidates are checked.  The maps repeat across degrees, so verdicts
+    are memoised for this call on (source, target, matrix); each distinct
+    map still gets its own Smith normal form.
     """
     _check_domain(m, n)
     if n % 2 == 0:
@@ -157,15 +162,19 @@ def connectivity_j(m: int, n: int) -> int:
     if n <= 7:
         raise HypothesisFailureError("n > 7 required")
     w = bezout_uv(m, n)
-    d = min(4 * m + 3, n)
-    for i in range(1, d):
+    verdicts: dict[tuple, bool] = {}
+    for i in range(1, min(4 * m + 3, n)):
         if i % 8 == 0:
             continue
-        for z in (0, 1):
-            h = hom_j(i, m, n, w.u, w.v, z)
-            if not is_isomorphism(h):
+        h = hom_j(i, m, n, w.u, w.v)
+        for z, hz in h.candidates if isinstance(h, ZDependent) else ((None, h),):
+            key = (hz.source, hz.target, hz.matrix)
+            if key not in verdicts:
+                verdicts[key] = is_isomorphism(hz)
+            if not verdicts[key]:
+                at = f"degree {i}" if z is None else f"degree {i} (z = {z})"
                 raise HypothesisFailureError(
-                    f"pairing map fails to be an isomorphism at degree {i} (z = {z})"
+                    f"pairing map fails to be an isomorphism at {at}"
                 )
     return 7
 

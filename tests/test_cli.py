@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sympdec import homotopy, induced
 from sympdec.cli import main
 
 
@@ -98,7 +102,10 @@ def test_out_of_domain_sizes_exit_two(capsys):
                  ("postnikov", "--m", "-4", "--n", "5"),
                  ("connectivity", "--m", "-1", "--n", "9"),
                  ("connectivity", "--m", "2", "--n", "-3"),
-                 ("connectivity", "--m", "0", "--n", "9")):
+                 ("connectivity", "--m", "0", "--n", "9"),
+                 ("pi", "--family", "sp", "--n", "100000000", "--i", "400000002"),
+                 ("pi", "--family", "psp", "--n", "780", "--i", "3122"),
+                 ("pi", "--family", "sp", "--n", "779", "--i", "3119", "--space", "classifying")):
         code, out = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
     # the domain is checked before coprimality
@@ -170,3 +177,47 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["N"] == 7
+
+
+def _flags(**values):
+    return [x for q, v in values.items() if v is not None for x in (f"--{q}", str(v))]
+
+
+_M = st.integers(-3, 60)
+_N = st.integers(-3, 500)
+_FLAG_VALUES = {"m": _M, "n": _N, "r": st.integers(-3, 12), "u": st.integers(-3, 3000),
+                "v": st.integers(-3, 3000), "z": st.integers(-1, 2)}
+_ARGVS = st.one_of(
+    st.builds(lambda f, n, i, space: ["pi", *_flags(family=f, n=n, i=i, space=space)],
+              st.sampled_from(homotopy.FAMILIES), _N, st.integers(-3, 2100),
+              st.sampled_from(("group", "classifying"))),
+    # the first unstable degree 4n+2 (4n+3, 4n+4 on the classifying space), n up to 10^9
+    st.builds(lambda f, n, d, space: ["pi", *_flags(family=f, n=n, i=4 * n + 2 + d, space=space)],
+              st.sampled_from(("sp", "psp")), st.integers(1, 10 ** 9), st.integers(0, 2),
+              st.sampled_from(("group", "classifying"))),
+    st.builds(lambda m, n: ["bezout", *_flags(m=m, n=n)], _M, _N),
+    st.builds(lambda kind, m, n, dim: ["decide", kind, *_flags(m=m, n=n, dim=dim)],
+              st.sampled_from(("azumaya", "bundle")), _M, _N, st.integers(-3, 600)),
+    st.builds(lambda m, n: ["connectivity", *_flags(m=m, n=n)], _M, _N),
+    st.builds(lambda m, n: ["postnikov", *_flags(m=m, n=n)], _M, _N),
+    st.sampled_from(tuple(induced.FORMULAS)).flatmap(lambda op: st.builds(
+        lambda i, values: ["induced", op, *_flags(i=i, **values)], st.integers(-3, 250),
+        st.fixed_dictionaries({q: st.none() | _FLAG_VALUES[q]
+                               for q in induced.FORMULAS[op].params}))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ARGVS)
+def test_no_cli_input_produces_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse refusing a flag
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue(), argv
+    else:
+        json.loads(out.getvalue())

@@ -1,3 +1,4 @@
+import sys
 from math import factorial
 
 import pytest
@@ -46,6 +47,28 @@ def test_sp_first_unstable():
     assert pi_sp(6, 1).group == FgAbGroup((12,))
     assert pi_sp(10, 2).group == FgAbGroup((factorial(5),))
     assert pi_sp(14, 3).group == FgAbGroup((factorial(7) * 2,))
+
+
+def test_sp_first_unstable_order_refused_past_the_digit_limit():
+    # 778 is the largest n whose order (2n+1)!(*2) prints at the default 4300 digits
+    assert len(str(pi_sp(4 * 778 + 2, 778).group.factors[0])) <= 4300
+    for n in (779, 780, 10**8, 10**18):
+        for table in (pi_sp, pi_psp):
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                table(4 * n + 2, n)
+        with pytest.raises(ValueError, match="4300 digits"):
+            pi_classifying("sp", 4 * n + 3, n)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        with pytest.raises(ValueError, match="more than 1000 digits.*n <= 224 prints"):
+            pi_sp(4 * 225 + 2, 225)
+        assert len(str(pi_sp(4 * 224 + 2, 224).group.factors[0])) <= 1000
+        sys.set_int_max_str_digits(0)   # unlimited conversion still refuses at 4300
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            pi_sp(4 * 779 + 2, 779)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_sp_out_of_range():

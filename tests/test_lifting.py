@@ -1,8 +1,12 @@
+from collections import defaultdict
 from math import gcd
 
 import pytest
 
+from sympdec import induced, lifting, suites
 from sympdec.errors import CaseMismatchError, EvenNError, HypothesisFailureError, NotCoprimeError
+from sympdec.induced import ZDependent, hom_j, is_isomorphism
+from sympdec.intmatrix import smith_normal_form
 from sympdec.lifting import (
     KIND_HIGH_N,
     KIND_SMALL_N,
@@ -64,6 +68,96 @@ def test_connectivity_hypothesis_failures():
         connectivity_j(2, 7)
     with pytest.raises(NotCoprimeError):
         connectivity_j(3, 9)
+
+
+def _key(h):
+    return h.source, h.target, h.matrix
+
+
+def _certified_degrees(m, n):
+    return [i for i in range(1, min(4 * m + 3, n)) if i % 8]
+
+
+@pytest.mark.parametrize("m, n", [(2, 9), (3, 11), (50, 201)])
+def test_certificate_builds_each_degree_once_and_one_snf_per_distinct_map(monkeypatch, m, n):
+    built, presentations = [], []
+
+    def spy_hom_j(i, *args):
+        built.append((i, hom_j(i, *args)))
+        return built[-1][1]
+
+    def spy_snf(matrix):
+        presentations.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(lifting, "hom_j", spy_hom_j)
+    monkeypatch.setattr(induced, "smith_normal_form", spy_snf)
+    assert connectivity_j(m, n) == 7
+    assert [i for i, _ in built] == _certified_degrees(m, n)
+    # z changes the map only at degree 2, where both candidates come back
+    assert [i for i, h in built if isinstance(h, ZDependent)] == [2]
+    distinct = {_key(c) for _, h in built
+                for _, c in (h.candidates if isinstance(h, ZDependent) else [(0, h)])}
+    assert len(distinct) == 5
+    assert len(presentations) <= len(distinct)
+    assert len(set(presentations)) == len(presentations)
+
+
+@pytest.mark.parametrize("i, z", [(5, None), (2, 0), (2, 1)])
+def test_certificate_reports_a_rejected_map_at_its_degree(monkeypatch, i, z):
+    w = bezout_uv(2, 9)
+    bad = hom_j(i, 2, 9, w.u, w.v, z)
+    monkeypatch.setattr(lifting, "is_isomorphism",
+                        lambda h: _key(h) != _key(bad) and is_isomorphism(h))
+    with pytest.raises(HypothesisFailureError) as exc:
+        connectivity_j(2, 9)
+    where = f"degree {i}" if z is None else f"degree {i} (z = {z})"
+    assert str(exc.value) == f"pairing map fails to be an isomorphism at {where}"
+
+
+def _reject_some(h):
+    """A stand-in verdict that fails the Z/2 map at degree 5, and the free map
+    at degree 4 when 3 divides n."""
+    if h.source.factors == (2,) or (h.source.factors == (0, 0) and h.matrix.entry(0, 0) % 3 == 0):
+        return False
+    return is_isomorphism(h)
+
+
+@pytest.mark.parametrize("verdict", [is_isomorphism, _reject_some])
+def test_certificate_agrees_with_the_j_iso_suite(monkeypatch, verdict):
+    records = defaultdict(list)
+
+    def record(self, passed, op, m, n, i=None, z=None):
+        if op == "J-iso":
+            records[m, n].append((i, z, passed))
+
+    monkeypatch.setattr(suites.VerifyReport, "record", record)
+    # the suite's own J-connectivity record calls the certificate; checked below instead
+    monkeypatch.setattr(suites, "connectivity_j", lambda m, n: 7)
+    monkeypatch.setattr(suites, "is_isomorphism", verdict)
+    monkeypatch.setattr(lifting, "is_isomorphism", verdict)
+    suites.run_j_iso(suites.Bounds(), 1, 0, max_m=6, max_n=41)
+    pairs = {(m, n) for m in range(1, 7) for n in range(1, 42, 2) if gcd(m, n) == 1}
+    assert set(records) == {(m, n) for m, n in pairs if m > 1 and n > 7}
+    first_failures = set()
+    for m, n in sorted(pairs):
+        if (m, n) not in records:
+            with pytest.raises(HypothesisFailureError, match="required"):
+                connectivity_j(m, n)
+            continue
+        assert [(i, z) for i, z, _ in records[m, n]] == [
+            (i, z) for i in _certified_degrees(m, n) for z in (0, 1)]
+        failed = [(i, z) for i, z, passed in records[m, n] if not passed]
+        if not failed:
+            assert connectivity_j(m, n) == 7
+            continue
+        i, z = failed[0]
+        first_failures.add(i)
+        where = f"degree {i} (z = {z})" if i == 2 else f"degree {i}"
+        with pytest.raises(HypothesisFailureError) as exc:
+            connectivity_j(m, n)
+        assert str(exc.value).endswith(f"at {where}"), (m, n)
+    assert first_failures == (set() if verdict is is_isomorphism else {4, 5})
 
 
 def test_no_section_witness_high_n_case():

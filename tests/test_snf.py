@@ -1,5 +1,6 @@
 import random
 
+from hypothesis import given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
@@ -62,6 +63,25 @@ def test_randomized_snf():
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         m = IntMatrix(r, c, [rng.randint(-9, 9) for _ in range(r * c)])
         check_snf(m)
+
+
+@st.composite
+def int_matrices(draw, max_dim=5):
+    """Integer matrices up to max_dim x max_dim, some rows and columns zeroed."""
+    r, c = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    entry = st.integers(-60, 60) | st.integers(-10 ** 12, 10 ** 12)
+    data = draw(st.lists(entry, min_size=r * c, max_size=r * c))
+    zero_rows = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    zero_cols = draw(st.lists(st.booleans(), min_size=c, max_size=c))
+    return IntMatrix(r, c, [0 if zero_rows[k // c] or zero_cols[k % c] else x
+                            for k, x in enumerate(data)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_snf_property(m):
+    # U*M*V = D, det U and det V = +-1 by Bareiss, D a nonnegative divisibility chain
+    check_snf(m)
 
 
 def test_determinism():
