@@ -208,7 +208,9 @@ def as_cyc(x) -> "CycScalar":
     """Coerce ints and Fractions to CycScalar; NotImplemented on foreign types."""
     if isinstance(x, CycScalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
+        return CycScalar._raw((int(x), 0, 0, 0), 1)   # int(x): no bool in the tuple
+    if isinstance(x, Fraction):
         return CycScalar(x)
     return NotImplemented
 

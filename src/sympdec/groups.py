@@ -25,7 +25,7 @@ import random
 
 from sympdec.cyclotomic import CycScalar
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
-from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix
+from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix, place_blocks
 
 
 # -- forms and predicates ----------------------------------------------------
@@ -99,16 +99,27 @@ def _require(condition: bool, what: str):
 
 # -- direct sums and stabilizations -------------------------------------------
 
+def _interleaved_sum(blocks: list[ExactMatrix]) -> ExactMatrix:
+    """Sp(n_1) x ... x Sp(n_k) -> Sp(N), N = sum n_t, blockwise diag on quadrants.
+
+    Block t goes to indices [o, o + n_t) u [N + o, N + o + n_t), where o is
+    the sum of the earlier n_s.
+    """
+    total = sum(b.rows for b in blocks) // 2
+    placements, o = [], 0
+    for b in blocks:
+        k = b.rows // 2
+        idx = [*range(o, o + k), *range(total + o, total + o + k)]
+        placements.append((b, idx, idx))
+        o += k
+    return place_blocks(2 * total, 2 * total, placements)
+
+
 def direct_sum_sp(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Interleaved direct sum Sp(m) x Sp(n) -> Sp(m+n), blockwise diag on quadrants."""
     _require(is_symplectic(a), "left summand is not symplectic")
     _require(is_symplectic(b), "right summand is not symplectic")
-    a11, a12, a21, a22 = symplectic_blocks(a)
-    b11, b12, b21, b22 = symplectic_blocks(b)
-    return block_matrix([
-        [block_diag(a11, b11), block_diag(a12, b12)],
-        [block_diag(a21, b21), block_diag(a22, b22)],
-    ])
+    return _interleaved_sum([a, b])
 
 
 def r_fold_sum_sp(a: ExactMatrix, r: int) -> ExactMatrix:
@@ -116,9 +127,7 @@ def r_fold_sum_sp(a: ExactMatrix, r: int) -> ExactMatrix:
     if r < 1:
         raise IndexOutOfRangeError("r must be positive")
     _require(is_symplectic(a), "summand is not symplectic")
-    a11, a12, a21, a22 = symplectic_blocks(a)
-    rep = lambda x: block_diag(*([x] * r))
-    return block_matrix([[rep(a11), rep(a12)], [rep(a21), rep(a22)]])
+    return _interleaved_sum([a] * r)
 
 
 def stabilization(a: ExactMatrix, extra: int) -> ExactMatrix:
@@ -130,29 +139,17 @@ def stabilization(a: ExactMatrix, extra: int) -> ExactMatrix:
     return direct_sum_sp(a, ExactMatrix.identity(2 * extra))
 
 
-def _sigma_j(x: ExactMatrix, j: int, n: int, r: int, fill: ExactMatrix) -> ExactMatrix:
-    parts = [fill] * (j - 1) + [x] + [fill] * (r - j)
-    return block_diag(*parts)
-
-
 def stabilization_sj(a: ExactMatrix, j: int, r: int) -> ExactMatrix:
     """Place the blocks of a in the j-th of r diagonal slots: Sp(n) -> Sp(rn), 1 <= j <= r.
 
-    The diagonal quadrants are padded with identity slots and the
-    off-diagonal quadrants with zero slots, so that j = 1 recovers the
-    plain stabilization (direct sum with the identity).
+    This is the interleaved sum of identities with a in slot j, so that
+    j = 1 recovers the plain stabilization (direct sum with the identity).
     """
     if not 1 <= j <= r:
         raise IndexOutOfRangeError(f"j = {j} not in 1..{r}")
     _require(is_symplectic(a), "input is not symplectic")
-    n = a.rows // 2
-    a11, a12, a21, a22 = symplectic_blocks(a)
-    ident = ExactMatrix.identity(n)
-    zero = ExactMatrix.zeros(n, n)
-    return block_matrix([
-        [_sigma_j(a11, j, n, r, ident), _sigma_j(a12, j, n, r, zero)],
-        [_sigma_j(a21, j, n, r, zero), _sigma_j(a22, j, n, r, ident)],
-    ])
+    ident = ExactMatrix.identity(a.rows)
+    return _interleaved_sum([ident] * (j - 1) + [a] + [ident] * (r - j))
 
 
 def perm_pj(j: int, n: int, r: int) -> ExactMatrix:
@@ -216,44 +213,34 @@ def change_of_basis_p(m: int, n: int) -> ExactMatrix:
     increasing order of the smaller index.  Any other choice differs by a
     complex-orthogonal change of basis.
     """
-    g = symplectic_gram(m).kron(symplectic_gram(n))
-    size = g.rows
     half = CycScalar.sqrt2() / 2          # 1/sqrt2
     ihalf = CycScalar.i() * half          # i/sqrt2
-    zero = CycScalar.zero()
-    cols: list[list[CycScalar]] = []
-    seen = [False] * size
-    for a in range(size):
-        if seen[a]:
-            continue
-        partner = None
-        eps = None
-        for r in range(size):
-            e = g.entry(r, a)
-            if not e.is_zero():
-                partner, eps = r, e
-                break
-        assert partner is not None and partner != a and not seen[partner]
-        seen[a] = seen[partner] = True
-        u = [zero] * size
-        u[a] = half
-        u[partner] = eps * half
-        v = [zero] * size
-        v[a] = ihalf
-        v[partner] = -eps * ihalf
-        cols.append(u)
-        cols.append(v)
-    return ExactMatrix.from_rows(list(map(list, zip(*cols))))
+    # rows a, a' of the column pair, by eps
+    pair = {eps: ExactMatrix.from_rows([[half, ihalf], [eps * half, -eps * ihalf]])
+            for eps in (1, -1)}
+    # J_{2k} e_c = -e_{c+k} for c < k and e_{c-k} otherwise, and G e_a for
+    # a = a1*2n + a2 is the product of those for a1 (k = m) and a2 (k = n).
+    # So the smaller index of each pair has a1 < m (sign -1), its partner is
+    # a + 2mn +- n, and eps = +1 for a2 < n, -1 otherwise.
+    pairs = 2 * m * n
+    placements = []
+    for a in range(pairs):
+        partner, eps = (a + pairs + n, 1) if a % (2 * n) < n else (a + pairs - n, -1)
+        placements.append((pair[eps], (a, partner), (2 * a, 2 * a + 1)))
+    return place_blocks(2 * pairs, 2 * pairs, placements)
 
 
 def tensor_sp_sp(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Sp(m) x Sp(n) -> O(4mn): Kronecker product conjugated to the orthonormal basis."""
     _require(is_symplectic(a), "left tensor factor is not symplectic")
     _require(is_symplectic(b), "right tensor factor is not symplectic")
-    m, n = a.rows // 2, b.rows // 2
-    p = change_of_basis_p(m, n)
-    g = symplectic_gram(m).kron(symplectic_gram(n))
-    p_inv = p.transpose() @ g             # P^T G P = I gives P^{-1} = P^T G
+    p = change_of_basis_p(a.rows // 2, b.rows // 2)
+    # P^{-1} = P^T G with G = J kron J, which fixes every 1/sqrt2 column of P
+    # and negates every i/sqrt2 column: P^{-1} is P^T with its odd rows negated
+    pt = p.transpose()
+    w = 4 * pt.cols
+    p_inv = ExactMatrix(pt.rows, pt.cols,
+                        [-x if (q // w) % 2 else x for q, x in enumerate(pt.num)], pt.den)
     return p_inv @ a.kron(b) @ p
 
 
@@ -345,8 +332,7 @@ def random_sp(m: int, seed=0) -> ExactMatrix:
     for _ in range(rng.randint(2, 4)):
         kind = rng.randrange(3)
         if kind == 0:
-            a, a_inv_t = _random_unimodular(m, rng)
-            f = block_matrix([[a, zero], [zero, a_inv_t]])
+            f = block_diag(*_random_unimodular(m, rng))     # diag(A, A^{-T})
         elif kind == 1:
             f = block_matrix([[ident, _random_symmetric(m, rng)], [zero, ident]])
         else:

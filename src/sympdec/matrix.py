@@ -8,6 +8,7 @@ is structural, and it feeds the multiplication kernel integer-only work.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd
 
 from sympdec import kernels
@@ -234,10 +235,44 @@ def perm_matrix(cols: list[int]) -> ExactMatrix:
     n = len(cols)
     if sorted(cols) != list(range(n)):
         raise ValueError("not a permutation of 0..n-1")
-    num = [0] * (n * n * 4)
-    for k, r in enumerate(cols):
-        num[(r * n + k) * 4] = 1
-    return ExactMatrix(n, n, num, 1)
+    return place_blocks(n, n, [(ExactMatrix.identity(n), cols, range(n))])
+
+
+def place_blocks(rows: int, cols: int, placements) -> ExactMatrix:
+    """A rows x cols matrix, zero except where blocks are placed.
+
+    Each placement (block, row_indices, col_indices) writes entry (i, j) of
+    block at (row_indices[i], col_indices[j]); all blocks are brought over
+    the lcm of their denominators.
+    """
+    placements = list(placements)
+    den = 1
+    for b, _, _ in placements:
+        den = den * b.den // gcd(den, b.den)
+    num = [0] * (rows * cols * 4)
+    for b, row_idx, col_idx in placements:
+        if len(row_idx) != b.rows or len(col_idx) != b.cols:
+            raise ShapeMismatchError(
+                f"{b.rows}x{b.cols} block placed at {len(row_idx)}x{len(col_idx)} indices"
+            )
+        if any(not 0 <= r < rows for r in row_idx) or any(not 0 <= c < cols for c in col_idx):
+            raise ShapeMismatchError(f"block index outside {rows}x{cols}")
+        f = den // b.den
+        src = b.num if f == 1 else [x * f for x in b.num]
+        s = 0
+        for r in row_idx:
+            base = r * cols * 4
+            for c in col_idx:
+                o = base + c * 4
+                num[o:o + 4] = src[s:s + 4]
+                s += 4
+    return ExactMatrix(rows, cols, num, den)
+
+
+def _spans(sizes) -> list[range]:
+    """Consecutive index ranges of the given lengths, starting at 0."""
+    ends = list(accumulate(sizes, initial=0))
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def block_matrix(grid) -> ExactMatrix:
@@ -252,37 +287,13 @@ def block_matrix(grid) -> ExactMatrix:
         for b, w in zip(row, col_widths):
             if b.cols != w or b.rows != row[0].rows:
                 raise ShapeMismatchError("inconsistent block sizes")
-    rows = sum(row_heights)
-    cols = sum(col_widths)
-    den = 1
-    for row in grid:
-        for b in row:
-            den = den * b.den // gcd(den, b.den)
-    num = [0] * (rows * cols * 4)
-    r0 = 0
-    for row, h in zip(grid, row_heights):
-        c0 = 0
-        for b, w in zip(row, col_widths):
-            f = den // b.den
-            for i in range(h):
-                for j in range(w):
-                    s = (i * w + j) * 4
-                    o = ((r0 + i) * cols + (c0 + j)) * 4
-                    num[o] = b.num[s] * f
-                    num[o + 1] = b.num[s + 1] * f
-                    num[o + 2] = b.num[s + 2] * f
-                    num[o + 3] = b.num[s + 3] * f
-            c0 += w
-        r0 += h
-    return ExactMatrix(rows, cols, num, den)
+    col_spans = _spans(col_widths)
+    return place_blocks(sum(row_heights), sum(col_widths), [
+        (b, rs, cs) for row, rs in zip(grid, _spans(row_heights)) for b, cs in zip(row, col_spans)
+    ])
 
 
 def block_diag(*blocks: ExactMatrix) -> ExactMatrix:
     """Plain block-diagonal assembly diag(B1, ..., Bk)."""
-    grid = []
-    for i, b in enumerate(blocks):
-        row = []
-        for j, c in enumerate(blocks):
-            row.append(b if i == j else ExactMatrix.zeros(b.rows, c.cols))
-        grid.append(row)
-    return block_matrix(grid)
+    heights, widths = [b.rows for b in blocks], [b.cols for b in blocks]
+    return place_blocks(sum(heights), sum(widths), zip(blocks, _spans(heights), _spans(widths)))

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sympdec.cyclotomic import CycScalar
+from sympdec.cyclotomic import CycScalar, as_cyc
 
 
 def rand_scalar(rng):
@@ -82,3 +83,29 @@ def test_str_forms():
     assert str(CycScalar.zero()) == "0"
     assert str(CycScalar(1, 0, -1, 0) / 2) == "(1 - z^2)/2"
     assert str(-CycScalar.one()) == "-1"
+
+
+INTS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(2 ** 64, 2 ** 200),
+    st.integers(-(2 ** 200), -(2 ** 64)),
+    st.just(0),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(INTS, st.fractions(max_denominator=50), st.lists(st.fractions(max_denominator=20),
+                                                         min_size=4, max_size=4))
+def test_int_coercion_matches_the_general_constructor(k, q, coeffs):
+    ref = CycScalar(k)          # goes through Fraction and the lcm loop
+    got = as_cyc(k)
+    assert got.num == ref.num and got.den == ref.den and hash(got) == hash(ref)
+    assert all(type(x) is int for x in got.num)
+    c = CycScalar(*coeffs)
+    assert c + k == c + ref and k + c == ref + c
+    assert c - k == c - ref and k - c == ref - c
+    assert c * k == c * ref and k * c == ref * c
+    assert got + q == CycScalar(Fraction(k) + q)
+    assert (c * k) * q == c * CycScalar(Fraction(k) * q)
+    assert (k == c) == (ref == c)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sympdec.cyclotomic import CycScalar
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
 from sympdec.groups import (
     _random_unimodular,
@@ -32,7 +33,7 @@ from sympdec.groups import (
     verify_sj_conjugation,
     with_perturbed_entry,
 )
-from sympdec.matrix import ExactMatrix, block_diag
+from sympdec.matrix import ExactMatrix, block_diag, perm_matrix
 
 
 # -- membership predicates ---------------------------------------------------
@@ -216,6 +217,101 @@ def test_mixed_product():
     assert verify_mixed_product(random_gl(2, seed=1), random_gl(3, seed=2))
     # scalar case is the commutativity of the field
     assert verify_mixed_product(ExactMatrix.from_rows([[7]]), ExactMatrix.from_rows([[5]]))
+
+
+# -- placed constructions against dense oracles -------------------------------
+# The oracles build every matrix entry by entry and combine by dense products,
+# so none of them goes through matrix.place_blocks.
+
+def dense_perm(cols):
+    n = len(cols)
+    return ExactMatrix.from_rows([[int(r == cols[k]) for k in range(n)] for r in range(n)])
+
+
+def dense_block_diag(*blocks):
+    size = sum(b.rows for b in blocks)
+    rows = [[0] * size for _ in range(size)]
+    o = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                rows[o + i][o + j] = b.entry(i, j)
+        o += b.rows
+    return ExactMatrix.from_rows(rows)
+
+
+def interleaving(halves):
+    """S such that S^T diag(B_1, ..., B_k) S is the interleaved sum of the B_t (size 2 n_t)."""
+    starts = [2 * sum(halves[:t]) for t in range(len(halves))]
+    cols = [s + q for s, k in zip(starts, halves) for q in range(k)]
+    cols += [s + k + q for s, k in zip(starts, halves) for q in range(k)]
+    s = dense_perm(cols)
+    assert perm_matrix(cols) == s
+    return s
+
+
+def interleaved_oracle(*blocks):
+    s = interleaving([b.rows // 2 for b in blocks])
+    return s.transpose() @ dense_block_diag(*blocks) @ s
+
+
+def dense_gram(k):
+    return ExactMatrix.from_rows([[1 if c == r + k else -1 if r == c + k else 0
+                                   for c in range(2 * k)] for r in range(2 * k)])
+
+
+def g_scan_change_of_basis(m, n):
+    """P from a scan of G = J kron J: each column of G holds one nonzero, eps at the partner."""
+    g = dense_gram(m).kron(dense_gram(n))
+    half = CycScalar.sqrt2() / 2
+    ihalf = CycScalar.i() * half
+    cols, seen = [], [False] * g.rows
+    for a in range(g.rows):
+        if seen[a]:
+            continue
+        partner = next(r for r in range(g.rows) if not g.entry(r, a).is_zero())
+        eps = g.entry(partner, a)
+        seen[a] = seen[partner] = True
+        u, v = [0] * g.rows, [0] * g.rows
+        u[a], u[partner] = half, eps * half
+        v[a], v[partner] = ihalf, -eps * ihalf
+        cols += [u, v]
+    return ExactMatrix.from_rows([list(row) for row in zip(*cols)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_interleaved_sums_match_the_conjugated_block_diagonal(m):
+    ident = ExactMatrix.identity(2 * m)
+    for seed in range(2):
+        a = random_sp(m, seed=f"place:{m}:{seed}")
+        for n in (1, 2, 3):
+            b = random_sp(n, seed=f"place:{n}:{seed}:b")
+            assert direct_sum_sp(a, b) == interleaved_oracle(a, b)
+        for r in (1, 2, 3):
+            assert r_fold_sum_sp(a, r) == interleaved_oracle(*[a] * r)
+            for j in range(1, r + 1):
+                slots = [ident] * (j - 1) + [a] + [ident] * (r - j)
+                assert stabilization_sj(a, j, r) == interleaved_oracle(*slots)
+
+
+def test_change_of_basis_matches_the_gram_scan():
+    for m in (1, 2, 3):
+        assert dense_gram(m) == symplectic_gram(m)
+        for n in (1, 2, 3):
+            assert change_of_basis_p(m, n) == g_scan_change_of_basis(m, n)
+
+
+def test_tensor_sp_sp_inverse_and_gram_oracle():
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            # the identity factors leave exactly the P^{-1} P that tensor_sp_sp forms
+            ident = tensor_sp_sp(ExactMatrix.identity(2 * m), ExactMatrix.identity(2 * n))
+            assert ident.is_identity()
+            if m * n <= 4:
+                a, b = random_sp(m, seed=f"tss-p:{m}"), random_sp(n, seed=f"tss-p:{n}:b")
+                p = change_of_basis_p(m, n)
+                g = dense_gram(m).kron(dense_gram(n))
+                assert tensor_sp_sp(a, b) == p.transpose() @ g @ a.kron(b) @ p
 
 
 # -- random element generators --------------------------------------------------

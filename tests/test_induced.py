@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
@@ -57,6 +58,34 @@ def test_well_definedness_enforced():
     hom((4,), (2,), [[1]])              # fine: quotient
     with pytest.raises(MalformedHomError):
         hom((0,), (0, 0), [[1]])        # wrong shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0, 2, 3, 4, 6, 12]), max_size=3),
+       st.lists(st.sampled_from([0, 2, 3, 4, 6, 12]), max_size=3), st.data())
+def test_well_definedness_property(src, tgt, data):
+    entries = data.draw(st.lists(st.integers(-30, 30), min_size=len(src) * len(tgt),
+                                 max_size=len(src) * len(tgt)))
+
+    def killed(a, x, t):
+        """a * x == 0 in Z/t (in Z for t = 0)."""
+        return a * x % t == 0 if t else a * x == 0
+
+    # column c is the image of generator c; each finite-order generator needs
+    # its order a to kill every coordinate of that image
+    sound = all(killed(a, entries[r * len(src) + c], t)
+                for c, a in enumerate(src) if a for r, t in enumerate(tgt))
+    make = lambda: AbHom(FgAbGroup(src), FgAbGroup(tgt), IntMatrix(len(tgt), len(src), entries))
+    if not sound:
+        with pytest.raises(MalformedHomError):
+            make()
+        return
+    h = make()
+    for r, t in enumerate(tgt):
+        for c, a in enumerate(src):
+            e, x = h.matrix.entry(r, c), entries[r * len(src) + c]
+            assert (e - x) % t == 0 if t else e == x        # the same map, reduced
+            assert not a or killed(a, e, t)
 
 
 def test_entries_reduced_mod_target_orders():

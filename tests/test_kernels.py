@@ -4,6 +4,7 @@ reference that multiplies CycScalar entries one at a time."""
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sympdec import _kernels_py, kernels
 from sympdec.cyclotomic import CycScalar
@@ -46,6 +47,31 @@ def test_backend_matches_scalar_reference(name, fn):
         b = ExactMatrix(k, m, random_flat(k, m, 30, rng), rng.randint(1, 6))
         got = ExactMatrix(n, m, fn(a.num, b.num, n, k, m), a.den * b.den)
         assert got == scalar_reference(a, b)
+
+
+ENTRY = st.one_of(st.integers(-30, 30), st.integers(-(1 << 100), 1 << 100))
+
+
+@st.composite
+def factor_pair(draw):
+    """(n, k, m, a, b) with a the n x k and b the k x m flat numerators."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(st.lists(ENTRY, min_size=4 * n * k, max_size=4 * n * k))
+    b = draw(st.lists(ENTRY, min_size=4 * k * m, max_size=4 * k * m))
+    return n, k, m, a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_pair())
+@example((0, 2, 3, [], [1] * 24))
+@example((2, 0, 3, [], []))
+@example((2, 3, 0, [-1] * 24, []))
+@example((1, 1, 1, [1 << 70, -(1 << 65), 3, 0], [(1 << 64) + 1, 0, -(1 << 90), 5]))
+def test_python_kernel_matches_scalar_reference_property(case):
+    n, k, m, a, b = case
+    got = _kernels_py.matmul_num(a, b, n, k, m)
+    assert len(got) == 4 * n * m
+    assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a), ExactMatrix(k, m, b))
 
 
 @pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")

@@ -5,7 +5,7 @@ import pytest
 
 from sympdec.cyclotomic import CycScalar
 from sympdec.errors import ShapeMismatchError
-from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix
+from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix, place_blocks
 
 
 def rand_matrix(n, rng, span=5):
@@ -59,6 +59,47 @@ def test_block_assembly():
     assert block_diag(i2, i3).is_identity()
     with pytest.raises(ShapeMismatchError):
         block_matrix([[i2, i3]])
+
+
+def entrywise(rows, cols, cells):
+    """Reference assembly: cells maps (row, col) to an entry, all else is zero."""
+    return ExactMatrix.from_rows([[cells.get((i, j), 0) for j in range(cols)]
+                                  for i in range(rows)]) if rows else ExactMatrix.zeros(0, cols)
+
+
+def rand_block(r, c, rng):
+    return ExactMatrix(r, c, [rng.randint(-5, 5) for _ in range(4 * r * c)], rng.randint(1, 6))
+
+
+def test_block_assembly_matches_entrywise_reference():
+    rng = random.Random(8)
+    for _ in range(40):
+        hs = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        ws = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        grid = [[rand_block(h, w, rng) for w in ws] for h in hs]
+        cells = {(sum(hs[:p]) + i, sum(ws[:q]) + j): b.entry(i, j)
+                 for p, row in enumerate(grid) for q, b in enumerate(row)
+                 for i in range(b.rows) for j in range(b.cols)}
+        assert block_matrix(grid) == entrywise(sum(hs), sum(ws), cells)
+        blocks = [rand_block(rng.randint(0, 3), rng.randint(0, 3), rng)
+                  for _ in range(rng.randint(0, 4))]
+        cells, r0, c0 = {}, 0, 0
+        for b in blocks:
+            cells.update({(r0 + i, c0 + j): b.entry(i, j)
+                          for i in range(b.rows) for j in range(b.cols)})
+            r0, c0 = r0 + b.rows, c0 + b.cols
+        assert block_diag(*blocks) == entrywise(r0, c0, cells)
+
+
+def test_place_blocks_scatters_and_rejects_bad_indices():
+    b = ExactMatrix.from_rows([[1, Fraction(1, 2)], [CycScalar.i(), 3]])
+    cells = {(3, 0): 1, (3, 2): Fraction(1, 2), (1, 0): CycScalar.i(), (1, 2): 3}
+    assert place_blocks(4, 3, [(b, [3, 1], [0, 2])]) == entrywise(4, 3, cells)
+    with pytest.raises(ShapeMismatchError):
+        place_blocks(4, 3, [(b, [3], [0, 2])])
+    for rows, cols in (([4, 1], [0, 2]), ([-1, 1], [0, 1]), ([3, 1], [0, 3]), ([3, 1], [-1, 0])):
+        with pytest.raises(ShapeMismatchError):
+            place_blocks(4, 3, [(b, rows, cols)])
 
 
 def test_entries_with_cyclotomic_values():
