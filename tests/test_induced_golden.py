@@ -69,13 +69,9 @@ def printed(body) -> str:
     return "" if body is None else json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-def load() -> dict:
-    return json.loads(FIXTURE.read_text())
-
-
-def test_induced_cli_matches_golden():
-    golden = load()
-    cases = grid()
+def check(fixture: Path, cases) -> None:
+    """Every case reproduces its recorded outcome byte for byte."""
+    golden = json.loads(fixture.read_text())
     assert digest(cases) == golden["argv_sha256"], "the grid changed; re-record on purpose"
     outcomes = [(code, printed(body), err) for code, body, err in golden["outcomes"]]
     wrong = [argv for argv, k in zip(cases, golden["case_outcome"], strict=True)
@@ -83,8 +79,8 @@ def test_induced_cli_matches_golden():
     assert not wrong, f"{len(wrong)} cases differ, first: {' '.join(wrong[0])}"
 
 
-def record() -> None:
-    cases = grid()
+def write(fixture: Path, cases) -> None:
+    """Run every case and store its outcome in the fixture."""
     outcomes, index, case_outcome = [], {}, []
     for argv in cases:
         code, out, err = run(argv)
@@ -95,13 +91,21 @@ def record() -> None:
             index[key] = len(outcomes)
             outcomes.append([code, body, err])
         case_outcome.append(index[key])
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps({
+    fixture.parent.mkdir(exist_ok=True)
+    fixture.write_text(json.dumps({
         "argv_sha256": digest(cases),
         "outcomes": outcomes,
         "case_outcome": case_outcome,
     }, separators=(",", ":")) + "\n")
-    print(f"{len(cases)} cases, {len(outcomes)} distinct outcomes -> {FIXTURE}")
+    print(f"{len(cases)} cases, {len(outcomes)} distinct outcomes -> {fixture}")
+
+
+def test_induced_cli_matches_golden():
+    check(FIXTURE, grid())
+
+
+def record() -> None:
+    write(FIXTURE, grid())
 
 
 if __name__ == "__main__":
