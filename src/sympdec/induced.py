@@ -244,6 +244,14 @@ class Formula(NamedTuple):
     upper limit of i, or None where the clause does not apply at i).
     rule(i, p) returns one coefficient row per target part, one coefficient
     per source part, and the provenance text.
+
+    From degree period_from on, every part the entry reads lies in its
+    family's stable range, where the table depends only on i mod 8 (Bott,
+    "The stable homotopy of the classical groups", Ann. of Math. 70, 1959),
+    and so does the rule.  So wherever i >= period_from and i + 8 both lie
+    in the window, the maps at i and i + 8 have the same source, target and
+    matrix.  Below it the connected components and fundamental groups of the
+    parts, or a z-dependent degree, break the pattern.
     """
 
     params: tuple[str, ...]                 # after i, in the emitter's positional order
@@ -255,6 +263,7 @@ class Formula(NamedTuple):
     shift: int = 0                          # 1: i is a classifying degree, parts sit at i - 1
     z_degree: int | None = None             # the degree whose map depends on z
     label: Callable = lambda i: f"pi_{i}"   # generator-name prefix at degree i
+    period_from: int = 0                    # maps at i and i + 8 agree from here on
 
     @property
     def required(self) -> tuple[str, ...]:
@@ -336,7 +345,7 @@ FORMULAS = {
          ("i < n-1", lambda i, p: p.n - 1 if i >= 2 else None)),
         lambda i, p: ([(0, 0)], "quotient tensor product: zero in degrees 0, 1") if i <= 1
         else ([(p.n, 2 * p.m)], "quotient tensor product: n*x + 2m*y"),
-        checks=(_odd_n("quotient tensor product needs odd n"), _WINDOW)),
+        checks=(_odd_n("quotient tensor product needs odd n"), _WINDOW), period_from=2),
     "tensor-sp-sp": Formula(
         ("m", "n"), (("sp", "m"), ("sp", "n")), (("o", "4mn"),),
         (("i < 4m+2", lambda i, p: 4 * p.m + 2), ("i < 4mn-1", lambda i, p: 4 * p.m * p.n - 1)),
@@ -354,14 +363,15 @@ FORMULAS = {
         ("m", "n", "u", "v", "z"), (("psp", "m"), ("so", "n")), (("so", "N"),),
         (("i < min(4m+2, n-1)", lambda i, p: min(4 * p.m + 2, p.n - 1)),),
         _ttilde_rule,
-        checks=(_bezout, _WINDOW), z_degree=1),
+        checks=(_bezout, _WINDOW), z_degree=1, period_from=2),
     "J": Formula(
         ("m", "n", "u", "v", "z"), (("psp", "m"), ("so", "n")), (("psp", "mn"), ("so", "N")),
         (("0 < i < min(4m+3, n)", lambda i, p: min(4 * p.m + 3, p.n)),),
         _pairing_rule,
         checks=(_odd_n("pairing map needs odd n"), _coprime, _WINDOW, _bezout),
         # degree 2 is stated on the classifying spaces, higher degrees on the groups
-        shift=1, z_degree=2, label=lambda i: "pi_2 B" if i == 2 else f"pi_{i - 1}"),
+        shift=1, z_degree=2, label=lambda i: "pi_2 B" if i == 2 else f"pi_{i - 1}",
+        period_from=3),
 }
 
 

@@ -21,6 +21,7 @@ from sympdec.errors import (
     NotCoprimeError,
 )
 from sympdec.induced import (
+    FORMULAS,
     AbHom,
     ImageDescriptor,
     ZDependent,
@@ -143,14 +144,29 @@ def bezout_uv(m: int, n: int) -> BezoutWitness:
 def connectivity_j(m: int, n: int) -> int:
     """Certify the pairing map as 7-connected and return 7.
 
-    Checks the pairing map is an isomorphism on homotopy in every degree
-    0 < i < min(4m+3, n) with i not divisible by 8; multiples of 8 are the
-    first degrees where invertibility can genuinely fail, hence the
-    certificate stops at 7.  Each degree is built once with the mod-2
-    parameter z left unset: only degree 2 depends on it, and there both
-    candidates are checked.  The maps repeat across degrees, so verdicts
-    are memoised for this call on (source, target, matrix); each distinct
-    map still gets its own Smith normal form.
+    The pairing map must be an isomorphism on homotopy in every degree
+    0 < i < T = min(4m+3, n) with i not divisible by 8; multiples of 8 are
+    the first degrees where invertibility can genuinely fail, hence the
+    certificate stops at 7.
+
+    The window lies in the stable range of every part: PSp(m) up to group
+    degree 4m+1 (the boundary degrees 4m, 4m+1 give the stable group of
+    their residue), SO(n) below n-1, and the larger targets.  There each
+    table depends only on i mod 8 (Bott, "The stable homotopy of the
+    classical groups", Ann. of Math. 70, 1959) and so does the formula, so
+    from the J entry's period_from = 3 on, the map at i + 8 has the same
+    source, target and matrix as the map at i.  Every degree of the window
+    therefore carries the map of a degree below period_from + 8 = 11, and
+    those degrees are certified.  The nine degrees below T, where the
+    symplectic side reaches its boundary, are certified as well.  That is
+    at most 17 maps, whatever m and n are, visited in ascending order so
+    that a failure names the smallest failing degree of the whole window.
+
+    Each degree is built once with the mod-2 parameter z left unset: only
+    degree 2 depends on it, and there both candidates are checked.  The
+    maps repeat across degrees, so verdicts are memoised for this call on
+    (source, target, matrix); each distinct map still gets its own Smith
+    normal form.
     """
     _check_domain(m, n)
     if n % 2 == 0:
@@ -162,8 +178,11 @@ def connectivity_j(m: int, n: int) -> int:
     if n <= 7:
         raise HypothesisFailureError("n > 7 required")
     w = bezout_uv(m, n)
+    top = min(4 * m + 3, n)
+    period = FORMULAS["J"].period_from + 8
+    degrees = sorted({*range(1, min(period, top)), *range(max(1, top - 9), top)})
     verdicts: dict[tuple, bool] = {}
-    for i in range(1, min(4 * m + 3, n)):
+    for i in degrees:
         if i % 8 == 0:
             continue
         h = hom_j(i, m, n, w.u, w.v)

@@ -10,12 +10,15 @@ from sympdec.errors import (
     MalformedHomError,
     NotCoprimeError,
     OutOfRangeError,
+    SympdecError,
 )
 from sympdec.homotopy import pi_sp
 from sympdec.induced import (
+    FORMULAS,
     AbHom,
     ImageDescriptor,
     ZDependent,
+    _build,
     _presentation_matrix,
     compose,
     diagonal_hom,
@@ -361,6 +364,58 @@ def test_every_emitted_hom_is_well_defined():
                 hom_direct_sum(i, m, n)
                 hom_r_fold(i, n, 3)
                 hom_doubling(i, n)
+
+
+def _period_params(op):
+    """Parameter sets of an entry over a grid: m <= 6, 3 <= n < 50, r <= 3,
+    u and v from the Bezout witness, each z."""
+    names = FORMULAS[op].params
+    for m in range(1, 7):
+        for n in range(3, 50):
+            for extra in ((0, 1) if "z" in names else (None,)):
+                p = {"m": m, "n": n, "r": m if m <= 3 else None, "u": None, "v": None,
+                     "z": extra}
+                if all(p[q] is not None or q in ("u", "v") for q in names):
+                    yield {q: p[q] for q in names}
+
+
+def _window_maps(op, params):
+    """(source, target, matrix) at each degree of the entry's window.
+
+    The window is the run of degrees from the entry's bottom degree up to
+    its first refused one.  None when the parameters fail a precondition of
+    the entry; a part refusing a degree inside the window is an error.
+    """
+    maps, i = {}, FORMULAS[op].shift
+    while True:
+        try:
+            h = _build(op, i, **params)
+        except OutOfRangeError as exc:
+            if str(exc).startswith("violated bound"):
+                return maps
+            raise
+        except (SympdecError, ValueError):
+            return None
+        maps[i] = (h.source, h.target, h.matrix)
+        i += 1
+
+
+@pytest.mark.parametrize("op", tuple(FORMULAS))
+def test_every_entry_is_eight_periodic_from_its_declared_degree(op):
+    f = FORMULAS[op]
+    start, checked, tight = f.period_from, 0, f.period_from <= f.shift
+    for params in _period_params(op):
+        maps = _window_maps(op, params)
+        if maps is None:
+            continue
+        for i in maps:
+            if i + 8 in maps and i >= start:
+                assert maps[i] == maps[i + 8], (op, params, i)
+                checked += 1
+        # the start is tight: one degree lower, some map does not repeat
+        if start - 1 in maps and start + 7 in maps and maps[start - 1] != maps[start + 7]:
+            tight = True
+    assert checked > 100 and tight, (op, checked)
 
 
 def test_source_names_follow_generators():

@@ -74,30 +74,69 @@ def _key(h):
     return h.source, h.target, h.matrix
 
 
-def _certified_degrees(m, n):
+def _window_degrees(m, n):
     return [i for i in range(1, min(4 * m + 3, n)) if i % 8]
 
 
-@pytest.mark.parametrize("m, n", [(2, 9), (3, 11), (50, 201)])
-def test_certificate_builds_each_degree_once_and_one_snf_per_distinct_map(monkeypatch, m, n):
-    built, presentations = [], []
+def _representative_degrees(m, n):
+    """The window's degrees below 3 + 8, where J turns 8-periodic, and the nine
+    just below its top."""
+    top = min(4 * m + 3, n)
+    return [i for i in _window_degrees(m, n) if i < 11 or i >= top - 9]
+
+
+def exhaustive_certificate(m, n, verdict):
+    """The certificate as it was before periodicity: every degree of the window.
+
+    Returns the message connectivity_j raises (None when it passes) and the
+    set of distinct maps over the whole window.
+    """
+    w = bezout_uv(m, n)
+    verdicts, failure = {}, None
+    for i in _window_degrees(m, n):
+        h = hom_j(i, m, n, w.u, w.v)
+        for z, hz in h.candidates if isinstance(h, ZDependent) else ((None, h),):
+            key = _key(hz)
+            if key not in verdicts:
+                verdicts[key] = verdict(hz)
+            if not verdicts[key] and failure is None:
+                at = f"degree {i}" if z is None else f"degree {i} (z = {z})"
+                failure = f"pairing map fails to be an isomorphism at {at}"
+    return failure, set(verdicts)
+
+
+def _spy_builds(monkeypatch):
+    built = []
 
     def spy_hom_j(i, *args):
         built.append((i, hom_j(i, *args)))
         return built[-1][1]
 
+    monkeypatch.setattr(lifting, "hom_j", spy_hom_j)
+    return built
+
+
+def _maps(built):
+    return {_key(c) for _, h in built
+            for _, c in (h.candidates if isinstance(h, ZDependent) else [(0, h)])}
+
+
+@pytest.mark.parametrize("m, n", [(2, 9), (3, 11), (50, 201), (2000, 8001)])
+def test_certificate_builds_each_degree_once_and_one_snf_per_distinct_map(monkeypatch, m, n):
+    presentations = []
+
     def spy_snf(matrix):
         presentations.append(matrix)
         return smith_normal_form(matrix)
 
-    monkeypatch.setattr(lifting, "hom_j", spy_hom_j)
+    built = _spy_builds(monkeypatch)
     monkeypatch.setattr(induced, "smith_normal_form", spy_snf)
     assert connectivity_j(m, n) == 7
-    assert [i for i, _ in built] == _certified_degrees(m, n)
+    assert [i for i, _ in built] == _representative_degrees(m, n)
+    assert len(built) <= 17
     # z changes the map only at degree 2, where both candidates come back
     assert [i for i, h in built if isinstance(h, ZDependent)] == [2]
-    distinct = {_key(c) for _, h in built
-                for _, c in (h.candidates if isinstance(h, ZDependent) else [(0, h)])}
+    distinct = _maps(built)
     assert len(distinct) == 5
     assert len(presentations) <= len(distinct)
     assert len(set(presentations)) == len(presentations)
@@ -146,7 +185,7 @@ def test_certificate_agrees_with_the_j_iso_suite(monkeypatch, verdict):
                 connectivity_j(m, n)
             continue
         assert [(i, z) for i, z, _ in records[m, n]] == [
-            (i, z) for i in _certified_degrees(m, n) for z in (0, 1)]
+            (i, z) for i in _window_degrees(m, n) for z in (0, 1)]
         failed = [(i, z) for i, z, passed in records[m, n] if not passed]
         if not failed:
             assert connectivity_j(m, n) == 7
@@ -158,6 +197,31 @@ def test_certificate_agrees_with_the_j_iso_suite(monkeypatch, verdict):
             connectivity_j(m, n)
         assert str(exc.value).endswith(f"at {where}"), (m, n)
     assert first_failures == (set() if verdict is is_isomorphism else {4, 5})
+
+
+@pytest.mark.parametrize("verdict", [is_isomorphism, _reject_some])
+def test_certificate_agrees_with_the_exhaustive_loop(monkeypatch, verdict):
+    monkeypatch.setattr(lifting, "is_isomorphism", verdict)
+    first_failures = set()
+    for m in range(2, 12):
+        for n in range(9, 120, 2):
+            if gcd(m, n) != 1:
+                continue
+            failure, window_maps = exhaustive_certificate(m, n, verdict)
+            built = _spy_builds(monkeypatch)
+            if failure is None:
+                assert connectivity_j(m, n) == 7, (m, n)
+            else:
+                with pytest.raises(HypothesisFailureError) as exc:
+                    connectivity_j(m, n)
+                assert str(exc.value) == failure, (m, n)
+                first_failures.add(failure)
+                continue
+            # a passing certificate has seen every map of the window
+            assert _maps(built) == window_maps, (m, n)
+    assert first_failures == (set() if verdict is is_isomorphism else {
+        "pairing map fails to be an isomorphism at degree 4",
+        "pairing map fails to be an isomorphism at degree 5"})
 
 
 def test_no_section_witness_high_n_case():
