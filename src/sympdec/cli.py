@@ -27,11 +27,18 @@ def _default_seed() -> int:
 
 
 def _emit(obj: dict, output: str) -> None:
-    if output == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        for line in _human_lines(obj):
-            print(line)
+    try:
+        if output == "json":
+            print(json.dumps(obj, sort_keys=True, indent=2))
+        else:
+            for line in _human_lines(obj):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`sympdec verify all | head -1`): send the rest of
+        # the output, and the flush at exit, to devnull so that no traceback
+        # follows, as the SIGPIPE note of the signal module's docs suggests
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _human_lines(obj, indent: int = 0):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -177,6 +178,19 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["N"] == 7
+
+
+@pytest.mark.parametrize("output", ["json", "human"])
+def test_closed_stdout_exits_quietly(output):
+    read, write = os.pipe()
+    os.close(read)      # the reader is gone before the command writes a byte
+    with os.fdopen(write, "wb") as closed:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sympdec.cli", "verify", "all", "--samples", "1",
+             "--output", output],
+            stdout=closed, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _flags(**values):
