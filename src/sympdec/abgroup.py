@@ -51,9 +51,6 @@ class FgAbGroup:
     def free_rank(self) -> int:
         return sum(1 for f in self.factors if f == 0)
 
-    def is_trivial(self) -> bool:
-        return not self.factors
-
     def is_finite(self) -> bool:
         return self.free_rank == 0
 

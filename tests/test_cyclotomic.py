@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,11 +57,30 @@ def test_field_laws_randomized():
             assert (b / a) * a == b
 
 
+SCALARS = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30),
+                   min_size=4, max_size=4).map(lambda c: CycScalar(*c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SCALARS, SCALARS, SCALARS, st.integers(1, 10 ** 6))
+def test_field_laws_property(a, b, c, k):
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c
+    assert a + (-a) == CycScalar.zero() and a - a == 0
+    if not a.is_zero():
+        assert a * a.inv() == CycScalar.one() and (b / a) * a == b
+    # canonical form: every way of writing a value gives the same num, den and hash
+    for same in ((a + b) - b, CycScalar(*a.coeffs), CycScalar._raw(
+            tuple(k * x for x in a.num), k * a.den)):
+        assert (same.num, same.den, hash(same)) == (a.num, a.den, hash(a))
+    assert a.den > 0 and gcd(*a.num, a.den) == 1
+
+
 def test_coeffs_are_reduced_fractions():
     x = CycScalar(Fraction(2, 4), Fraction(-6, 9), 0, 3)
     for c in x.coeffs:
         assert c.denominator > 0
-        from math import gcd
         assert gcd(c.numerator, c.denominator) == 1
     assert x.coeffs[0] == Fraction(1, 2)
 
