@@ -17,11 +17,23 @@ Random elements are built by exact constructions (products of complex
 plane rotations for SO, generator products for Sp, each generator with its
 inverse known), never by numerical orthogonalization or elimination, so
 membership holds on the nose and every draw is reproducible from its seed.
+
+Membership travels with the element.  random_sp and random_so return
+their draws marked as members (the private no-slot ExactMatrix subclasses
+_Sp and _O, with ExactMatrix's values, equality and hashing), and so does
+every construction: the direct sums, stabilizations, doubling and
+tensor_sp_o give _Sp, tensor_sp_sp gives _O.  A construction trusts a
+marked input; every other input goes through is_symplectic (both routes)
+or is_orthogonal, and a non-member raises NotInGroupError.  Arithmetic
+(@, +, -, transpose, kron, with_perturbed_entry) returns plain ExactMatrix
+values, and the predicates never read the mark, so a check of a
+construction's output, as the verify suites make, always runs them in full.
 """
 
 from __future__ import annotations
 
 import random
+from operator import add, itemgetter, mul, neg, sub
 
 from sympdec.cyclotomic import CycScalar
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
@@ -92,8 +104,27 @@ def is_special_orthogonal(m: ExactMatrix) -> bool:
     return is_orthogonal(m) and m.det() == CycScalar.one()
 
 
-def _require(condition: bool, what: str):
-    if not condition:
+class _Sp(ExactMatrix):
+    """An ExactMatrix built as a symplectic matrix by construction."""
+    __slots__ = ()
+
+
+class _O(ExactMatrix):
+    """An ExactMatrix built as an orthogonal matrix by construction."""
+    __slots__ = ()
+
+
+def _marked(group: type, m: ExactMatrix) -> ExactMatrix:
+    """The freshly built m, marked as a member of group (_Sp or _O)."""
+    m.__class__ = group
+    return m
+
+
+def _require(m: ExactMatrix, group: type, what: str) -> None:
+    """Raise NotInGroupError unless m is marked as a member of group or passes its predicate."""
+    if isinstance(m, group):
+        return
+    if not (is_symplectic(m) if group is _Sp else is_orthogonal(m)):
         raise NotInGroupError(what)
 
 
@@ -112,13 +143,13 @@ def _interleaved_sum(blocks: list[ExactMatrix]) -> ExactMatrix:
         idx = [*range(o, o + k), *range(total + o, total + o + k)]
         placements.append((b, idx, idx))
         o += k
-    return place_blocks(2 * total, 2 * total, placements)
+    return _marked(_Sp, place_blocks(2 * total, 2 * total, placements))
 
 
 def direct_sum_sp(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Interleaved direct sum Sp(m) x Sp(n) -> Sp(m+n), blockwise diag on quadrants."""
-    _require(is_symplectic(a), "left summand is not symplectic")
-    _require(is_symplectic(b), "right summand is not symplectic")
+    _require(a, _Sp, "left summand is not symplectic")
+    _require(b, _Sp, "right summand is not symplectic")
     return _interleaved_sum([a, b])
 
 
@@ -126,7 +157,7 @@ def r_fold_sum_sp(a: ExactMatrix, r: int) -> ExactMatrix:
     """r-fold interleaved direct sum Sp(n) -> Sp(rn)."""
     if r < 1:
         raise IndexOutOfRangeError("r must be positive")
-    _require(is_symplectic(a), "summand is not symplectic")
+    _require(a, _Sp, "summand is not symplectic")
     return _interleaved_sum([a] * r)
 
 
@@ -135,8 +166,9 @@ def stabilization(a: ExactMatrix, extra: int) -> ExactMatrix:
     if extra < 0:
         raise IndexOutOfRangeError("extra must be nonnegative")
     if extra == 0:
+        _require(a, _Sp, "input is not symplectic")
         return a
-    return direct_sum_sp(a, ExactMatrix.identity(2 * extra))
+    return direct_sum_sp(a, _Sp.identity(2 * extra))
 
 
 def stabilization_sj(a: ExactMatrix, j: int, r: int) -> ExactMatrix:
@@ -147,7 +179,7 @@ def stabilization_sj(a: ExactMatrix, j: int, r: int) -> ExactMatrix:
     """
     if not 1 <= j <= r:
         raise IndexOutOfRangeError(f"j = {j} not in 1..{r}")
-    _require(is_symplectic(a), "input is not symplectic")
+    _require(a, _Sp, "input is not symplectic")
     ident = ExactMatrix.identity(a.rows)
     return _interleaved_sum([ident] * (j - 1) + [a] + [ident] * (r - j))
 
@@ -176,15 +208,15 @@ def verify_sj_conjugation(a: ExactMatrix, j: int, r: int) -> bool:
 
 def doubling(a: ExactMatrix) -> ExactMatrix:
     """O(n) -> Sp(n): A |-> diag(A, A)."""
-    _require(is_orthogonal(a), "doubling input is not orthogonal")
-    return block_diag(a, a)
+    _require(a, _O, "doubling input is not orthogonal")
+    return _marked(_Sp, block_diag(a, a))
 
 
 def tensor_sp_o(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Sp(m) x O(n) -> Sp(mn) as the Kronecker product (J kron I = J on the nose)."""
-    _require(is_symplectic(a), "left tensor factor is not symplectic")
-    _require(is_orthogonal(b), "right tensor factor is not orthogonal")
-    return a.kron(b)
+    _require(a, _Sp, "left tensor factor is not symplectic")
+    _require(b, _O, "right tensor factor is not orthogonal")
+    return _marked(_Sp, a.kron(b))
 
 
 def perm_pmn(m: int, n: int) -> ExactMatrix:
@@ -195,13 +227,27 @@ def perm_pmn(m: int, n: int) -> ExactMatrix:
 
 def verify_l_conjugation(a: ExactMatrix, n: int) -> bool:
     """Exact identity A kron I_n = diag(P,P) A^{(+n)} diag(P,P)^T with P the m,n shuffle."""
-    _require(is_symplectic(a), "input is not symplectic")
+    _require(a, _Sp, "input is not symplectic")
     m = a.rows // 2
     p = perm_pmn(m, n)
     pp = block_diag(p, p)
     left = a.kron(ExactMatrix.identity(n))
     # permutation matrices are orthogonal: diag(P,P)^{-1} = diag(P,P)^T
     return left == pp @ r_fold_sum_sp(a, n) @ pp.transpose()
+
+
+def _basis_pairs(m: int, n: int) -> list[tuple[int, int, int]]:
+    """The index pairs (a, a', eps) of G = J_{2m} kron J_{2n}, G e_a = eps e_{a'}, a < a'.
+
+    J_{2k} e_c = -e_{c+k} for c < k and e_{c-k} otherwise, and G e_a for
+    a = a1*2n + a2 is the product of those for a1 (k = m) and a2 (k = n).
+    So the smaller index of each pair has a1 < m (sign -1), its partner is
+    a + 2mn +- n, and eps = +1 for a2 < n, -1 otherwise.  The smaller
+    indices are exactly 0, ..., 2mn - 1, in that order.
+    """
+    count = 2 * m * n
+    return [(a, a + count + n, 1) if a % (2 * n) < n else (a, a + count - n, -1)
+            for a in range(count)]
 
 
 def change_of_basis_p(m: int, n: int) -> ExactMatrix:
@@ -218,30 +264,55 @@ def change_of_basis_p(m: int, n: int) -> ExactMatrix:
     # rows a, a' of the column pair, by eps
     pair = {eps: ExactMatrix.from_rows([[half, ihalf], [eps * half, -eps * ihalf]])
             for eps in (1, -1)}
-    # J_{2k} e_c = -e_{c+k} for c < k and e_{c-k} otherwise, and G e_a for
-    # a = a1*2n + a2 is the product of those for a1 (k = m) and a2 (k = n).
-    # So the smaller index of each pair has a1 < m (sign -1), its partner is
-    # a + 2mn +- n, and eps = +1 for a2 < n, -1 otherwise.
-    pairs = 2 * m * n
-    placements = []
-    for a in range(pairs):
-        partner, eps = (a + pairs + n, 1) if a % (2 * n) < n else (a + pairs - n, -1)
-        placements.append((pair[eps], (a, partner), (2 * a, 2 * a + 1)))
-    return place_blocks(2 * pairs, 2 * pairs, placements)
+    size = 4 * m * n
+    return place_blocks(size, size, [(pair[eps], (a, partner), (2 * a, 2 * a + 1))
+                                     for a, partner, eps in _basis_pairs(m, n)])
+
+
+# component k of x * i^e is sign * x[src], as (src, sign) for k = 0..3 (i = z^2)
+_TIMES_I_POWER = {0: ((0, 1), (1, 1), (2, 1), (3, 1)),
+                  1: ((2, -1), (3, -1), (0, 1), (1, 1)),
+                  3: ((2, 1), (3, 1), (0, -1), (1, -1))}
 
 
 def tensor_sp_sp(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Sp(m) x Sp(n) -> O(4mn): Kronecker product conjugated to the orthonormal basis."""
-    _require(is_symplectic(a), "left tensor factor is not symplectic")
-    _require(is_symplectic(b), "right tensor factor is not symplectic")
-    p = change_of_basis_p(a.rows // 2, b.rows // 2)
-    # P^{-1} = P^T G with G = J kron J, which fixes every 1/sqrt2 column of P
-    # and negates every i/sqrt2 column: P^{-1} is P^T with its odd rows negated
-    pt = p.transpose()
-    w = 4 * pt.cols
-    p_inv = ExactMatrix(pt.rows, pt.cols,
-                        [-x if (q // w) % 2 else x for q, x in enumerate(pt.num)], pt.den)
-    return p_inv @ a.kron(b) @ p
+    """Sp(m) x Sp(n) -> O(4mn): Kronecker product conjugated to the orthonormal basis.
+
+    The conjugate P^{-1} K P of K = A kron B by P = change_of_basis_p(m, n)
+    is gathered from the entries of K, not multiplied out.  For the index
+    pairs (a, a', eps_a) of P, column 2a + t of P is
+    i^t (e_a + (-1)^t eps_a e_a')/sqrt2, and P^{-1} = P^T G is P^T with its
+    odd rows negated, so row 2a + s of P^{-1} is
+    (-i)^s (e_a + (-1)^s eps_a e_a')^T/sqrt2.  Entry (2a + s, 2b + t) is
+    therefore (-i)^s i^t / 2 * (U[b] + (-1)^t eps_b U[b']) with the row
+    combination U = K[a] + (-1)^s eps_a K[a'].
+    """
+    _require(a, _Sp, "left tensor factor is not symplectic")
+    _require(b, _Sp, "right tensor factor is not symplectic")
+    k = a.kron(b)
+    pairs = _basis_pairs(a.rows // 2, b.rows // 2)
+    w = 4 * k.cols
+    # one gather per row parity s: numerator q of an output row is
+    # uu[first[q]] + uu[second[q]] for uu = U + (-U), so a position past w
+    # picks a negated component
+    gathers = []
+    for s in (0, 1):
+        first, second = [], []
+        for col, partner, eps in pairs:
+            for t in (0, 1):
+                tau = -eps if t else eps
+                for src, sign in _TIMES_I_POWER[(3 * s + t) % 4]:
+                    first.append(4 * col + src + (0 if sign > 0 else w))
+                    second.append(4 * partner + src + (0 if sign * tau > 0 else w))
+        gathers.append((itemgetter(*first), itemgetter(*second)))
+    num = []
+    for row, partner, eps in pairs:
+        kr, kp = k.num[row * w:(row + 1) * w], k.num[partner * w:(partner + 1) * w]
+        for s, (first, second) in enumerate(gathers):
+            u = list(map(add if eps == (-1) ** s else sub, kr, kp))
+            uu = u + list(map(neg, u))
+            num.extend(map(add, first(uu), second(uu)))
+    return _marked(_O, ExactMatrix(k.rows, k.cols, num, 2 * k.den))
 
 
 def verify_mixed_product(a: ExactMatrix, b: ExactMatrix) -> bool:
@@ -294,11 +365,11 @@ def random_so(n: int, seed=0) -> ExactMatrix:
         num[q * w:(q + 1) * w] = [s * x + 5 * y for x, y in zip(_times_i(row_p), row_q)]
         exp[p] = exp[q] = e + 1
     top = max(exp, default=0)
-    return ExactMatrix(n, n, [x for r in range(n) for x in row(r, top)], 4 ** top)
+    return _O(n, n, [x for r in range(n) for x in row(r, top)], 4 ** top)
 
 
-def _random_unimodular(k: int, rng: random.Random) -> tuple[ExactMatrix, ExactMatrix]:
-    """(A, A^{-T}) for a random product A of integer row operations.
+def _random_unimodular(k: int, rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer rows of (A, A^{-T}) for a random product A of integer row operations.
 
     On A the operation is row j += c * row i, i.e. A <- E A with
     E = I + c e_j e_i^T; then A^{-T} <- E^{-T} A^{-T}, which is row i -= c * row j.
@@ -312,38 +383,57 @@ def _random_unimodular(k: int, rng: random.Random) -> tuple[ExactMatrix, ExactMa
         c = rng.randint(-2, 2)
         a[j] = [x + c * y for x, y in zip(a[j], a[i])]
         a_inv_t[i] = [x - c * y for x, y in zip(a_inv_t[i], a_inv_t[j])]
-    return ExactMatrix.from_rows(a), ExactMatrix.from_rows(a_inv_t)
+    return a, a_inv_t
 
 
-def _random_symmetric(k: int, rng: random.Random) -> ExactMatrix:
+def _random_symmetric(k: int, rng: random.Random) -> list[list[int]]:
     rows = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
             rows[i][j] = rows[j][i] = rng.randint(-2, 2)
-    return ExactMatrix.from_rows(rows)
+    return rows
+
+
+def _int_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def _int_add(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    return [list(map(add, p, q)) for p, q in zip(x, y)]
+
+
+def _int_matrix(rows: list[list[int]]) -> ExactMatrix:
+    return ExactMatrix(len(rows), len(rows[0]) if rows else 0,
+                       [c for row in rows for x in row for c in (x, 0, 0, 0)])
 
 
 def random_sp(m: int, seed=0) -> ExactMatrix:
-    """Product of exact symplectic generators: diag(A, A^{-T}) and shear blocks."""
+    """Product of exact symplectic generators: diag(A, A^{-T}) and shear blocks.
+
+    The product is kept as integer rows split into left and right halves
+    L | R.  Multiplying on the right by diag(A, A^{-T}) gives L A | R A^{-T},
+    by [[I, S], [0, I]] gives L | R + L S, and by [[I, 0], [S, I]] gives
+    L + R S | R.
+    """
     rng = _rng(f"sp:{m}", seed)
-    ident = ExactMatrix.identity(m)
-    zero = ExactMatrix.zeros(m, m)
-    out = ExactMatrix.identity(2 * m)
+    left = [[int(r == c) for c in range(m)] for r in range(2 * m)]
+    right = [[int(r == c + m) for c in range(m)] for r in range(2 * m)]
     for _ in range(rng.randint(2, 4)):
         kind = rng.randrange(3)
         if kind == 0:
-            f = block_diag(*_random_unimodular(m, rng))     # diag(A, A^{-T})
+            a, a_inv_t = _random_unimodular(m, rng)
+            left, right = _int_matmul(left, a), _int_matmul(right, a_inv_t)
         elif kind == 1:
-            f = block_matrix([[ident, _random_symmetric(m, rng)], [zero, ident]])
+            right = _int_add(right, _int_matmul(left, _random_symmetric(m, rng)))
         else:
-            f = block_matrix([[ident, zero], [_random_symmetric(m, rng), ident]])
-        out = out @ f
-    return out
+            left = _int_add(left, _int_matmul(right, _random_symmetric(m, rng)))
+    return _marked(_Sp, _int_matrix([x + y for x, y in zip(left, right)]))
 
 
 def random_gl(k: int, seed=0) -> ExactMatrix:
     """Random unimodular integer matrix (invertible by construction)."""
-    return _random_unimodular(k, _rng(f"gl:{k}", seed))[0]
+    return _int_matrix(_random_unimodular(k, _rng(f"gl:{k}", seed))[0])
 
 
 def with_perturbed_entry(m: ExactMatrix, delta: int = 1) -> ExactMatrix:

@@ -177,7 +177,13 @@ def connectivity_j(m: int, n: int) -> int:
         raise HypothesisFailureError("m > 1 required")
     if n <= 7:
         raise HypothesisFailureError("n > 7 required")
-    w = bezout_uv(m, n)
+    return _certify_pairing(bezout_uv(m, n))
+
+
+def _certify_pairing(w: BezoutWitness) -> int:
+    """The certificate of connectivity_j for the witness w of (w.m, w.n), whose
+    hypotheses the caller has checked; returns 7 or raises HypothesisFailureError."""
+    m, n = w.m, w.n
     top = min(4 * m + 3, n)
     period = FORMULAS["J"].period_from + 8
     degrees = sorted({*range(1, min(period, top)), *range(max(1, top - 9), top)})
@@ -288,7 +294,7 @@ def decide_azumaya(m: int, n: int, dim: int) -> DecisionReport:
     failing = _first_failing_azumaya_hypothesis(m, n, dim)
     if failing is None:
         w = bezout_uv(m, n)
-        connectivity_j(m, n)
+        _certify_pairing(w)
         return DecisionReport(
             verdict=DECOMPOSABLE,
             rule=rule,

@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sympdec import groups
 from sympdec.cyclotomic import CycScalar
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
 from sympdec.groups import (
+    _random_symmetric,
     _random_unimodular,
+    _rng,
     change_of_basis_p,
     direct_sum_sp,
     doubling,
@@ -33,7 +36,7 @@ from sympdec.groups import (
     verify_sj_conjugation,
     with_perturbed_entry,
 )
-from sympdec.matrix import ExactMatrix, block_diag, perm_matrix
+from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix
 
 
 # -- membership predicates ---------------------------------------------------
@@ -314,6 +317,114 @@ def test_tensor_sp_sp_inverse_and_gram_oracle():
                 assert tensor_sp_sp(a, b) == p.transpose() @ g @ a.kron(b) @ p
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_tensor_sp_sp_matches_the_dense_conjugation_property(m, n, seed):
+    a, b = random_sp(m, seed), random_sp(n, seed + 1)
+    p = change_of_basis_p(m, n)
+    g = dense_gram(m).kron(dense_gram(n))
+    assert tensor_sp_sp(a, b) == p.transpose() @ g @ a.kron(b) @ p
+
+
+# -- membership carried by the element ----------------------------------------
+
+def _count_predicates(monkeypatch):
+    """Patch both membership predicates to log their names; returns the log."""
+    calls = []
+
+    def counting(name):
+        real = getattr(groups, name)
+
+        def predicate(m):
+            calls.append(name)
+            return real(m)
+        return predicate
+
+    for name in ("is_symplectic", "is_orthogonal"):
+        monkeypatch.setattr(groups, name, counting(name))
+    return calls
+
+
+def test_constructions_trust_generator_built_inputs(monkeypatch):
+    a, b = random_sp(2, seed="mark:a"), random_sp(1, seed="mark:b")
+    o = random_so(3, seed="mark:o")
+    with monkeypatch.context() as patched:
+        calls = _count_predicates(patched)
+        symplectic = [direct_sum_sp(a, b), r_fold_sum_sp(b, 3), stabilization(a, 0),
+                      stabilization(a, 2), stabilization_sj(b, 2, 3), doubling(o),
+                      tensor_sp_o(a, o)]
+        orthogonal = [tensor_sp_sp(a, b)]
+        assert verify_sj_conjugation(a, 1, 2) and verify_l_conjugation(a, 3)
+        # construction outputs are marked as well, so they feed on unchecked
+        symplectic += [tensor_sp_o(direct_sum_sp(a, b), o), doubling(tensor_sp_sp(a, b))]
+        orthogonal += [tensor_sp_sp(doubling(o), r_fold_sum_sp(b, 2))]
+        assert calls == []
+    assert all(is_symplectic(x) for x in symplectic)
+    assert all(is_orthogonal(x) for x in orthogonal)
+
+
+# each construction with a non-member in one input slot: sp where a symplectic
+# matrix belongs, so where an orthogonal one does; a and o are members
+NON_MEMBER_SLOTS = {
+    "direct-sum-left": lambda sp, so, a, o: direct_sum_sp(sp, a),
+    "direct-sum-right": lambda sp, so, a, o: direct_sum_sp(a, sp),
+    "r-fold": lambda sp, so, a, o: r_fold_sum_sp(sp, 2),
+    "stabilization-0": lambda sp, so, a, o: stabilization(sp, 0),
+    "stabilization-1": lambda sp, so, a, o: stabilization(sp, 1),
+    "stabilization-j": lambda sp, so, a, o: stabilization_sj(sp, 1, 2),
+    "sj-conjugation": lambda sp, so, a, o: verify_sj_conjugation(sp, 1, 2),
+    "l-conjugation": lambda sp, so, a, o: verify_l_conjugation(sp, 2),
+    "tensor-sp-o-left": lambda sp, so, a, o: tensor_sp_o(sp, o),
+    "tensor-sp-o-right": lambda sp, so, a, o: tensor_sp_o(a, so),
+    "doubling": lambda sp, so, a, o: doubling(so),
+    "tensor-sp-sp-left": lambda sp, so, a, o: tensor_sp_sp(sp, a),
+    "tensor-sp-sp-right": lambda sp, so, a, o: tensor_sp_sp(a, sp),
+}
+
+
+@pytest.mark.parametrize("slot", NON_MEMBER_SLOTS)
+def test_constructions_reject_unmarked_non_members(slot):
+    a, o = random_sp(2, seed="nm:a"), random_so(2, seed="nm:o")
+    for sp, so in [(with_perturbed_entry(random_sp(2, seed="nm:sp")),
+                    with_perturbed_entry(random_so(2, seed="nm:so"))),
+                   (with_perturbed_entry(ExactMatrix.identity(4)),
+                    with_perturbed_entry(ExactMatrix.identity(2)))]:
+        with pytest.raises(NotInGroupError):
+            NON_MEMBER_SLOTS[slot](sp, so, a, o)
+
+
+def test_unmarked_members_are_checked_and_accepted(monkeypatch):
+    a = random_sp(1, seed="um:a")
+    o = random_so(2, seed="um:o")
+    with monkeypatch.context() as patched:
+        calls = _count_predicates(patched)
+        assert direct_sum_sp(ExactMatrix(a.rows, a.cols, a.num, a.den), a) == direct_sum_sp(a, a)
+        assert tensor_sp_o(a, ExactMatrix(o.rows, o.cols, o.num, o.den)) == tensor_sp_o(a, o)
+        assert calls == ["is_symplectic", "is_orthogonal"]
+
+
+def test_arithmetic_results_are_unmarked():
+    a, b = random_sp(2, seed="ar:a"), random_sp(1, seed="ar:b")
+    o = random_so(3, seed="ar:o")
+    assert type(a) is groups._Sp and type(o) is groups._O
+    assert type(tensor_sp_sp(a, b)) is groups._O and type(tensor_sp_o(a, o)) is groups._Sp
+    for x in (a, o, tensor_sp_sp(a, b), direct_sum_sp(a, b)):
+        for y in (x @ x, -x, x.transpose(), x.kron(x), x.kron(o), with_perturbed_entry(x, 0)):
+            assert type(y) is ExactMatrix
+        # the mark changes neither equality nor hashing
+        plain = ExactMatrix(x.rows, x.cols, x.num, x.den)
+        assert plain == x and x == plain and hash(plain) == hash(x)
+
+
+def test_predicates_do_not_read_the_mark():
+    bad_sp = groups._marked(groups._Sp, with_perturbed_entry(random_sp(2, seed="fm:sp")))
+    bad_o = groups._marked(groups._O, with_perturbed_entry(random_so(3, seed="fm:o")))
+    assert not is_symplectic(bad_sp) and not is_orthogonal(bad_o)
+    # a construction trusts the forced mark, and the check of its output catches it
+    assert not is_symplectic(direct_sum_sp(bad_sp, random_sp(1, seed="fm:b")))
+    assert not is_symplectic(tensor_sp_o(random_sp(1, seed="fm:c"), bad_o))
+
+
 # -- random element generators --------------------------------------------------
 
 def test_random_sp_membership_and_determinism():
@@ -342,8 +453,31 @@ def test_random_so_membership_and_determinism():
 def test_random_unimodular_carries_its_inverse_transpose():
     for k in range(1, 7):
         for seed in range(40):
-            a, a_inv_t = _random_unimodular(k, random.Random(f"unimodular:{k}:{seed}"))
+            rows = _random_unimodular(k, random.Random(f"unimodular:{k}:{seed}"))
+            a, a_inv_t = (ExactMatrix.from_rows(r) for r in rows)
             assert (a.transpose() @ a_inv_t).is_identity()
+
+
+def dense_random_sp(m, seed):
+    """random_sp's generator product, every generator a block matrix and every step a dense product."""
+    rng = _rng(f"sp:{m}", seed)
+    ident, zero = ExactMatrix.identity(m), ExactMatrix.zeros(m, m)
+    out = ExactMatrix.identity(2 * m)
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            f = block_diag(*(ExactMatrix.from_rows(r) for r in _random_unimodular(m, rng)))
+        else:
+            s = ExactMatrix.from_rows(_random_symmetric(m, rng))
+            f = block_matrix([[ident, s], [zero, ident]] if kind == 1 else [[ident, zero], [s, ident]])
+        out = out @ f
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_random_sp_is_the_product_of_its_generators(m):
+    for seed in range(20):
+        assert random_sp(m, seed) == dense_random_sp(m, seed)
 
 
 def test_random_sp_and_gl_draws_are_pinned():

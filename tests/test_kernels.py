@@ -1,7 +1,12 @@
 """Both kernel backends must agree with each other and with a scalar-level
 reference that multiplies CycScalar entries one at a time."""
 
+import importlib.util
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -74,21 +79,40 @@ def test_python_kernel_matches_scalar_reference_property(case):
     assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a), ExactMatrix(k, m, b))
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-def test_backends_agree_across_magnitudes():
+SPEEDUPS_C = Path(__file__).resolve().parents[1] / "src" / "sympdec" / "_speedups.c"
+
+
+@pytest.fixture(scope="session")
+def compiled_speedups(tmp_path_factory):
+    """The shipped _speedups.c, compiled with the system C compiler into a temporary
+    directory and imported from there; the package's own backend is left alone."""
+    cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) or shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler found to build the shipped _speedups.c")
+    out = tmp_path_factory.mktemp("speedups") / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    includes = {sysconfig.get_paths()[key] for key in ("include", "platinclude")}
+    build = subprocess.run([cc, "-O2", "-shared", "-fPIC", *(f"-I{d}" for d in sorted(includes)),
+                            str(SPEEDUPS_C), "-o", str(out)], capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    spec = importlib.util.spec_from_file_location("sympdec._speedups", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_backends_agree_across_magnitudes(compiled_speedups):
     rng = random.Random(4)
     for _ in range(150):
         n, k, m = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
         mag = rng.choice([1, 50, 1 << 20, 1 << 31, 1 << 45, 1 << 80])
         a = random_flat(n, k, mag, rng)
         b = random_flat(k, m, mag, rng)
-        assert _speedups.matmul_num(a, b, n, k, m) == _kernels_py.matmul_num(a, b, n, k, m)
+        assert compiled_speedups.matmul_num(a, b, n, k, m) == _kernels_py.matmul_num(a, b, n, k, m)
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-def test_compiled_rejects_bad_lengths():
+def test_compiled_rejects_bad_lengths(compiled_speedups):
     with pytest.raises(ValueError):
-        _speedups.matmul_num([0] * 3, [0] * 4, 1, 1, 1)
+        compiled_speedups.matmul_num([0] * 3, [0] * 4, 1, 1, 1)
 
 
 def test_active_backend_is_exposed():

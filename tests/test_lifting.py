@@ -258,6 +258,24 @@ def test_decide_azumaya_positive():
     assert "orthogonal" in r.factors[1] and "Brauer-trivial" in r.factors[1]
 
 
+@pytest.mark.parametrize("m, n", [(2, 9), (3, 11), (2000, 8001)])
+def test_decomposable_verdict_computes_one_bezout_witness(monkeypatch, m, n):
+    calls = []
+
+    def spy_bezout(m, n):
+        calls.append((m, n))
+        return bezout_uv(m, n)
+
+    monkeypatch.setattr(lifting, "bezout_uv", spy_bezout)
+    r = decide_azumaya(m, n, 7)
+    assert r.verdict == "decomposable" and r.witness == bezout_uv(m, n)
+    assert calls == [(m, n)]
+    # the certificate alone still computes its own witness
+    calls.clear()
+    assert connectivity_j(m, n) == 7
+    assert calls == [(m, n)]
+
+
 def test_decide_azumaya_not_covered_with_obstruction_data():
     r = decide_azumaya(2, 13, 12)
     assert r.verdict == "not-covered"
