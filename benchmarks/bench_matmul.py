@@ -1,30 +1,90 @@
 #!/usr/bin/env python3
 """Benchmark the compiled numerator kernel against the pure-Python fallback.
 
-Usage: python benchmarks/bench_matmul.py [--sizes 8,16,32,64] [--reps 3]
+Usage: PYTHONPATH=src python benchmarks/bench_matmul.py [--sizes 8,16,32,64] [--reps 3]
 
-Times the flat negacyclic matrix product on random inputs at two entry
-magnitudes: small (stays on the compiled 64-bit fast path) and large
-(forces the arbitrary-precision object path on both backends).  Also times
-one end-to-end symplectic membership check per size.
+Times the flat negacyclic matrix product on n x n inputs of four kinds:
+- small: random dense entries that stay on the compiled 64-bit fast path;
+- big: random dense entries that force the arbitrary-precision object path
+  on both backends;
+- perm: a signed permutation times a small dense matrix, the shape of the
+  form J and the stabilization and shuffle permutations;
+- blockdiag: a block-diagonal integer matrix (4 x 4 blocks) times a small
+  dense matrix, the shape of direct sums and Kronecker products with I.
+Also times one end-to-end symplectic membership check per size.
+
+The compiled kernel is the installed sympdec._speedups if it imports;
+otherwise the shipped _speedups.c is compiled with the system C compiler into
+a temporary directory (nothing is written under src/), and without a
+compiler only the pure-Python timings are shown.
 """
 
 import argparse
+import importlib.util
 import random
+import shutil
+import subprocess
+import sysconfig
+import tempfile
 import time
+from pathlib import Path
 
 from sympdec import _kernels_py
 from sympdec.groups import is_symplectic, random_sp
-from sympdec.matrix import ExactMatrix
 
-try:
-    from sympdec import _speedups
-except ImportError:
-    _speedups = None
+SPEEDUPS_C = Path(__file__).resolve().parents[1] / "src" / "sympdec" / "_speedups.c"
+
+
+def _compiled_kernel(tmp: str):
+    """The compiled matmul_num: installed, or built from the shipped .c into tmp."""
+    try:
+        from sympdec import _speedups
+        return _speedups.matmul_num
+    except ImportError:
+        pass
+    cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) or shutil.which("cc")
+    if cc is None or not SPEEDUPS_C.is_file():
+        return None
+    out = Path(tmp) / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    includes = {sysconfig.get_paths()[key] for key in ("include", "platinclude")}
+    build = subprocess.run([cc, "-O2", "-shared", "-fPIC", *(f"-I{d}" for d in sorted(includes)),
+                            str(SPEEDUPS_C), "-o", str(out)], capture_output=True)
+    if build.returncode != 0:
+        return None
+    spec = importlib.util.spec_from_file_location("sympdec._speedups", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.matmul_num
 
 
 def _flat(n, magnitude, rng):
     return [rng.randint(-magnitude, magnitude) for _ in range(n * n * 4)]
+
+
+def _signed_perm(n, rng):
+    cols = list(range(n))
+    rng.shuffle(cols)
+    num = [0] * (n * n * 4)
+    for i, c in enumerate(cols):
+        num[4 * (i * n + c)] = rng.choice((1, -1))
+    return num
+
+
+def _int_block_diag(n, rng, block=4):
+    num = [0] * (n * n * 4)
+    for o in range(0, n, block):
+        for i in range(o, min(o + block, n)):
+            for j in range(o, min(o + block, n)):
+                num[4 * (i * n + j)] = rng.randint(-3, 3)
+    return num
+
+
+def _cases(n, rng):
+    """(label, a, b) for one size."""
+    yield "small", _flat(n, 40, rng), _flat(n, 40, rng)
+    yield "big", _flat(n, 1 << 72, rng), _flat(n, 1 << 72, rng)
+    yield "perm", _signed_perm(n, rng), _flat(n, 40, rng)
+    yield "blockdiag", _int_block_diag(n, rng), _flat(n, 40, rng)
 
 
 def _time(fn, reps):
@@ -43,25 +103,25 @@ def main():
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    if _speedups is None:
-        print("compiled kernel not available; showing pure-Python timings only")
+    with tempfile.TemporaryDirectory() as tmp:
+        compiled = _compiled_kernel(tmp)
+        if compiled is None:
+            print("compiled kernel not available; showing pure-Python timings only")
 
-    header = f"{'size':>5} {'entries':>9} {'python':>12} {'compiled':>12} {'speedup':>8}"
-    print(header)
-    print("-" * len(header))
-    rng = random.Random(0)
-    for n in sizes:
-        for label, mag in (("small", 40), ("big", 1 << 72)):
-            a = _flat(n, mag, rng)
-            b = _flat(n, mag, rng)
-            t_py = _time(lambda: _kernels_py.matmul_num(a, b, n, n, n), args.reps)
-            if _speedups is not None:
-                t_c = _time(lambda: _speedups.matmul_num(a, b, n, n, n), args.reps)
-                assert _speedups.matmul_num(a, b, n, n, n) == _kernels_py.matmul_num(a, b, n, n, n)
-                print(f"{n:>5} {label:>9} {t_py * 1e3:>10.2f}ms {t_c * 1e3:>10.2f}ms "
-                      f"{t_py / t_c:>7.1f}x")
-            else:
-                print(f"{n:>5} {label:>9} {t_py * 1e3:>10.2f}ms {'-':>12} {'-':>8}")
+        header = f"{'size':>5} {'entries':>9} {'python':>12} {'compiled':>12} {'speedup':>8}"
+        print(header)
+        print("-" * len(header))
+        rng = random.Random(0)
+        for n in sizes:
+            for label, a, b in _cases(n, rng):
+                t_py = _time(lambda: _kernels_py.matmul_num(a, b, n, n, n), args.reps)
+                if compiled is not None:
+                    t_c = _time(lambda: compiled(a, b, n, n, n), args.reps)
+                    assert compiled(a, b, n, n, n) == _kernels_py.matmul_num(a, b, n, n, n)
+                    print(f"{n:>5} {label:>9} {t_py * 1e3:>10.2f}ms {t_c * 1e3:>10.2f}ms "
+                          f"{t_py / t_c:>7.1f}x")
+                else:
+                    print(f"{n:>5} {label:>9} {t_py * 1e3:>10.2f}ms {'-':>12} {'-':>8}")
 
     print()
     print("end-to-end: exact symplectic membership (uses the active backend)")

@@ -30,12 +30,15 @@ class OptionalBuildExt(build_ext):
               "installing with the pure-Python fallback", file=sys.stderr)
 
 
+# Without Cython, build from the tracked _speedups.c generated from the .pyx
+# (the Cython guide's "Distributing Cython modules"); tests/test_kernels.py
+# pins the .pyx it was generated from.
 if cythonize is not None:
     ext_modules = cythonize(
         [Extension("sympdec._speedups", ["src/sympdec/_speedups.pyx"])],
         compiler_directives={"language_level": "3"},
     )
 else:
-    ext_modules = []
+    ext_modules = [Extension("sympdec._speedups", ["src/sympdec/_speedups.c"])]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})

@@ -16,7 +16,7 @@ import sys
 
 from sympdec import __version__, homotopy, induced, lifting, suites
 from sympdec.errors import HypothesisFailureError, SympdecError
-from sympdec.kernels import backend
+from sympdec import kernels
 
 
 def _default_seed() -> int:
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact symplectic decomposability toolkit",
     )
     parser.add_argument("--version", action="version",
-                        version=f"sympdec {__version__} (kernels: {backend()})")
+                        version=f"sympdec {__version__} (kernels: {kernels.describe()})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pi", help="homotopy table query")

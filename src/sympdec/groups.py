@@ -7,7 +7,18 @@ J = [[0, I_k], [-I_k, 0]]; the four k x k quadrants of such a matrix are
 its symplectic blocks (A11, A12, A21, A22).  Membership is decided two
 independent ways (Gram identity M^T J M = J, and the block conditions:
 A11^T A21 and A12^T A22 symmetric, A11^T A22 - A21^T A12 = I) and both
-routes must agree.
+routes must agree.  The Gram route never multiplies by J: J is a signed
+permutation, so for M = [X; Y] (row halves) J^T M = [-Y; X] is M's
+numerators with the row halves swapped and the new top half negated, and
+M^T J M = (J^T M)^T M is one dense product, compared with J built once per
+size.
+
+The conjugation lemmas gather instead of multiplying by permutations:
+P X P^T for P = perm_matrix(cols) is X gathered at the inverse of cols on
+both sides (ExactMatrix.gather), so verify_sj_conjugation and
+verify_l_conjugation read s_j(A) and A^{(+n)} at the index lists behind
+perm_pj and perm_pmn.  The permutation matrices themselves stay public as
+the tests' dense oracle.
 
 The Kronecker basis is ordered left-factor-major, which makes
 J_{2m} kron I_n literally equal to J_{2mn}, so the symplectic-times-
@@ -32,6 +43,7 @@ construction's output, as the verify suites make, always runs them in full.
 
 from __future__ import annotations
 
+import functools
 import random
 from operator import add, itemgetter, mul, neg, sub
 
@@ -66,12 +78,24 @@ def symplectic_blocks(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMa
     return quad(0, 0), quad(0, k), quad(k, 0), quad(k, k)
 
 
+@functools.lru_cache(maxsize=16)
+def _gram_once(k: int) -> ExactMatrix:
+    """symplectic_gram(k), built once per size; only ever compared against."""
+    return symplectic_gram(k)
+
+
 def is_symplectic_gram(m: ExactMatrix) -> bool:
-    """Gram route: M^T J M == J."""
+    """Gram route: M^T J M == J.
+
+    J^T = [[0, -I], [I, 0]] is a signed permutation, so for M = [X; Y] (row
+    halves) J^T M = [-Y; X] is read off M's numerators, and M^T J M =
+    (J^T M)^T M costs one dense product.
+    """
     if not m.is_square() or m.rows % 2:
         raise ShapeMismatchError("symplectic matrices have even size")
-    j = symplectic_gram(m.rows // 2)
-    return m.transpose() @ j @ m == j
+    half = len(m.num) // 2
+    jt_m = ExactMatrix(m.rows, m.cols, [-x for x in m.num[half:]] + m.num[:half], m.den)
+    return jt_m.transpose() @ m == _gram_once(m.rows // 2)
 
 
 def is_symplectic_blocks(m: ExactMatrix) -> bool:
@@ -184,24 +208,37 @@ def stabilization_sj(a: ExactMatrix, j: int, r: int) -> ExactMatrix:
     return _interleaved_sum([ident] * (j - 1) + [a] + [ident] * (r - j))
 
 
-def perm_pj(j: int, n: int, r: int) -> ExactMatrix:
-    """Permutation swapping the j-th and (j+1)-st n x n diagonal slots of rn, 1 <= j <= r-1."""
+def _pj_cols(j: int, n: int, r: int) -> list[int]:
+    """The columns of perm_pj(j, n, r): slots j and j+1 of rn swapped."""
     if not 1 <= j <= r - 1:
         raise IndexOutOfRangeError(f"j = {j} not in 1..{r - 1}")
     cols = list(range(r * n))
     lo = (j - 1) * n
     for t in range(n):
         cols[lo + t], cols[lo + n + t] = cols[lo + n + t], cols[lo + t]
-    return perm_matrix(cols)
+    return cols
+
+
+def perm_pj(j: int, n: int, r: int) -> ExactMatrix:
+    """Permutation swapping the j-th and (j+1)-st n x n diagonal slots of rn, 1 <= j <= r-1."""
+    return perm_matrix(_pj_cols(j, n, r))
+
+
+def _doubled(cols: list[int]) -> list[int]:
+    """The index list of diag(P, P) for P = perm_matrix(cols)."""
+    return cols + [len(cols) + c for c in cols]
 
 
 def verify_sj_conjugation(a: ExactMatrix, j: int, r: int) -> bool:
-    """Exact identity s_{j+1}(A) = diag(P_j, P_j) s_j(A) diag(P_j, P_j)."""
-    n = a.rows // 2
-    p = perm_pj(j, n, r)
-    pp = block_diag(p, p)
-    # P_j is an involution, so conjugation uses the same matrix on both sides
-    return stabilization_sj(a, j + 1, r) == pp @ stabilization_sj(a, j, r) @ pp
+    """Exact identity s_{j+1}(A) = diag(P_j, P_j) s_j(A) diag(P_j, P_j).
+
+    For P = perm_matrix(cols), (P X)[u, :] = X[cols^-1[u], :] and
+    (X P)[:, v] = X[:, cols[v]].  P_j is an involution (cols^-1 = cols), so
+    the conjugate is s_j(A) gathered at diag(P_j, P_j)'s own index list on
+    both sides, with no product.
+    """
+    idx = _doubled(_pj_cols(j, a.rows // 2, r))
+    return stabilization_sj(a, j + 1, r) == stabilization_sj(a, j, r).gather(idx, idx)
 
 
 # -- doubling and tensor products ---------------------------------------------
@@ -219,21 +256,27 @@ def tensor_sp_o(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return _marked(_Sp, a.kron(b))
 
 
+def _pmn_cols(m: int, n: int) -> list[int]:
+    """The columns of perm_pmn(m, n): column k*m + s is e_{s*n + k}."""
+    return [s * n + k for k in range(n) for s in range(m)]
+
+
 def perm_pmn(m: int, n: int) -> ExactMatrix:
     """Shuffle with column (k*m + s) equal to e_{s*n + k}: conjugates X^{(+n)} to X kron I_n."""
-    cols = [s * n + k for k in range(n) for s in range(m)]
-    return perm_matrix(cols)
+    return perm_matrix(_pmn_cols(m, n))
 
 
 def verify_l_conjugation(a: ExactMatrix, n: int) -> bool:
-    """Exact identity A kron I_n = diag(P,P) A^{(+n)} diag(P,P)^T with P the m,n shuffle."""
+    """Exact identity A kron I_n = diag(P,P) A^{(+n)} diag(P,P)^T with P the m,n shuffle.
+
+    For P = perm_matrix(cols), (P X P^T)[u, v] = X[cols^-1[u], cols^-1[v]]
+    (see verify_sj_conjugation), and the inverse of the m,n shuffle is the
+    n,m shuffle, so the right side is A^{(+n)} gathered at diag(P_{n,m},
+    P_{n,m})'s index list, with no product.
+    """
     _require(a, _Sp, "input is not symplectic")
-    m = a.rows // 2
-    p = perm_pmn(m, n)
-    pp = block_diag(p, p)
-    left = a.kron(ExactMatrix.identity(n))
-    # permutation matrices are orthogonal: diag(P,P)^{-1} = diag(P,P)^T
-    return left == pp @ r_fold_sum_sp(a, n) @ pp.transpose()
+    idx = _doubled(_pmn_cols(n, a.rows // 2))
+    return a.kron(ExactMatrix.identity(n)) == r_fold_sum_sp(a, n).gather(idx, idx)
 
 
 def _basis_pairs(m: int, n: int) -> list[tuple[int, int, int]]:

@@ -1,15 +1,19 @@
 """Kernel backend selection.
 
 The compiled extension is optional: if it was not built (no C compiler, no
-Cython) the pure-Python implementation is used with identical semantics.
+Cython) the pure-Python implementation is used with identical semantics,
+and the ImportError that caused the fallback is kept for --version.
 """
 
 from sympdec import _kernels_py
 
 try:
-    from sympdec import _speedups  # type: ignore[attr-defined]
-except ImportError:
+    import sympdec._speedups as _speedups  # type: ignore[import-not-found]
+except ImportError as exc:
     _speedups = None
+    IMPORT_ERROR = str(exc)
+else:
+    IMPORT_ERROR = None
 
 if _speedups is not None:
     matmul_num = _speedups.matmul_num
@@ -22,3 +26,10 @@ else:
 def backend() -> str:
     """Name of the active kernel backend: 'compiled' or 'python'."""
     return BACKEND
+
+
+def describe() -> str:
+    """The active backend, and for the fallback the ImportError that chose it."""
+    if IMPORT_ERROR is None:
+        return BACKEND
+    return f"{BACKEND}; compiled kernel not imported: {IMPORT_ERROR}"

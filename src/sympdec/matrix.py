@@ -12,7 +12,7 @@ from itertools import accumulate
 from math import gcd
 
 from sympdec import kernels
-from sympdec.cyclotomic import CycScalar, as_cyc, _mul4
+from sympdec.cyclotomic import CycScalar, as_cyc
 from sympdec.errors import ShapeMismatchError
 
 
@@ -84,7 +84,30 @@ class ExactMatrix:
         return all(x == 0 for x in self.num)
 
     def is_identity(self) -> bool:
-        return self.is_square() and self == ExactMatrix.identity(self.rows)
+        # over denominator 1, the n diagonal 1-components are the only nonzeros
+        n = self.rows
+        return (self.is_square() and self.den == 1
+                and all(x == 1 for x in self.num[::4 * (n + 1)])
+                and self.num.count(0) == len(self.num) - n)
+
+    def gather(self, row_indices, col_indices) -> "ExactMatrix":
+        """The submatrix with entry (i, j) = self[row_indices[i], col_indices[j]].
+
+        The inverse of place_blocks: place_blocks(rows, cols, [(m.gather(r, c), r, c)])
+        agrees with m at those indices.  Indices may repeat; each must lie
+        inside the matrix (no wrap-around), else ShapeMismatchError.
+        """
+        row_indices, col_indices = list(row_indices), list(col_indices)
+        if (any(not 0 <= r < self.rows for r in row_indices)
+                or any(not 0 <= c < self.cols for c in col_indices)):
+            raise ShapeMismatchError(f"gather index outside {self.rows}x{self.cols}")
+        w = 4 * self.cols
+        pick = [4 * c + t for c in col_indices for t in range(4)]
+        num = []
+        for r in row_indices:
+            row = self.num[r * w:(r + 1) * w]
+            num.extend([row[q] for q in pick])
+        return ExactMatrix(len(row_indices), len(col_indices), num, self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -119,41 +142,36 @@ class ExactMatrix:
 
     def scale(self, a) -> "ExactMatrix":
         a = as_scalar(a)
-        num = []
-        for p in range(0, len(self.num), 4):
-            num.extend(_mul4(tuple(self.num[p:p + 4]), a.num))
-        return ExactMatrix(self.rows, self.cols, num, self.den * a.den)
+        return ExactMatrix(self.rows, self.cols, _times(a.num, self.num), self.den * a.den)
 
     def transpose(self) -> "ExactMatrix":
         r, c = self.rows, self.cols
         num = [0] * (len(self.num))
-        for i in range(r):
-            for j in range(c):
-                p = (i * c + j) * 4
-                q = (j * r + i) * 4
-                num[q:q + 4] = self.num[p:p + 4]
+        # component t of column j is the stride-4c slice from 4j + t; it
+        # becomes component t of row j of the transpose
+        for j in range(c):
+            o = 4 * j * r
+            for t in range(4):
+                num[o + t:o + 4 * r:4] = self.num[4 * j + t::4 * c]
         return ExactMatrix(c, r, num, self.den)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, left factor major: (A kron B)[ip+k, jq+l] = A[i,j]*B[k,l]."""
         r, c, p, q = self.rows, self.cols, other.rows, other.cols
-        num = [0] * (r * p * c * q * 4)
-        outc = c * q
+        w = 4 * q
+        zero = [0] * (p * w)
+        num = []
         for i in range(r):
-            for j in range(c):
-                s = (i * c + j) * 4
-                a = tuple(self.num[s:s + 4])
-                if a == (0, 0, 0, 0):
-                    continue
-                for k in range(p):
-                    for l in range(q):
-                        t = (k * q + l) * 4
-                        b = tuple(other.num[t:t + 4])
-                        if b == (0, 0, 0, 0):
-                            continue
-                        o = ((i * p + k) * outc + (j * q + l)) * 4
-                        num[o:o + 4] = _mul4(a, b)
-        return ExactMatrix(r * p, outc, num, self.den * other.den)
+            # block (i, j) is A[i, j] * B, scaled whole; output row (i, k) is
+            # row k of each block in turn
+            blocks = []
+            for s in range(4 * i * c, 4 * (i + 1) * c, 4):
+                a = self.num[s:s + 4]
+                blocks.append(_times(a, other.num) if any(a) else zero)
+            for k in range(p):
+                for b in blocks:
+                    num.extend(b[k * w:(k + 1) * w])
+        return ExactMatrix(r * p, c * q, num, self.den * other.den)
 
     # -- elimination-based operations --------------------------------------
 
@@ -209,18 +227,31 @@ def _reduce_content(num: list[int], den: int) -> tuple[list[int], int]:
     if den < 0:
         den = -den
         num = [-x for x in num]
-    g = 0
+    # starting at den, the common gcd stops at once for integer matrices; an
+    # all-zero matrix ends with g = den and so comes out over 1
+    g = den
     for x in num:
-        g = gcd(g, x)
         if g == 1:
             break
-    g = gcd(g, den)
+        g = gcd(g, x)
     if g > 1:
         num = [x // g for x in num]
         den //= g
-    if g == 0:
-        den = 1
     return num, den
+
+
+def _times(a, num: list[int]) -> list[int]:
+    """Flat numerators of the scalar with components a times each entry of num (z^4 = -1)."""
+    a0, a1, a2, a3 = a
+    if not (a1 or a2 or a3):
+        return [a0 * x for x in num]
+    b0, b1, b2, b3 = num[0::4], num[1::4], num[2::4], num[3::4]
+    out = [0] * len(num)
+    out[0::4] = [a0 * x0 - a1 * x3 - a2 * x2 - a3 * x1 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
+    out[1::4] = [a0 * x1 + a1 * x0 - a2 * x3 - a3 * x2 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
+    out[2::4] = [a0 * x2 + a1 * x1 + a2 * x0 - a3 * x3 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
+    out[3::4] = [a0 * x3 + a1 * x2 + a2 * x1 + a3 * x0 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
+    return out
 
 
 def as_scalar(x) -> CycScalar:

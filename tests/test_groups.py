@@ -326,6 +326,55 @@ def test_tensor_sp_sp_matches_the_dense_conjugation_property(m, n, seed):
     assert tensor_sp_sp(a, b) == p.transpose() @ g @ a.kron(b) @ p
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_conjugation_gathers_match_the_dense_permutation_products(n):
+    rng = random.Random(f"gather:{n}")
+    for r in range(1, 5):
+        x = ExactMatrix(2 * r * n, 2 * r * n, [rng.randint(-3, 3) for _ in range(16 * r * r * n * n)])
+        for j in range(1, r):
+            cols = groups._pj_cols(j, n, r)
+            p = dense_perm(cols)
+            assert perm_pj(j, n, r) == p
+            pp = dense_block_diag(p, p)
+            idx = groups._doubled(cols)
+            assert x.gather(idx, idx) == pp @ x @ pp
+            a = random_sp(n, seed=f"gather:{n}:{r}:{j}")
+            assert stabilization_sj(a, j + 1, r) == pp @ stabilization_sj(a, j, r) @ pp
+            assert verify_sj_conjugation(a, j, r)
+    for m in range(1, 5):
+        x = ExactMatrix(2 * m * n, 2 * m * n, [rng.randint(-3, 3) for _ in range(16 * m * m * n * n)])
+        p = dense_perm(groups._pmn_cols(m, n))
+        assert perm_pmn(m, n) == p and p.transpose() == perm_pmn(n, m)
+        pp = dense_block_diag(p, p)
+        idx = groups._doubled(groups._pmn_cols(n, m))
+        assert x.gather(idx, idx) == pp @ x @ pp.transpose()
+        a = random_sp(m, seed=f"gather:L:{m}:{n}")
+        assert a.kron(ExactMatrix.identity(n)) == pp @ r_fold_sum_sp(a, n) @ pp.transpose()
+        assert verify_l_conjugation(a, n)
+
+
+def anti_symplectic(a):
+    """a diag(I, -I): its Gram product is -J, so the Gram route must tell the sign."""
+    k = a.rows // 2
+    return a @ dense_block_diag(ExactMatrix.identity(k), -ExactMatrix.identity(k))
+
+
+def test_row_swap_gram_route_matches_the_dense_gram_product():
+    for k in range(1, 5):
+        j = dense_gram(k)
+        for seed in range(4):
+            member = random_sp(k, seed=f"gram:{k}:{seed}")
+            cases = [member, with_perturbed_entry(member), with_perturbed_entry(member, -2),
+                     anti_symplectic(member), member.scale(CycScalar.i()), -member,
+                     ExactMatrix(2 * k, 2 * k, [x for x in member.num], 3)]
+            for m in cases:
+                assert is_symplectic_gram(m) == (m.transpose() @ j @ m == j)
+                assert is_symplectic_gram(m) == is_symplectic_blocks(m)
+            assert is_symplectic_gram(member) and is_symplectic_gram(-member)
+            assert not is_symplectic_gram(anti_symplectic(member))
+    assert is_symplectic_gram(ExactMatrix.zeros(0, 0))
+
+
 # -- membership carried by the element ----------------------------------------
 
 def _count_predicates(monkeypatch):

@@ -1,10 +1,12 @@
 """Both kernel backends must agree with each other and with a scalar-level
 reference that multiplies CycScalar entries one at a time."""
 
+import hashlib
 import importlib.util
 import random
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -79,7 +81,57 @@ def test_python_kernel_matches_scalar_reference_property(case):
     assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a), ExactMatrix(k, m, b))
 
 
+def structured_flat(n, k, rng):
+    """Flat numerators with zero rows and sparse rows whose nonzeros are a mix of
+    rational integers (a1 = a2 = a3 = 0) and full Z[z] entries, small and big."""
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(3)          # zero row, sparse row, dense row
+        for _ in range(k):
+            if kind == 0 or (kind == 1 and rng.random() < 0.7):
+                out += [0, 0, 0, 0]
+                continue
+            mag = rng.choice([3, 1 << 70])
+            if rng.random() < 0.5:
+                out += [rng.randint(-mag, mag), 0, 0, 0]
+            else:
+                out += [rng.randint(-mag, mag) for _ in range(4)]
+    return out
+
+
+def structured_cases(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        yield n, k, m, structured_flat(n, k, rng), structured_flat(k, m, rng)
+
+
+def test_python_kernel_on_sparse_and_rational_structure():
+    for n, k, m, a, b in structured_cases(60, 21):
+        got = _kernels_py.matmul_num(a, b, n, k, m)
+        assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a), ExactMatrix(k, m, b))
+    # a signed permutation times a dense matrix: rows of the product are signed rows
+    rng = random.Random(22)
+    perm, signs = [2, 0, 3, 1], [1, -1, -1, 1]
+    a = [0] * 64
+    for i, (c, e) in enumerate(zip(perm, signs)):
+        a[4 * (4 * i + c)] = e
+    b = [rng.randint(-9, 9) for _ in range(4 * 4 * 3)]
+    got = _kernels_py.matmul_num(a, b, 4, 4, 3)
+    assert got == [e * x for c, e in zip(perm, signs) for x in b[12 * c:12 * (c + 1)]]
+
+
 SPEEDUPS_C = Path(__file__).resolve().parents[1] / "src" / "sympdec" / "_speedups.c"
+SPEEDUPS_PYX = SPEEDUPS_C.with_suffix(".pyx")
+# sha256 of the _speedups.pyx that the shipped _speedups.c was generated from
+SPEEDUPS_PYX_SHA256 = "f024339f7e6acedc422f83eb0eea598dcebea2e20e963775a794525260984f39"
+
+
+def test_shipped_c_was_generated_from_this_pyx():
+    digest = hashlib.sha256(SPEEDUPS_PYX.read_bytes()).hexdigest()
+    assert digest == SPEEDUPS_PYX_SHA256, (
+        "_speedups.pyx changed since _speedups.c was generated: regenerate the .c "
+        "(cython src/sympdec/_speedups.pyx) and record the new sha256 in SPEEDUPS_PYX_SHA256")
 
 
 @pytest.fixture(scope="session")
@@ -110,6 +162,11 @@ def test_backends_agree_across_magnitudes(compiled_speedups):
         assert compiled_speedups.matmul_num(a, b, n, k, m) == _kernels_py.matmul_num(a, b, n, k, m)
 
 
+def test_backends_agree_on_sparse_and_rational_structure(compiled_speedups):
+    for n, k, m, a, b in structured_cases(60, 23):
+        assert compiled_speedups.matmul_num(a, b, n, k, m) == _kernels_py.matmul_num(a, b, n, k, m)
+
+
 def test_compiled_rejects_bad_lengths(compiled_speedups):
     with pytest.raises(ValueError):
         compiled_speedups.matmul_num([0] * 3, [0] * 4, 1, 1, 1)
@@ -117,3 +174,30 @@ def test_compiled_rejects_bad_lengths(compiled_speedups):
 
 def test_active_backend_is_exposed():
     assert kernels.backend() in ("python", "compiled")
+
+
+def _version(*setup):
+    """`sympdec --version` in a fresh interpreter, after the given setup lines."""
+    code = "\n".join([*setup, "from sympdec.cli import main", "main(['--version'])"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return " ".join(proc.stdout.split())
+
+
+def test_version_names_the_backend_and_why():
+    out = _version()
+    assert f"(kernels: {kernels.describe()})" in out
+    if kernels.backend() == "python":
+        assert kernels.IMPORT_ERROR and kernels.IMPORT_ERROR in out
+    # a kernel that cannot import: the fallback keeps the ImportError's text
+    blocked = _version("import sys", "sys.modules['sympdec._speedups'] = None")
+    assert "kernels: python; compiled kernel not imported: import of sympdec._speedups halted" in blocked
+
+
+def test_version_of_the_compiled_backend_has_no_reason(compiled_speedups):
+    out = _version("import importlib.util, sys",
+                   f"spec = importlib.util.spec_from_file_location('sympdec._speedups', "
+                   f"{compiled_speedups.__file__!r})",
+                   "sys.modules['sympdec._speedups'] = module = importlib.util.module_from_spec(spec)",
+                   "spec.loader.exec_module(module)")
+    assert out.endswith("(kernels: compiled)")

@@ -123,3 +123,73 @@ def test_scale_and_negate():
     m = ExactMatrix.identity(3)
     assert m.scale(Fraction(1, 2)) + m.scale(Fraction(1, 2)) == m
     assert -(-m) == m
+
+
+def test_gather_reads_entries_and_inverts_place_blocks():
+    rng = random.Random(12)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = rand_block(rows, cols, rng)
+        r_idx = [rng.randrange(rows) for _ in range(rng.randint(0, 6))]
+        c_idx = [rng.randrange(cols) for _ in range(rng.randint(0, 6))]
+        cells = {(i, j): m.entry(r, c) for i, r in enumerate(r_idx) for j, c in enumerate(c_idx)}
+        assert m.gather(r_idx, c_idx) == entrywise(len(r_idx), len(c_idx), cells)
+        # distinct indices: placing the gathered block back agrees with m there
+        r_set, c_set = sorted(set(r_idx)), sorted(set(c_idx))
+        back = place_blocks(rows, cols, [(m.gather(r_set, c_set), r_set, c_set)])
+        assert all(back.entry(r, c) == m.entry(r, c) for r in r_set for c in c_set)
+
+
+def test_gather_rejects_bad_indices():
+    m = ExactMatrix.identity(3)
+    for rows, cols in (([3], [0]), ([-1], [0]), ([0], [3]), ([0], [-1]), ([0, 1, 5], [0, 1])):
+        with pytest.raises(ShapeMismatchError):
+            m.gather(rows, cols)
+    assert m.gather([], [0, 1]) == ExactMatrix.zeros(0, 2)
+
+
+def rand_mixed(r, c, rng):
+    """Entries drawn as zero, a rational integer or a full Q(z) element: the cases kron
+    and the kernel treat apart."""
+    num = []
+    for _ in range(r * c):
+        kind = rng.randrange(3)
+        num += ([0] * 4 if kind == 0 else [rng.randint(-5, 5), 0, 0, 0] if kind == 1
+                else [rng.randint(-5, 5) for _ in range(4)])
+    return ExactMatrix(r, c, num, rng.randint(1, 6))
+
+
+def test_kron_and_transpose_match_entrywise_references():
+    rng = random.Random(13)
+    for _ in range(30):
+        a = rand_mixed(rng.randint(0, 3), rng.randint(0, 3), rng)
+        b = rand_mixed(rng.randint(0, 3), rng.randint(0, 3), rng)
+        cells = {(i * b.rows + k, j * b.cols + l): a.entry(i, j) * b.entry(k, l)
+                 for i in range(a.rows) for j in range(a.cols)
+                 for k in range(b.rows) for l in range(b.cols)}
+        assert a.kron(b) == entrywise(a.rows * b.rows, a.cols * b.cols, cells)
+        assert a.transpose() == entrywise(a.cols, a.rows, {(j, i): a.entry(i, j)
+                                                           for i in range(a.rows)
+                                                           for j in range(a.cols)})
+    i = CycScalar.i()
+    z = ExactMatrix.from_rows([[0, 1], [i, 0]])
+    assert z.kron(ExactMatrix.identity(2)) == entrywise(
+        4, 4, {(0, 2): 1, (1, 3): 1, (2, 0): i, (3, 1): i})
+
+
+def test_is_identity_compares_without_building_it():
+    assert ExactMatrix.identity(0).is_identity() and ExactMatrix.identity(4).is_identity()
+    i = CycScalar.i()
+    for rows in ([[1, 0], [0, 2]], [[1, 1], [0, 1]], [[1, 0], [0, i]], [[Fraction(1, 2), 0], [0, 1]],
+                 [[1, 0], [0, 0]], [[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0]]):
+        assert not ExactMatrix.from_rows(rows).is_identity()
+    assert ExactMatrix(2, 2, [3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0], 3).is_identity()
+
+
+def test_content_is_reduced_against_the_denominator():
+    m = ExactMatrix(1, 2, [4, 0, 6, 0, 0, 0, 0, 0], 10)
+    assert (m.num, m.den) == ([2, 0, 3, 0, 0, 0, 0, 0], 5)
+    z = ExactMatrix(1, 1, [0, 0, 0, 0], 7)
+    assert (z.num, z.den) == ([0, 0, 0, 0], 1)
+    n = ExactMatrix(1, 1, [3, 0, 0, -6], -9)
+    assert (n.num, n.den) == ([-1, 0, 0, 2], 3)
