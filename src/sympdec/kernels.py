@@ -10,17 +10,9 @@ from sympdec import _kernels_py
 try:
     import sympdec._speedups as _speedups  # type: ignore[import-not-found]
 except ImportError as exc:
-    _speedups = None
-    IMPORT_ERROR = str(exc)
+    matmul_num, BACKEND, IMPORT_ERROR = _kernels_py.matmul_num, "python", str(exc)
 else:
-    IMPORT_ERROR = None
-
-if _speedups is not None:
-    matmul_num = _speedups.matmul_num
-    BACKEND = "compiled"
-else:
-    matmul_num = _kernels_py.matmul_num
-    BACKEND = "python"
+    matmul_num, BACKEND, IMPORT_ERROR = _speedups.matmul_num, "compiled", None
 
 
 def backend() -> str:
