@@ -90,8 +90,3 @@ class FgAbGroup:
         if not self.factors:
             return "0"
         return " x ".join("Z" if f == 0 else f"Z/{f}" for f in self.factors)
-
-
-Z = FgAbGroup((0,))
-Z2 = FgAbGroup((2,))
-TRIVIAL = FgAbGroup(())

@@ -213,7 +213,3 @@ def as_cyc(x) -> "CycScalar":
     if isinstance(x, Fraction):
         return CycScalar(x)
     return NotImplemented
-
-
-ZERO = CycScalar.zero()
-ONE = CycScalar.one()

@@ -101,13 +101,14 @@ def is_symplectic_gram(m: ExactMatrix) -> bool:
 def is_symplectic_blocks(m: ExactMatrix) -> bool:
     """Block route: A11^T A21, A12^T A22 symmetric and A11^T A22 - A21^T A12 = I."""
     a11, a12, a21, a22 = symplectic_blocks(m)
-    s1 = a11.transpose() @ a21
+    a11_t = a11.transpose()
+    s1 = a11_t @ a21
     if s1 != s1.transpose():
         return False
     s2 = a12.transpose() @ a22
     if s2 != s2.transpose():
         return False
-    return (a11.transpose() @ a22 - a21.transpose() @ a12).is_identity()
+    return (a11_t @ a22 - a21.transpose() @ a12).is_identity()
 
 
 def is_symplectic(m: ExactMatrix) -> bool:
@@ -122,10 +123,6 @@ def is_orthogonal(m: ExactMatrix) -> bool:
     if not m.is_square():
         raise ShapeMismatchError("orthogonal matrices are square")
     return (m.transpose() @ m).is_identity()
-
-
-def is_special_orthogonal(m: ExactMatrix) -> bool:
-    return is_orthogonal(m) and m.det() == CycScalar.one()
 
 
 class _Sp(ExactMatrix):

@@ -49,13 +49,6 @@ class IntMatrix:
         c = self.cols
         return [self.data[i * c:(i + 1) * c] for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        out = [0] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.data[i * self.cols + j]
-        return IntMatrix(self.cols, self.rows, out)
-
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -95,30 +88,6 @@ class IntMatrix:
 
     def diagonal(self) -> list[int]:
         return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
-
-    def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ShapeMismatchError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.row_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

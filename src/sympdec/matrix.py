@@ -74,9 +74,6 @@ class ExactMatrix:
     def __getitem__(self, ij):
         return self.entry(*ij)
 
-    def row(self, i: int) -> list[CycScalar]:
-        return [self.entry(i, j) for j in range(self.cols)]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -172,30 +169,6 @@ class ExactMatrix:
                 for b in blocks:
                     num.extend(b[k * w:(k + 1) * w])
         return ExactMatrix(r * p, c * q, num, self.den * other.den)
-
-    # -- elimination-based operations --------------------------------------
-
-    def det(self) -> CycScalar:
-        if not self.is_square():
-            raise ShapeMismatchError("determinant of non-square matrix")
-        n = self.rows
-        a = [self.row(i) for i in range(n)]
-        det = CycScalar.one()
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if pivot is None:
-                return CycScalar.zero()
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = a[col][col].inv()
-            for r in range(col + 1, n):
-                if a[r][col].is_zero():
-                    continue
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return det
 
     # -- comparison / display ----------------------------------------------
 

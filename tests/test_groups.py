@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from sympdec import groups
 from sympdec.cyclotomic import CycScalar
@@ -16,7 +17,6 @@ from sympdec.groups import (
     direct_sum_sp,
     doubling,
     is_orthogonal,
-    is_special_orthogonal,
     is_symplectic,
     is_symplectic_blocks,
     is_symplectic_gram,
@@ -37,6 +37,8 @@ from sympdec.groups import (
     with_perturbed_entry,
 )
 from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix
+
+from conftest import Q_ZETA8, over_q_zeta8
 
 
 # -- membership predicates ---------------------------------------------------
@@ -75,8 +77,77 @@ def test_gram_and_block_routes_form_a_biconditional():
 def test_orthogonal_predicates():
     assert is_orthogonal(ExactMatrix.identity(3))
     refl = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-    assert is_orthogonal(refl) and not is_special_orthogonal(refl)
+    assert is_orthogonal(refl) and over_q_zeta8(refl).det() == -Q_ZETA8.one
     assert not is_orthogonal(with_perturbed_entry(ExactMatrix.identity(3)))
+
+
+# -- membership against sympy, outside our arithmetic -------------------------
+
+def sympy_is_symplectic(m):
+    """M^T J M == J, computed by sympy over Q(z)."""
+    k = m.rows // 2
+    one, zero = Q_ZETA8.one, Q_ZETA8.zero
+    j = DomainMatrix([[one if c == r + k else -one if r == c + k else zero
+                       for c in range(2 * k)] for r in range(2 * k)], (2 * k, 2 * k), Q_ZETA8)
+    d = over_q_zeta8(m)
+    return d.transpose() * j * d == j
+
+
+def sympy_is_orthogonal(m):
+    """M^T M == I, computed by sympy over Q(z)."""
+    d = over_q_zeta8(m)
+    return d.transpose() * d == DomainMatrix.eye(m.rows, Q_ZETA8).to_dense()
+
+
+@st.composite
+def symplectic_candidates(draw):
+    """A random_sp, direct_sum_sp or tensor_sp_o output, kept, perturbed or made anti-symplectic."""
+    seed, m = draw(st.integers(0, 10 ** 6)), draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["random_sp", "direct_sum_sp", "tensor_sp_o"]))
+    a = random_sp(m, seed)
+    if kind == "direct_sum_sp":
+        a = direct_sum_sp(a, random_sp(draw(st.integers(1, 2)), seed + 1))
+    elif kind == "tensor_sp_o":
+        a = tensor_sp_o(a, random_so(draw(st.integers(1, 3)), seed))
+    change = draw(st.sampled_from(["none", "perturbed", "anti"]))
+    if change == "perturbed":
+        a = with_perturbed_entry(a, draw(st.sampled_from([-2, -1, 1, 2])))
+    elif change == "anti":
+        # (M D)^T J (M D) = D^T J D = -J for D = diag(I, -I)
+        k = a.rows // 2
+        a = a @ block_diag(ExactMatrix.identity(k), -ExactMatrix.identity(k))
+    return a
+
+
+@st.composite
+def orthogonal_candidates(draw):
+    """A random_so or tensor_sp_sp output or a reflection, kept or perturbed."""
+    seed = draw(st.integers(0, 10 ** 6))
+    kind = draw(st.sampled_from(["random_so", "tensor_sp_sp", "reflection"]))
+    if kind == "tensor_sp_sp":
+        a = tensor_sp_sp(random_sp(draw(st.integers(1, 2)), seed),
+                         random_sp(draw(st.integers(1, 2)), seed + 1))
+    else:
+        n = draw(st.integers(1, 6))
+        a = random_so(n, seed)
+        if kind == "reflection":
+            a = ExactMatrix.from_rows([[-1 if i == j == 0 else int(i == j) for j in range(n)]
+                                       for i in range(n)]) @ a
+    if draw(st.booleans()):
+        a = with_perturbed_entry(a, draw(st.sampled_from([-2, -1, 1, 2])))
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(symplectic_candidates())
+def test_is_symplectic_agrees_with_sympy_property(m):
+    assert is_symplectic(m) == sympy_is_symplectic(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(orthogonal_candidates())
+def test_is_orthogonal_agrees_with_sympy_property(m):
+    assert is_orthogonal(m) == sympy_is_orthogonal(m)
 
 
 # -- direct sums and stabilizations -------------------------------------------
@@ -488,8 +559,8 @@ def test_random_so_membership_and_determinism():
     for n in range(1, 9):
         draws = [random_so(n, seed=seed) for seed in range(10)]
         for a in draws:
-            # det by elimination is an oracle independent of the construction
-            assert is_special_orthogonal(a)
+            # det from sympy is an oracle independent of the construction
+            assert is_orthogonal(a) and over_q_zeta8(a).det() == Q_ZETA8.one
         assert random_so(n, seed=1) == draws[1]
         if n >= 2:
             # a genuinely complex rotation: some entry has a nonzero i = z^2 part
@@ -543,7 +614,8 @@ def test_random_sp_and_gl_draws_are_pinned():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 7), st.integers(0, 10 ** 6))
 def test_random_so_lies_in_so_property(n, seed):
-    assert is_special_orthogonal(random_so(n, seed))
+    a = random_so(n, seed)
+    assert is_orthogonal(a) and over_q_zeta8(a).det() == Q_ZETA8.one
 
 
 @settings(max_examples=40, deadline=None)
