@@ -20,10 +20,11 @@ from sympdec import kernels
 
 
 def _default_seed() -> int:
+    text = os.environ.get("SYMPDEC_SEED", "0")
     try:
-        return int(os.environ.get("SYMPDEC_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise ValueError(f"SYMPDEC_SEED must be an integer; got {text!r}") from None
 
 
 def _emit(obj: dict, output: str) -> None:
@@ -140,7 +141,7 @@ def _cmd_induced(args) -> dict:
     missing = [f"--{q}" for q in formula.required if getattr(args, q) is None]
     if missing:
         raise SympdecError(f"missing required flags: {', '.join(missing)}")
-    h = induced.emitter(op)(args.i, *(getattr(args, q) for q in formula.params))
+    h = induced.hom(op, args.i, **{q: getattr(args, q) for q in formula.params})
     body = {"op": op, "i": args.i}
     if isinstance(h, induced.ZDependent):
         body["z_dependent"] = True

@@ -1,12 +1,11 @@
 """Homomorphisms induced on homotopy groups by the group operations.
 
-The formulas form one table, FORMULAS, keyed by CLI op; one builder turns
-an entry into an AbHom: an integer matrix on the chosen generators of
-finitely generated abelian groups, with entries reduced modulo the target
-orders and the well-definedness invariant enforced at construction.  The
-hom_* emitters are the public names of the entries.  Formulas refuse
-degrees outside their validity windows instead of extrapolating; the
-windows are part of the mathematics.
+The formulas form one table, FORMULAS, keyed by CLI op; one builder,
+hom(op, i, **params), turns an entry into an AbHom: an integer matrix on
+the chosen generators of finitely generated abelian groups, with entries
+reduced modulo the target orders and the well-definedness invariant
+enforced at construction.  Formulas refuse degrees outside their validity
+windows instead of extrapolating; the windows are part of the mathematics.
 
 Generators are identified along the stabilization maps, so a formula's
 matrix is stated relative to that identification.  Trivial factors carry
@@ -254,7 +253,7 @@ class Formula(NamedTuple):
     parts, or a z-dependent degree, break the pattern.
     """
 
-    params: tuple[str, ...]                 # after i, in the emitter's positional order
+    params: tuple[str, ...]                 # the names hom takes after i
     sources: tuple[tuple[str, str], ...]
     targets: tuple[tuple[str, str], ...]
     window: tuple[tuple[str, Callable], ...]
@@ -359,11 +358,16 @@ FORMULAS = {
         lambda i, p: ([({3: 2 * p.m, 7: 8 * p.m}.get(i % 8, 0),)],
                       "squared tensor product: 2m*x in degree 3, 8m*x in degree 7 (mod 8), "
                       "zero otherwise")),
+    # the auxiliary homomorphism into SO(N), N = 4um^2 + vn; in degree 1 the
+    # first coefficient is an undetermined z in Z/2
     "ttilde": Formula(
         ("m", "n", "u", "v", "z"), (("psp", "m"), ("so", "n")), (("so", "N"),),
         (("i < min(4m+2, n-1)", lambda i, p: min(4 * p.m + 2, p.n - 1)),),
         _ttilde_rule,
         checks=(_bezout, _WINDOW), z_degree=1, period_from=2),
+    # the classifying-space pairing of tensor-quotient with ttilde; i is a
+    # classifying-space degree over group degree i - 1, and degree 2 depends
+    # on z exactly as ttilde's degree 1 does
     "J": Formula(
         ("m", "n", "u", "v", "z"), (("psp", "m"), ("so", "n")), (("psp", "mn"), ("so", "N")),
         (("0 < i < min(4m+3, n)", lambda i, p: min(4 * p.m + 3, p.n)),),
@@ -375,11 +379,6 @@ FORMULAS = {
 }
 
 
-def emitter(op: str) -> Callable:
-    """The hom_* function behind a table op, looked up when called."""
-    return globals()["hom_" + op.lower().replace("-", "_")]
-
-
 def _part(family: str, size: str, degree: int, label: str, p):
     table, name = _FAMILIES[family]
     k = _SIZES[size](p)
@@ -389,12 +388,21 @@ def _part(family: str, size: str, degree: int, label: str, p):
     return answer.group, f"{label} {name}({k})"
 
 
-def _build(op: str, i: int, **params):
-    """Build table entry op at degree i: an AbHom, or a ZDependent when z is
-    left unset in the entry's z-dependent degree."""
+def hom(op: str, i: int, **params):
+    """Build table entry op at degree i, e.g. hom("tensor-sp-o", 3, m=2, n=5).
+
+    params are the entry's FORMULAS[op].params, passed by name; a name the
+    entry does not take, or a missing required one, raises TypeError.  u and
+    v default to the minimal Bezout witness of (m, n), which replaces both
+    when either is missing.  z pins the undetermined mod-2 coefficient of
+    the entry's z-dependent degree; left unset there, the result is a
+    ZDependent holding both candidates, and otherwise an AbHom.
+    """
     f = FORMULAS[op]
+    if params.keys() - f.params or any(q not in params for q in f.required):
+        raise TypeError(f"{op} takes {', '.join(f.params)}; got {', '.join(params) or 'none'}")
     p = SimpleNamespace(**params)
-    if "u" in params and (p.u is None or p.v is None):
+    if "u" in f.params and (params.get("u") is None or params.get("v") is None):
         from sympdec.lifting import bezout_uv   # lifting builds on this module
         w = bezout_uv(p.m, p.n)
         p.u, p.v = w.u, w.v
@@ -425,63 +433,3 @@ def _build(op: str, i: int, **params):
     if i == f.z_degree and z is None:
         return ZDependent(emit(0), emit(1))
     return emit(None if z is None else z % 2)
-
-
-def hom_direct_sum(i: int, m: int, n: int) -> AbHom:
-    """Induced map of the symplectic direct sum: (x, y) -> x + y."""
-    return _build("direct-sum", i, m=m, n=n)
-
-
-def hom_r_fold(i: int, n: int, r: int) -> AbHom:
-    """Induced map of the r-fold direct sum: x -> r*x."""
-    return _build("r-fold", i, n=n, r=r)
-
-
-def hom_doubling(i: int, n: int) -> AbHom:
-    """Induced map of the doubling homomorphism O(n) -> Sp(n)."""
-    return _build("doubling", i, n=n)
-
-
-def hom_tensor_sp_o(i: int, m: int, n: int) -> AbHom:
-    """Induced map of the symplectic-orthogonal tensor product: n*x + 2m*y."""
-    return _build("tensor-sp-o", i, m=m, n=n)
-
-
-def hom_tensor_quotient(i: int, m: int, n: int) -> AbHom:
-    """Induced map of the tensor product on the center quotient, n odd.
-
-    The formula n*x + 2m*y applies for i > 1; in degrees 0 and 1 the map
-    is emitted as the explicit zero map.
-    """
-    return _build("tensor-quotient", i, m=m, n=n)
-
-
-def hom_tensor_sp_sp(i: int, m: int, n: int) -> AbHom:
-    """Induced map of the symplectic-symplectic tensor product into O(4mn)."""
-    return _build("tensor-sp-sp", i, m=m, n=n)
-
-
-def hom_square_tensor(i: int, m: int) -> AbHom:
-    """Induced map of the self tensor product A -> A (x) A into O(4m^2)."""
-    return _build("square-tensor", i, m=m)
-
-
-def hom_ttilde(i: int, m: int, n: int, u: int, v: int, z: int | None = None):
-    """Induced map of the auxiliary homomorphism into SO(N), N = 4um^2 + vn.
-
-    In degree 1 the first coefficient is an undetermined z in Z/2; pass
-    z = 0 or 1 to pin it, or leave it None to receive both candidates.
-    u or v None takes the Bezout witness for both.
-    """
-    return _build("ttilde", i, m=m, n=n, u=u, v=v, z=z)
-
-
-def hom_j(i: int, m: int, n: int, u: int | None = None, v: int | None = None,
-          z: int | None = None):
-    """Classifying-space pairing of the quotient tensor map with the auxiliary map.
-
-    Degrees are classifying-space degrees; the underlying group degree is
-    i - 1.  Degree 2 depends on the mod-2 parameter z exactly as the
-    degree-1 auxiliary map does.
-    """
-    return _build("J", i, m=m, n=n, u=u, v=v, z=z)

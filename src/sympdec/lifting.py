@@ -25,7 +25,7 @@ from sympdec.induced import (
     AbHom,
     ImageDescriptor,
     ZDependent,
-    hom_j,
+    hom,
     image_description,
     is_isomorphism,
 )
@@ -191,7 +191,7 @@ def _certify_pairing(w: BezoutWitness) -> int:
     for i in degrees:
         if i % 8 == 0:
             continue
-        h = hom_j(i, m, n, w.u, w.v)
+        h = hom("J", i, m=m, n=n, u=w.u, v=w.v)
         for z, hz in h.candidates if isinstance(h, ZDependent) else ((None, h),):
             key = (hz.source, hz.target, hz.matrix)
             if key not in verdicts:
@@ -361,8 +361,6 @@ def postnikov_degree_check(m: int, n: int) -> dict:
     stages = []
     ok = True
     for i in range(3, n - 1, 8):
-        if not 1 < i < n - 1:
-            continue
         degrees = []
         for off in (2, 6, 7, 8):
             deg = i + off

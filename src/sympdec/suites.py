@@ -13,11 +13,11 @@ import time
 from dataclasses import dataclass, field
 from math import gcd
 
-from sympdec import groups, induced
+from sympdec import groups
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import BoundsTooLargeError
 from sympdec.homotopy import pi_sp
-from sympdec.induced import (compose, diagonal_hom, hom_j, identity_hom, is_isomorphism,
+from sympdec.induced import (compose, diagonal_hom, hom, identity_hom, is_isomorphism,
                              stack, zero_hom)
 from sympdec.lifting import bezout_uv, connectivity_j
 from sympdec.matrix import ExactMatrix
@@ -184,9 +184,9 @@ def _same_map(a, b) -> bool:
 def _tensor_decomposition_consistent(i: int, m: int, n: int) -> bool:
     """tensor formula is [left | right]: the n-fold sum on Sp(m) beside the
     m-fold sum of doubling on O(n), read off through the two factor inclusions."""
-    tensor = induced.hom_tensor_sp_o(i, m, n)
-    left = induced.hom_r_fold(i, m, n)
-    right = compose(induced.hom_r_fold(i, n, m), induced.hom_doubling(i, n))
+    tensor = hom("tensor-sp-o", i, m=m, n=n)
+    left = hom("r-fold", i, n=m, r=n)
+    right = compose(hom("r-fold", i, n=n, r=m), hom("doubling", i, n=n))
     a, b = left.source, right.source
     if tensor.source != FgAbGroup.product(a, b):
         return False
@@ -196,8 +196,8 @@ def _tensor_decomposition_consistent(i: int, m: int, n: int) -> bool:
 
 def _square_tensor_consistent(i: int, m: int) -> bool:
     """square tensor formula equals the two-variable formula composed with the diagonal."""
-    square = induced.hom_square_tensor(i, m)
-    both = induced.hom_tensor_sp_sp(i, m, m)
+    square = hom("square-tensor", i, m=m)
+    both = hom("tensor-sp-sp", i, m=m, n=m)
     return _same_map(square, compose(both, diagonal_hom(pi_sp(i, m).group)))
 
 
@@ -253,7 +253,7 @@ def run_j_iso(bounds: Bounds, samples: int, seed, max_m: int | None = None,
                 if i % 8 == 0:
                     continue
                 for z in (0, 1):
-                    h = hom_j(i, m, n, w.u, w.v, z)
+                    h = hom("J", i, m=m, n=n, u=w.u, v=w.v, z=z)
                     rep.record(is_isomorphism(h), op="J-iso", m=m, n=n, i=i, z=z)
             rep.record(connectivity_j(m, n) == 7, op="J-connectivity", m=m, n=n)
     return rep

@@ -158,6 +158,19 @@ def test_seed_env_default(capsys, monkeypatch):
     assert code == 0 and body["seed"] == 7
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_malformed_seed_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SYMPDEC_SEED", value)
+    code = main(["verify", "bezout", "--max-m", "1", "--max-n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "SYMPDEC_SEED" in captured.err and repr(value) in captured.err
+    # the variable is read only when --seed is absent
+    code, body = run_json(capsys, "verify", "bezout", "--max-m", "1", "--max-n", "1",
+                          "--seed", "7")
+    assert code == 0 and body["seed"] == 7
+
+
 def test_human_output(capsys):
     code, out = run_cli(capsys, "pi", "--family", "sp", "--n", "1", "--i", "6",
                         "--output", "human")

@@ -20,19 +20,10 @@ from sympdec.induced import (
     AbHom,
     ImageDescriptor,
     ZDependent,
-    _build,
     _presentation_matrix,
     compose,
     diagonal_hom,
-    hom_direct_sum,
-    hom_doubling,
-    hom_j,
-    hom_r_fold,
-    hom_square_tensor,
-    hom_tensor_quotient,
-    hom_tensor_sp_o,
-    hom_tensor_sp_sp,
-    hom_ttilde,
+    hom,
     identity_hom,
     image_description,
     is_injective,
@@ -48,7 +39,7 @@ Z2 = FgAbGroup((2,))
 T = FgAbGroup(())
 
 
-def hom(src, tgt, rows):
+def abhom(src, tgt, rows):
     return AbHom(FgAbGroup(src), FgAbGroup(tgt), IntMatrix.from_rows(rows))
 
 
@@ -56,13 +47,13 @@ def hom(src, tgt, rows):
 
 def test_well_definedness_enforced():
     with pytest.raises(MalformedHomError):
-        hom((2,), (0,), [[1]])          # Z/2 cannot map onto a free generator
+        abhom((2,), (0,), [[1]])          # Z/2 cannot map onto a free generator
     with pytest.raises(MalformedHomError):
-        hom((2,), (4,), [[1]])          # order 2 image would have order 4
-    hom((2,), (4,), [[2]])              # fine: 2 has order 2 in Z/4
-    hom((4,), (2,), [[1]])              # fine: quotient
+        abhom((2,), (4,), [[1]])          # order 2 image would have order 4
+    abhom((2,), (4,), [[2]])              # fine: 2 has order 2 in Z/4
+    abhom((4,), (2,), [[1]])              # fine: quotient
     with pytest.raises(MalformedHomError):
-        hom((0,), (0, 0), [[1]])        # wrong shape
+        abhom((0,), (0, 0), [[1]])        # wrong shape
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,9 +85,9 @@ def test_well_definedness_property(src, tgt, data):
 
 
 def test_entries_reduced_mod_target_orders():
-    h = hom((2,), (2,), [[7]])
+    h = abhom((2,), (2,), [[7]])
     assert h.matrix.row_lists() == [[1]]
-    h = hom((0,), (5,), [[-3]])
+    h = abhom((0,), (5,), [[-3]])
     assert h.matrix.row_lists() == [[2]]
 
 
@@ -111,22 +102,22 @@ def test_zero_dimensional_homs():
 
 def test_iso_predicates_on_knowns():
     assert is_isomorphism(identity_hom(FgAbGroup((0, 2, 4))))
-    doubling = hom((0,), (0,), [[2]])
+    doubling = abhom((0,), (0,), [[2]])
     assert is_injective(doubling) and not is_surjective(doubling)
-    project = hom((0,), (2,), [[1]])
+    project = abhom((0,), (2,), [[1]])
     assert is_surjective(project) and not is_injective(project)
     # invertible integer 2x2 with unit determinant
-    unit = hom((0, 0), (0, 0), [[9, 4], [16, 7]])
+    unit = abhom((0, 0), (0, 0), [[9, 4], [16, 7]])
     assert is_isomorphism(unit)
-    non_unit = hom((0, 0), (0, 0), [[9, 4], [64, 7]])
+    non_unit = abhom((0, 0), (0, 0), [[9, 4], [64, 7]])
     assert not is_isomorphism(non_unit)
     # swap of torsion factors
-    swap = hom((2, 2), (2, 2), [[0, 1], [1, 0]])
+    swap = abhom((2, 2), (2, 2), [[0, 1], [1, 0]])
     assert is_isomorphism(swap)
-    collapse = hom((2, 2), (2, 2), [[1, 1], [0, 0]])
+    collapse = abhom((2, 2), (2, 2), [[1, 1], [0, 0]])
     assert not is_isomorphism(collapse)
     # mixed free and torsion: (x, y) -> (3x, x + y) is injective, misses (1, 0)
-    mixed = hom((0, 2), (0, 2), [[3, 0], [1, 1]])
+    mixed = abhom((0, 2), (0, 2), [[3, 0], [1, 1]])
     assert not is_surjective(mixed)
     assert is_injective(mixed)
 
@@ -148,20 +139,20 @@ def test_isomorphism_agrees_with_its_two_halves(golden_homs):
 
 
 def test_image_description():
-    assert str(image_description(hom((2, 0), (0,), [[0, 2]]))) == "2Z"
-    assert str(image_description(hom((0,), (0,), [[1]]))) == "Z"
+    assert str(image_description(abhom((2, 0), (0,), [[0, 2]]))) == "2Z"
+    assert str(image_description(abhom((0,), (0,), [[1]]))) == "Z"
     assert str(image_description(zero_hom(Z, Z))) == "0"
-    assert str(image_description(hom((0,), (4,), [[2]]))) == "2(Z/4)"
+    assert str(image_description(abhom((0,), (4,), [[2]]))) == "2(Z/4)"
     assert str(image_description(zero_hom(Z, T))) == "0"
-    assert image_description(hom((2, 0), (0,), [[0, 2]])).is_proper()
-    assert not image_description(hom((0,), (0,), [[1]])).is_proper()
+    assert image_description(abhom((2, 0), (0,), [[0, 2]])).is_proper()
+    assert not image_description(abhom((0,), (0,), [[1]])).is_proper()
     with pytest.raises(MalformedHomError):
-        image_description(hom((0,), (0, 0), [[1], [0]]))
+        image_description(abhom((0,), (0, 0), [[1], [0]]))
 
 
 def test_compose_and_stack():
-    double = hom((0,), (0,), [[2]])
-    triple = hom((0,), (0,), [[3]])
+    double = abhom((0,), (0,), [[2]])
+    triple = abhom((0,), (0,), [[3]])
     assert compose(double, triple).matrix.row_lists() == [[6]]
     with pytest.raises(MalformedHomError):
         compose(double, zero_hom(T, Z2))
@@ -175,88 +166,88 @@ def test_compose_and_stack():
 # -- formula emitters ----------------------------------------------------------
 
 def test_direct_sum_formula():
-    h = hom_direct_sum(3, 2, 3)
+    h = hom("direct-sum", 3, m=2, n=3)
     assert (h.source, h.target) == (FgAbGroup((0, 0)), Z)
     assert h.matrix.row_lists() == [[1, 1]]
-    h = hom_direct_sum(4, 2, 3)
+    h = hom("direct-sum", 4, m=2, n=3)
     assert (h.source, h.target) == (FgAbGroup((2, 2)), Z2)
     assert h.matrix.row_lists() == [[1, 1]]
-    h = hom_direct_sum(2, 2, 3)
+    h = hom("direct-sum", 2, m=2, n=3)
     assert h.source == T and h.target == T
     with pytest.raises(OutOfRangeError):
-        hom_direct_sum(10, 2, 3)
+        hom("direct-sum", 10, m=2, n=3)
 
 
 def test_r_fold_formula():
-    assert is_isomorphism(hom_r_fold(3, 2, 1))
-    assert hom_r_fold(3, 2, 5).matrix.row_lists() == [[5]]
-    assert hom_r_fold(4, 2, 2).matrix.row_lists() == [[0]]
+    assert is_isomorphism(hom("r-fold", 3, n=2, r=1))
+    assert hom("r-fold", 3, n=2, r=5).matrix.row_lists() == [[5]]
+    assert hom("r-fold", 4, n=2, r=2).matrix.row_lists() == [[0]]
     with pytest.raises(OutOfRangeError):
-        hom_r_fold(10, 2, 3)
+        hom("r-fold", 10, n=2, r=3)
 
 
 def test_doubling_formula():
-    assert hom_doubling(3, 9).matrix.row_lists() == [[2]]
-    h = hom_doubling(1, 9)
+    assert hom("doubling", 3, n=9).matrix.row_lists() == [[2]]
+    h = hom("doubling", 1, n=9)
     assert (h.source, h.target) == (Z2, T)
-    h = hom_doubling(4, 9)
+    h = hom("doubling", 4, n=9)
     assert (h.source, h.target) == (T, Z2)
-    assert hom_doubling(7, 11).matrix.row_lists() == [[2]]
+    assert hom("doubling", 7, n=11).matrix.row_lists() == [[2]]
     with pytest.raises(OutOfRangeError):
-        hom_doubling(8, 9)
+        hom("doubling", 8, n=9)
 
 
 def test_tensor_sp_o_formula():
-    assert hom_tensor_sp_o(3, 2, 5).matrix.row_lists() == [[5, 4]]
+    assert hom("tensor-sp-o", 3, m=2, n=5).matrix.row_lists() == [[5, 4]]
     # degree 4 mod 8: the orthogonal factor is trivial, odd n reduces to 1
-    h = hom_tensor_sp_o(4, 2, 9)
+    h = hom("tensor-sp-o", 4, m=2, n=9)
     assert h.source == Z2 and h.matrix.row_lists() == [[1]]
-    h = hom_tensor_sp_o(2, 2, 9)
+    h = hom("tensor-sp-o", 2, m=2, n=9)
     assert h.source == T and h.target == T
     with pytest.raises(OutOfRangeError):
-        hom_tensor_sp_o(4, 2, 5)
+        hom("tensor-sp-o", 4, m=2, n=5)
 
 
 def test_tensor_quotient_formula():
     with pytest.raises(EvenNError):
-        hom_tensor_quotient(3, 1, 4)
-    h = hom_tensor_quotient(1, 2, 5)
+        hom("tensor-quotient", 3, m=1, n=4)
+    h = hom("tensor-quotient", 1, m=2, n=5)
     assert h.source == FgAbGroup((2, 2)) and h.target == Z2
     assert h.matrix.row_lists() == [[0, 0]]
-    h = hom_tensor_quotient(0, 2, 5)
+    h = hom("tensor-quotient", 0, m=2, n=5)
     assert h.source == T and h.target == T
-    assert hom_tensor_quotient(3, 1, 5).matrix.row_lists() == [[5, 2]]
-    h = hom_tensor_quotient(5, 2, 11)
+    assert hom("tensor-quotient", 3, m=1, n=5).matrix.row_lists() == [[5, 2]]
+    h = hom("tensor-quotient", 5, m=2, n=11)
     assert h.source == Z2 and h.matrix.row_lists() == [[1]]
     with pytest.raises(OutOfRangeError):
-        hom_tensor_quotient(3, 1, 3)   # orthogonal side below its stable range
+        hom("tensor-quotient", 3, m=1, n=3)   # orthogonal side below its stable range
 
 
 def test_tensor_sp_sp_formula():
-    assert hom_tensor_sp_sp(3, 2, 3).matrix.row_lists() == [[3, 2]]
-    assert hom_tensor_sp_sp(7, 2, 3).matrix.row_lists() == [[12, 8]]
-    h = hom_tensor_sp_sp(4, 2, 3)
+    assert hom("tensor-sp-sp", 3, m=2, n=3).matrix.row_lists() == [[3, 2]]
+    assert hom("tensor-sp-sp", 7, m=2, n=3).matrix.row_lists() == [[12, 8]]
+    h = hom("tensor-sp-sp", 4, m=2, n=3)
     assert h.source == FgAbGroup((2, 2)) and h.target == T
     with pytest.raises(OutOfRangeError):
-        hom_tensor_sp_sp(3, 3, 2)      # needs m <= n
+        hom("tensor-sp-sp", 3, m=3, n=2)      # needs m <= n
     with pytest.raises(OutOfRangeError):
-        hom_tensor_sp_sp(3, 1, 1)      # target below its stable range
+        hom("tensor-sp-sp", 3, m=1, n=1)      # target below its stable range
 
 
 def test_square_tensor_formula():
-    assert hom_square_tensor(3, 2).matrix.row_lists() == [[4]]
-    assert hom_square_tensor(7, 2).matrix.row_lists() == [[16]]
-    h = hom_square_tensor(5, 2)
+    assert hom("square-tensor", 3, m=2).matrix.row_lists() == [[4]]
+    assert hom("square-tensor", 7, m=2).matrix.row_lists() == [[16]]
+    h = hom("square-tensor", 5, m=2)
     assert h.source == Z2 and h.target == T
     with pytest.raises(OutOfRangeError):
-        hom_square_tensor(3, 1)
+        hom("square-tensor", 3, m=1)
 
 
 def test_square_tensor_is_two_variable_on_the_diagonal():
     for m in (2, 3, 4):
         for i in range(0, 4 * m + 2):
-            square = hom_square_tensor(i, m)
-            composed = compose(hom_tensor_sp_sp(i, m, m), diagonal_hom(pi_sp(i, m).group))
+            square = hom("square-tensor", i, m=m)
+            composed = compose(hom("tensor-sp-sp", i, m=m, n=m), diagonal_hom(pi_sp(i, m).group))
             assert square.matrix == composed.matrix, (i, m)
             assert square.source == composed.source and square.target == composed.target
 
@@ -265,9 +256,9 @@ def test_tensor_formula_decomposes_into_left_and_right_parts():
     for m in (1, 2):
         for n in (5, 9):
             for i in range(0, min(4 * m + 2, n - 1)):
-                tensor = hom_tensor_sp_o(i, m, n)
-                left = hom_r_fold(i, m, n)
-                right = hom_doubling(i, n)
+                tensor = hom("tensor-sp-o", i, m=m, n=n)
+                left = hom("r-fold", i, n=m, r=n)
+                right = hom("doubling", i, n=n)
                 cols = []
                 for c in range(left.matrix.cols):
                     cols.append([left.matrix.entry(r, c) for r in range(left.matrix.rows)])
@@ -284,26 +275,26 @@ def test_tensor_formula_decomposes_into_left_and_right_parts():
 
 def test_ttilde_cases():
     # (m, n) = (2, 9): u = 4, v = 7 satisfy 7*9 - 4*16 = -1
-    assert hom_ttilde(3, 2, 9, 4, 7).matrix.row_lists() == [[16, 7]]
-    h = hom_ttilde(4, 2, 9, 4, 7)
+    assert hom("ttilde", 3, m=2, n=9, u=4, v=7).matrix.row_lists() == [[16, 7]]
+    h = hom("ttilde", 4, m=2, n=9, u=4, v=7)
     assert h.source == Z2 and h.target == T
-    h = hom_ttilde(2, 2, 9, 4, 7)
+    h = hom("ttilde", 2, m=2, n=9, u=4, v=7)
     assert h.source == T and h.target == T
     # degree 9 = 1 mod 8 needs n - 1 > 9: use (2, 13) with u = 4, v = 5
-    h = hom_ttilde(9, 2, 13, 4, 5)
+    h = hom("ttilde", 9, m=2, n=13, u=4, v=5)
     assert h.source == Z2 and h.matrix.row_lists() == [[1]]
-    h = hom_ttilde(8, 2, 13, 4, 5)
+    h = hom("ttilde", 8, m=2, n=13, u=4, v=5)
     assert h.source == Z2 and h.matrix.row_lists() == [[1]]
     with pytest.raises(BadBezoutError):
-        hom_ttilde(3, 2, 9, 1, 1)
+        hom("ttilde", 3, m=2, n=9, u=1, v=1)
     with pytest.raises(OutOfRangeError):
-        hom_ttilde(8, 2, 9, 4, 7)
+        hom("ttilde", 8, m=2, n=9, u=4, v=7)
 
 
 def test_ttilde_degree_one_threads_z():
-    pinned = hom_ttilde(1, 2, 9, 4, 7, z=1)
+    pinned = hom("ttilde", 1, m=2, n=9, u=4, v=7, z=1)
     assert pinned.matrix.row_lists() == [[1, 1]]
-    both = hom_ttilde(1, 2, 9, 4, 7)
+    both = hom("ttilde", 1, m=2, n=9, u=4, v=7)
     assert isinstance(both, ZDependent)
     assert both.z0.matrix.row_lists() == [[0, 1]]
     assert both.z1.matrix.row_lists() == [[1, 1]]
@@ -312,7 +303,7 @@ def test_ttilde_degree_one_threads_z():
 
 
 def test_j_degree_two_is_invertible_for_both_z():
-    both = hom_j(2, 2, 9)
+    both = hom("J", 2, m=2, n=9)
     assert isinstance(both, ZDependent)
     assert both.z0.matrix.row_lists() == [[1, 0], [0, 1]]
     assert both.z1.matrix.row_lists() == [[1, 0], [1, 1]]
@@ -325,7 +316,7 @@ def test_j_unit_determinant_in_free_degrees():
     for m, n in [(2, 9), (3, 11), (4, 13)]:
         from sympdec.lifting import bezout_uv
         w = bezout_uv(m, n)
-        h = hom_j(4, m, n, w.u, w.v)
+        h = hom("J", 4, m=m, n=n, u=w.u, v=w.v)
         det = h.matrix.entry(0, 0) * h.matrix.entry(1, 1) - h.matrix.entry(0, 1) * h.matrix.entry(1, 0)
         assert det == n * w.v - 4 * w.u * m * m
         assert det in (1, -1)
@@ -338,22 +329,42 @@ def test_j_is_isomorphism_away_from_multiples_of_eight():
             if i % 8 == 0:
                 continue
             for z in (0, 1):
-                assert is_isomorphism(hom_j(i, m, n, z=z)), (m, n, i, z)
+                assert is_isomorphism(hom("J", i, m=m, n=n, z=z)), (m, n, i, z)
 
 
 def test_j_fails_at_multiples_of_eight():
-    assert not is_isomorphism(hom_j(8, 2, 9, z=0))
+    assert not is_isomorphism(hom("J", 8, m=2, n=9, z=0))
 
 
 def test_j_input_validation():
     with pytest.raises(EvenNError):
-        hom_j(4, 3, 8)
+        hom("J", 4, m=3, n=8)
     with pytest.raises(NotCoprimeError):
-        hom_j(4, 3, 9)
+        hom("J", 4, m=3, n=9)
     with pytest.raises(OutOfRangeError):
-        hom_j(9, 2, 9)
+        hom("J", 9, m=2, n=9)
     with pytest.raises(OutOfRangeError):
-        hom_j(0, 2, 9)
+        hom("J", 0, m=2, n=9)
+
+
+def test_hom_takes_exactly_the_entry_params():
+    with pytest.raises(TypeError, match="doubling takes n"):
+        hom("doubling", 3, n=9, m=2)            # a name the entry does not take
+    with pytest.raises(TypeError, match="r-fold takes n, r"):
+        hom("r-fold", 3, n=2)                   # a required name missing
+    with pytest.raises(TypeError):
+        hom("J", 4, n=9)
+    # optional names may be left out or passed as None
+    assert hom("J", 4, m=2, n=9, u=None, v=None, z=None) == hom("J", 4, m=2, n=9)
+
+
+def test_lone_u_or_v_is_replaced_by_the_witness():
+    # the witness of (2, 9) is u = 4, v = 7; a lone u or v is not half-used
+    witness = hom("J", 4, m=2, n=9)
+    assert hom("J", 4, m=2, n=9, u=5) == witness
+    assert hom("J", 4, m=2, n=9, v=5) == witness
+    assert hom("J", 4, m=2, n=9, u=4, v=7) == witness
+    assert hom("ttilde", 3, m=2, n=9, u=1) == hom("ttilde", 3, m=2, n=9, u=4, v=7)
 
 
 def test_every_emitted_hom_is_well_defined():
@@ -361,11 +372,11 @@ def test_every_emitted_hom_is_well_defined():
     for m in (1, 2, 3):
         for n in (5, 9, 11):
             for i in range(0, min(4 * m + 2, n - 1)):
-                hom_tensor_sp_o(i, m, n)
-                hom_tensor_quotient(i, m, n)
-                hom_direct_sum(i, m, n)
-                hom_r_fold(i, n, 3)
-                hom_doubling(i, n)
+                hom("tensor-sp-o", i, m=m, n=n)
+                hom("tensor-quotient", i, m=m, n=n)
+                hom("direct-sum", i, m=m, n=n)
+                hom("r-fold", i, n=n, r=3)
+                hom("doubling", i, n=n)
 
 
 def _period_params(op):
@@ -388,7 +399,7 @@ def _window_maps(op, params):
     maps, i = {}, FORMULAS[op].shift
     while True:
         try:
-            h = _build(op, i, **params)
+            h = hom(op, i, **params)
         except OutOfRangeError as exc:
             if str(exc).startswith("violated bound"):
                 return maps
@@ -418,9 +429,9 @@ def test_every_entry_is_eight_periodic_from_its_declared_degree(op):
 
 
 def test_source_names_follow_generators():
-    h = hom_tensor_sp_o(4, 2, 9)
+    h = hom("tensor-sp-o", 4, m=2, n=9)
     assert h.source_names == ("pi_4 Sp(2)",)
-    h = hom_tensor_sp_o(3, 2, 9)
+    h = hom("tensor-sp-o", 3, m=2, n=9)
     assert h.source_names == ("pi_3 Sp(2)", "pi_3 O(9)")
     assert h.target_names == ("pi_3 Sp(18)",)
 

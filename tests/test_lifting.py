@@ -5,7 +5,7 @@ import pytest
 
 from sympdec import induced, lifting, suites
 from sympdec.errors import CaseMismatchError, EvenNError, HypothesisFailureError, NotCoprimeError
-from sympdec.induced import ZDependent, hom_j, is_isomorphism
+from sympdec.induced import ZDependent, hom, is_isomorphism
 from sympdec.intmatrix import smith_normal_form
 from sympdec.lifting import (
     KIND_HIGH_N,
@@ -94,7 +94,7 @@ def exhaustive_certificate(m, n, verdict):
     w = bezout_uv(m, n)
     verdicts, failure = {}, None
     for i in _window_degrees(m, n):
-        h = hom_j(i, m, n, w.u, w.v)
+        h = hom("J", i, m=m, n=n, u=w.u, v=w.v)
         for z, hz in h.candidates if isinstance(h, ZDependent) else ((None, h),):
             key = _key(hz)
             if key not in verdicts:
@@ -108,11 +108,11 @@ def exhaustive_certificate(m, n, verdict):
 def _spy_builds(monkeypatch):
     built = []
 
-    def spy_hom_j(i, *args):
-        built.append((i, hom_j(i, *args)))
+    def spy_hom(op, i, **params):
+        built.append((i, hom(op, i, **params)))
         return built[-1][1]
 
-    monkeypatch.setattr(lifting, "hom_j", spy_hom_j)
+    monkeypatch.setattr(lifting, "hom", spy_hom)
     return built
 
 
@@ -145,7 +145,7 @@ def test_certificate_builds_each_degree_once_and_one_snf_per_distinct_map(monkey
 @pytest.mark.parametrize("i, z", [(5, None), (2, 0), (2, 1)])
 def test_certificate_reports_a_rejected_map_at_its_degree(monkeypatch, i, z):
     w = bezout_uv(2, 9)
-    bad = hom_j(i, 2, 9, w.u, w.v, z)
+    bad = hom("J", i, m=2, n=9, u=w.u, v=w.v, z=z)
     monkeypatch.setattr(lifting, "is_isomorphism",
                         lambda h: _key(h) != _key(bad) and is_isomorphism(h))
     with pytest.raises(HypothesisFailureError) as exc:
