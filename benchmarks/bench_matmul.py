@@ -10,7 +10,12 @@ Times the flat negacyclic matrix product on n x n inputs of four kinds:
 - perm: a signed permutation times a small dense matrix, the shape of the
   form J and the stabilization and shuffle permutations;
 - blockdiag: a block-diagonal integer matrix (4 x 4 blocks) times a small
-  dense matrix, the shape of direct sums and Kronecker products with I.
+  dense matrix, the shape of direct sums and Kronecker products with I;
+- gauss: random Gaussian-integer entries (z and z^3 components zero), the
+  shape of random_so products;
+- checker: each entry purely real or purely imaginary, by the parity of
+  row + column, the shape of tensor_sp_sp outputs.
+The first four take the Python kernel's Z[z] loop, the last two its Z[i] loop.
 Also times one end-to-end symplectic membership check per size.
 
 The compiled kernel is the installed sympdec._speedups if it imports;
@@ -79,12 +84,28 @@ def _int_block_diag(n, rng, block=4):
     return num
 
 
+def _gaussian(n, rng, checker=False):
+    """Z[i] entries of up to 40 in each part; with checker, entry (r, c) keeps
+    only its real part for r + c even and only its imaginary part otherwise."""
+    num = [0] * (n * n * 4)
+    for r in range(n):
+        for c in range(n):
+            p = 4 * (r * n + c)
+            if not checker or (r + c) % 2 == 0:
+                num[p] = rng.randint(-40, 40)
+            if not checker or (r + c) % 2 == 1:
+                num[p + 2] = rng.randint(-40, 40)
+    return num
+
+
 def _cases(n, rng):
     """(label, a, b) for one size."""
     yield "small", _flat(n, 40, rng), _flat(n, 40, rng)
     yield "big", _flat(n, 1 << 72, rng), _flat(n, 1 << 72, rng)
     yield "perm", _signed_perm(n, rng), _flat(n, 40, rng)
     yield "blockdiag", _int_block_diag(n, rng), _flat(n, 40, rng)
+    yield "gauss", _gaussian(n, rng), _gaussian(n, rng)
+    yield "checker", _gaussian(n, rng, checker=True), _gaussian(n, rng, checker=True)
 
 
 def _time(fn, reps):

@@ -2,11 +2,69 @@
 
 Matrices are flat lists of arbitrary-precision integers, four numerator
 components per entry (basis 1, z, z^2, z^3 with z^4 = -1), row-major.
+
+matmul_num picks one of two loops from its inputs.  Every product the
+command line makes is of matrices over Q(i) (i = z^2): random_sp draws
+integer matrices, the rotations of random_so use +-3i/4, and the
+tensor_sp_sp gather gives entries that are purely real or purely imaginary.
+Such an entry has its odd components (z, z^3) zero, so when neither factor
+has an odd component the product is taken over Z[i] by _matmul_gauss, which
+pays one multiplication per pair of nonzero components; a real or imaginary
+entry then costs one product instead of 16.  Any other input, such as one
+holding sqrt2 = z - z^3, takes the Z[z] loop _matmul_generic.  Both loops
+give the same list on Z[i] inputs.
 """
 
 
 def matmul_num(a, b, n, k, m):
-    """(n x k) times (k x m) over Z[z]; returns a flat list of length n*m*4.
+    """(n x k) times (k x m) over Z[z]; returns a flat list of length n*m*4."""
+    if any(a[1::2]) or any(b[1::2]):
+        return _matmul_generic(a, b, n, k, m)
+    return _matmul_gauss(a, b, n, k, m)
+
+
+def _matmul_gauss(a, b, n, k, m):
+    """matmul_num for factors whose odd components are all zero (entries in Z[i]).
+
+    Each row of b is listed once as (offset, value) pairs of its nonzero
+    components, once as is (for a0) and once times i (for a2), where
+    i (b0 + b2 i) = -b2 + b0 i.  Entry (r, t) of a then adds a0 or a2 times
+    each pair of row t's lists to row r of the product.
+    """
+    m4 = m * 4
+    b_rows = []
+    for t in range(k):
+        boff = t * m4
+        re, im = [], []
+        for q in range(boff, boff + m4, 4):
+            b0, b2 = b[q], b[q + 2]
+            o = q - boff
+            if b0:
+                re.append((o, b0))
+                im.append((o + 2, b0))
+            if b2:
+                re.append((o + 2, b2))
+                im.append((o, -b2))
+        b_rows.append((re, im))
+    c = []
+    for i in range(n):
+        row = [0] * m4
+        p = i * k * 4
+        for re, im in b_rows:
+            a0, a2 = a[p], a[p + 2]
+            p += 4
+            if a0:
+                for o, v in re:
+                    row[o] += a0 * v
+            if a2:
+                for o, v in im:
+                    row[o] += a2 * v
+        c += row
+    return c
+
+
+def _matmul_generic(a, b, n, k, m):
+    """matmul_num for any input over Z[z].
 
     The nonzero entries of each row of b are listed once, as (offset, b0..b3),
     so zero structure in either factor costs nothing in the inner loop, and

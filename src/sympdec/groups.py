@@ -7,11 +7,19 @@ J = [[0, I_k], [-I_k, 0]]; the four k x k quadrants of such a matrix are
 its symplectic blocks (A11, A12, A21, A22).  Membership is decided two
 independent ways (Gram identity M^T J M = J, and the block conditions:
 A11^T A21 and A12^T A22 symmetric, A11^T A22 - A21^T A12 = I) and both
-routes must agree.  The Gram route never multiplies by J: J is a signed
-permutation, so for M = [X; Y] (row halves) J^T M = [-Y; X] is M's
-numerators with the row halves swapped and the new top half negated, and
-M^T J M = (J^T M)^T M is one dense product, compared with J built once per
-size.
+routes must agree.
+
+The predicates (both routes and is_orthogonal) compute on M's flat
+numerators over its denominator d and build no intermediate ExactMatrix.
+A product of numerator lists (kernels.matmul_num) is d^2 times the product
+of the matrices, so it is compared with d^2 times the target, J or I; a
+symmetry condition needs no scaling.  The Gram route never multiplies by J:
+J is a signed permutation, so for M = [X; Y] (row halves) J^T M = [-Y; X]
+is M's numerators with the row halves swapped and the new top half negated,
+and M^T J M = (J^T M)^T M is one dense product, compared with d^2 J for J
+built once per size.  The block route reads A11^T, A21^T and A12^T as
+quadrants of M^T and makes its own four k x k products, so the two routes
+share no product and stay independent checks of each other.
 
 The conjugation lemmas gather instead of multiplying by permutations:
 P X P^T for P = perm_matrix(cols) is X gathered at the inverse of cols on
@@ -47,9 +55,11 @@ import functools
 import random
 from operator import add, itemgetter, mul, neg, sub
 
+from sympdec import kernels
 from sympdec.cyclotomic import CycScalar
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
-from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix, place_blocks
+from sympdec.matrix import (ExactMatrix, block_diag, block_matrix, is_scaled_identity, perm_matrix,
+                            place_blocks, transposed_num)
 
 
 # -- forms and predicates ----------------------------------------------------
@@ -61,21 +71,26 @@ def symplectic_gram(k: int) -> ExactMatrix:
     return block_matrix([[z, i], [-i, z]])
 
 
+def _quadrants(num: list[int], n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The flat numerators of the four quadrants of an n x n matrix, n even."""
+    k = n // 2
+
+    def quad(r0, c0):
+        out = []
+        for i in range(r0, r0 + k):
+            p = (i * n + c0) * 4
+            out.extend(num[p:p + 4 * k])
+        return out
+
+    return quad(0, 0), quad(0, k), quad(k, 0), quad(k, k)
+
+
 def symplectic_blocks(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
     """The four quadrants (A11, A12, A21, A22) of an even-sized square matrix."""
     if not m.is_square() or m.rows % 2:
         raise ShapeMismatchError("symplectic blocks need an even square matrix")
     k = m.rows // 2
-    num = m.num
-
-    def quad(r0, c0):
-        out = []
-        for i in range(k):
-            p = ((r0 + i) * m.cols + c0) * 4
-            out.extend(num[p:p + 4 * k])
-        return ExactMatrix(k, k, out, m.den)
-
-    return quad(0, 0), quad(0, k), quad(k, 0), quad(k, k)
+    return tuple(ExactMatrix(k, k, q, m.den) for q in _quadrants(m.num, m.rows))
 
 
 @functools.lru_cache(maxsize=16)
@@ -89,26 +104,40 @@ def is_symplectic_gram(m: ExactMatrix) -> bool:
 
     J^T = [[0, -I], [I, 0]] is a signed permutation, so for M = [X; Y] (row
     halves) J^T M = [-Y; X] is read off M's numerators, and M^T J M =
-    (J^T M)^T M costs one dense product.
+    (J^T M)^T M costs one dense product of numerators, compared with den^2 J.
     """
     if not m.is_square() or m.rows % 2:
         raise ShapeMismatchError("symplectic matrices have even size")
-    half = len(m.num) // 2
-    jt_m = ExactMatrix(m.rows, m.cols, [-x for x in m.num[half:]] + m.num[:half], m.den)
-    return jt_m.transpose() @ m == _gram_once(m.rows // 2)
+    n, half = m.rows, len(m.num) // 2
+    mt_j = transposed_num([-x for x in m.num[half:]] + m.num[:half], n, n)
+    d2 = m.den * m.den
+    return kernels.matmul_num(mt_j, m.num, n, n, n) == [d2 * x for x in _gram_once(n // 2).num]
 
 
 def is_symplectic_blocks(m: ExactMatrix) -> bool:
-    """Block route: A11^T A21, A12^T A22 symmetric and A11^T A22 - A21^T A12 = I."""
-    a11, a12, a21, a22 = symplectic_blocks(m)
-    a11_t = a11.transpose()
-    s1 = a11_t @ a21
-    if s1 != s1.transpose():
+    """Block route: A11^T A21, A12^T A22 symmetric and A11^T A22 - A21^T A12 = I.
+
+    The quadrants of M^T = [[A11^T, A21^T], [A12^T, A22^T]] are the
+    transposed blocks.  Products of numerators are den^2 times the products
+    of the blocks, so the last condition compares with den^2 I.
+    """
+    if not m.is_square() or m.rows % 2:
+        raise ShapeMismatchError("symplectic blocks need an even square matrix")
+    n, k = m.rows, m.rows // 2
+    a11, a12, a21, a22 = _quadrants(m.num, n)
+    a11_t, a21_t, a12_t, _ = _quadrants(transposed_num(m.num, n, n), n)
+
+    def product(x, y):
+        return kernels.matmul_num(x, y, k, k, k)
+
+    s1 = product(a11_t, a21)
+    if s1 != transposed_num(s1, k, k):
         return False
-    s2 = a12.transpose() @ a22
-    if s2 != s2.transpose():
+    s2 = product(a12_t, a22)
+    if s2 != transposed_num(s2, k, k):
         return False
-    return (a11_t @ a22 - a21.transpose() @ a12).is_identity()
+    return is_scaled_identity(list(map(sub, product(a11_t, a22), product(a21_t, a12))), k,
+                              m.den * m.den)
 
 
 def is_symplectic(m: ExactMatrix) -> bool:
@@ -120,9 +149,12 @@ def is_symplectic(m: ExactMatrix) -> bool:
 
 
 def is_orthogonal(m: ExactMatrix) -> bool:
+    """M^T M == I, as the product of numerators against den^2 I."""
     if not m.is_square():
         raise ShapeMismatchError("orthogonal matrices are square")
-    return (m.transpose() @ m).is_identity()
+    n = m.rows
+    gram = kernels.matmul_num(transposed_num(m.num, n, n), m.num, n, n, n)
+    return is_scaled_identity(gram, n, m.den * m.den)
 
 
 class _Sp(ExactMatrix):

@@ -31,6 +31,17 @@ class ExactMatrix:
         self.cols = cols
         self.num, self.den = _reduce_content(num, den)
 
+    @classmethod
+    def _raw(cls, rows: int, cols: int, num: list[int], den: int) -> "ExactMatrix":
+        """A matrix from numerators already in canonical form (content 1, den > 0).
+
+        For results whose content cannot differ from an input's: permuting
+        entries or flipping signs leaves the joint gcd unchanged.
+        """
+        self = object.__new__(cls)
+        self.rows, self.cols, self.num, self.den = rows, cols, num, den
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -81,11 +92,7 @@ class ExactMatrix:
         return all(x == 0 for x in self.num)
 
     def is_identity(self) -> bool:
-        # over denominator 1, the n diagonal 1-components are the only nonzeros
-        n = self.rows
-        return (self.is_square() and self.den == 1
-                and all(x == 1 for x in self.num[::4 * (n + 1)])
-                and self.num.count(0) == len(self.num) - n)
+        return self.is_square() and self.den == 1 and is_scaled_identity(self.num, self.rows, 1)
 
     def gather(self, row_indices, col_indices) -> "ExactMatrix":
         """The submatrix with entry (i, j) = self[row_indices[i], col_indices[j]].
@@ -125,7 +132,7 @@ class ExactMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, [-x for x in self.num], self.den)
+        return ExactMatrix._raw(self.rows, self.cols, [-x for x in self.num], self.den)
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -142,15 +149,8 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, _times(a.num, self.num), self.den * a.den)
 
     def transpose(self) -> "ExactMatrix":
-        r, c = self.rows, self.cols
-        num = [0] * (len(self.num))
-        # component t of column j is the stride-4c slice from 4j + t; it
-        # becomes component t of row j of the transpose
-        for j in range(c):
-            o = 4 * j * r
-            for t in range(4):
-                num[o + t:o + 4 * r:4] = self.num[4 * j + t::4 * c]
-        return ExactMatrix(c, r, num, self.den)
+        return ExactMatrix._raw(self.cols, self.rows, transposed_num(self.num, self.rows, self.cols),
+                                self.den)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, left factor major: (A kron B)[ip+k, jq+l] = A[i,j]*B[k,l]."""
@@ -192,6 +192,24 @@ class ExactMatrix:
         cells = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
+
+
+def transposed_num(num: list[int], rows: int, cols: int) -> list[int]:
+    """The flat numerators of the transpose of the rows x cols matrix with numerators num."""
+    out = [0] * len(num)
+    # component t of column j is the stride-4*cols slice from 4j + t; it
+    # becomes component t of row j of the transpose
+    for j in range(cols):
+        o = 4 * j * rows
+        for t in range(4):
+            out[o + t:o + 4 * rows:4] = num[4 * j + t::4 * cols]
+    return out
+
+
+def is_scaled_identity(num: list[int], n: int, d: int) -> bool:
+    """Whether the flat numerators num of an n x n matrix are d != 0 times the identity."""
+    # the n diagonal 1-components equal d and are the only nonzeros
+    return all(x == d for x in num[::4 * (n + 1)]) and num.count(0) == len(num) - n
 
 
 def _reduce_content(num: list[int], den: int) -> tuple[list[int], int]:

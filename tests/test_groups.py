@@ -446,6 +446,21 @@ def test_row_swap_gram_route_matches_the_dense_gram_product():
     assert is_symplectic_gram(ExactMatrix.zeros(0, 0))
 
 
+def test_block_route_refuses_each_broken_condition_alone():
+    """Each matrix breaks exactly one block condition; both routes must refuse it."""
+    i2, z2 = ExactMatrix.identity(2), ExactMatrix.zeros(2, 2)
+    c = ExactMatrix.from_rows([[0, 1], [0, 0]])
+    half, double = i2.scale(Fraction(1, 2)), i2.scale(2)
+    broken = [block_matrix([[i2, z2], [c, i2]]),            # A11^T A21 = C
+              block_matrix([[i2, c], [z2, i2]]),            # A12^T A22 = C
+              block_matrix([[double, z2], [z2, i2]]),       # A11^T A22 - A21^T A12 = 2I
+              block_matrix([[half, z2], [z2, half]])]       # ... = I/4, over den 2
+    for m in broken:
+        assert not is_symplectic_blocks(m) and not is_symplectic_gram(m)
+    # diag(A, A^-T) with A = I/2: a member over den 2, whose products are over den^2
+    assert is_symplectic(block_matrix([[half, z2], [z2, double]]))
+
+
 # -- membership carried by the element ----------------------------------------
 
 def _count_predicates(monkeypatch):

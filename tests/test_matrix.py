@@ -144,6 +144,18 @@ def test_gather_rejects_bad_indices():
     assert m.gather([], [0, 1]) == ExactMatrix.zeros(0, 2)
 
 
+def test_gather_reduces_content_and_transpose_and_negation_keep_it():
+    # a sub-block can have a smaller content than the whole matrix: 2/2 comes out over 1
+    g = ExactMatrix(1, 2, [2, 0, 0, 0, 1, 0, 0, 0], 2).gather([0], [0])
+    assert (g.num, g.den) == ([1, 0, 0, 0], 1)
+    # permuting entries or flipping signs leaves the content as it was
+    rng = random.Random(13)
+    for _ in range(20):
+        m = rand_block(rng.randint(0, 4), rng.randint(0, 4), rng)
+        for out, num in ((m.transpose(), m.transpose().num), (-m, [-x for x in m.num])):
+            assert out == ExactMatrix(out.rows, out.cols, num, m.den)
+
+
 def rand_mixed(r, c, rng):
     """Entries drawn as zero, a rational integer or a full Q(z) element: the cases kron
     and the kernel treat apart."""
