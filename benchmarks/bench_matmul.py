@@ -15,7 +15,8 @@ Times the flat negacyclic matrix product on n x n inputs of four kinds:
   shape of random_so products;
 - checker: each entry purely real or purely imaginary, by the parity of
   row + column, the shape of tensor_sp_sp outputs.
-The first four take the Python kernel's Z[z] loop, the last two its Z[i] loop.
+The Python kernel pays up to 16 products per entry pair on small and big,
+and at most 4 (1 on checker) on the integer and Z[i] cases.
 Also times one end-to-end symplectic membership check per size.
 
 The compiled kernel is the installed sympdec._speedups if it imports;

@@ -3,105 +3,50 @@
 Matrices are flat lists of arbitrary-precision integers, four numerator
 components per entry (basis 1, z, z^2, z^3 with z^4 = -1), row-major.
 
-matmul_num picks one of two loops from its inputs.  Every product the
-command line makes is of matrices over Q(i) (i = z^2): random_sp draws
-integer matrices, the rotations of random_so use +-3i/4, and the
-tensor_sp_sp gather gives entries that are purely real or purely imaginary.
-Such an entry has its odd components (z, z^3) zero, so when neither factor
-has an odd component the product is taken over Z[i] by _matmul_gauss, which
-pays one multiplication per pair of nonzero components; a real or imaginary
-entry then costs one product instead of 16.  Any other input, such as one
-holding sqrt2 = z - z^3, takes the Z[z] loop _matmul_generic.  Both loops
-give the same list on Z[i] inputs.
+matmul_num pays one multiplication per pair of nonzero components.  Each row
+of b is listed as the (offset, value) pairs of its nonzero components, and
+multiplying by z^j only moves a pair j places up the basis, negating it when
+it wraps past z^3; so the row is also listed as z^j times itself, for each
+power j that some entry of a uses.  Entry (r, t) of a then adds, for each of
+its nonzero components a_j, a_j times each pair of z^j times row t.
+
+The saving is in the matrices the command line makes, which all lie over
+Q(i) (i = z^2): random_sp draws integer matrices, the rotations of random_so
+use +-3i/4, and the tensor_sp_sp gather gives entries that are purely real
+or purely imaginary.  An entry of Z[i] has at most two nonzero components,
+so a product of two such entries costs at most 4 multiplications, and a real
+or imaginary entry times a real or imaginary one costs 1, against the 16 of
+the schoolbook rule over Z[z].  Such a factor a lists only z^0 b and z^2 b,
+and an integer a (a signed permutation, a block-diagonal matrix) only b.
+A dense entry of Q(z) still costs 16 multiplications, one loop step each.
 """
 
 
 def matmul_num(a, b, n, k, m):
     """(n x k) times (k x m) over Z[z]; returns a flat list of length n*m*4."""
-    if any(a[1::2]) or any(b[1::2]):
-        return _matmul_generic(a, b, n, k, m)
-    return _matmul_gauss(a, b, n, k, m)
-
-
-def _matmul_gauss(a, b, n, k, m):
-    """matmul_num for factors whose odd components are all zero (entries in Z[i]).
-
-    Each row of b is listed once as (offset, value) pairs of its nonzero
-    components, once as is (for a0) and once times i (for a2), where
-    i (b0 + b2 i) = -b2 + b0 i.  Entry (r, t) of a then adds a0 or a2 times
-    each pair of row t's lists to row r of the product.
-    """
-    m4 = m * 4
-    b_rows = []
+    m4, k4 = m * 4, k * 4
+    powers = [j for j in (1, 2, 3) if any(a[j::4])]
+    # shifted[4t + j]: the (offset, value) pairs of z^j times row t of b, or ()
+    # for a power j no entry of a uses
+    shifted = []
     for t in range(k):
-        boff = t * m4
-        re, im = [], []
-        for q in range(boff, boff + m4, 4):
-            b0, b2 = b[q], b[q + 2]
-            o = q - boff
-            if b0:
-                re.append((o, b0))
-                im.append((o + 2, b0))
-            if b2:
-                re.append((o + 2, b2))
-                im.append((o, -b2))
-        b_rows.append((re, im))
+        z0 = []
+        lists = [z0, (), (), ()]
+        for j in powers:
+            lists[j] = []
+        for o, v in enumerate(b[t * m4:(t + 1) * m4]):
+            if v:
+                z0.append((o, v))
+                for j in powers:
+                    lists[j].append((o + j, v) if o & 3 < 4 - j else (o + j - 4, -v))
+        shifted += lists
     c = []
     for i in range(n):
         row = [0] * m4
-        p = i * k * 4
-        for re, im in b_rows:
-            a0, a2 = a[p], a[p + 2]
-            p += 4
-            if a0:
-                for o, v in re:
-                    row[o] += a0 * v
-            if a2:
-                for o, v in im:
-                    row[o] += a2 * v
+        # component j of entry t of the row meets z^j times row t of b
+        for x, pairs in zip(a[i * k4:(i + 1) * k4], shifted):
+            if x:
+                for o, v in pairs:
+                    row[o] += x * v
         c += row
-    return c
-
-
-def _matmul_generic(a, b, n, k, m):
-    """matmul_num for any input over Z[z].
-
-    The nonzero entries of each row of b are listed once, as (offset, b0..b3),
-    so zero structure in either factor costs nothing in the inner loop, and
-    an entry of a in Z (a1 = a2 = a3 = 0) scales a row of b with 4 products
-    instead of 16.
-    """
-    c = [0] * (n * m * 4)
-    m4 = m * 4
-    b_rows = []
-    for t in range(k):
-        boff = t * m4
-        row = []
-        for q in range(boff, boff + m4, 4):
-            b0, b1, b2, b3 = b[q:q + 4]
-            if b0 or b1 or b2 or b3:
-                row.append((q - boff, b0, b1, b2, b3))
-        b_rows.append(row)
-    for i in range(n):
-        aoff = i * k * 4
-        coff = i * m4
-        for t, row in enumerate(b_rows):
-            if not row:
-                continue
-            p = aoff + 4 * t
-            a0, a1, a2, a3 = a[p:p + 4]
-            if a1 or a2 or a3:
-                for o, b0, b1, b2, b3 in row:
-                    r = coff + o
-                    c[r] += a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
-                    c[r + 1] += a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
-                    c[r + 2] += a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3
-                    c[r + 3] += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
-            elif a0:
-                for o, b0, b1, b2, b3 in row:
-                    r = coff + o
-                    c[r] += a0 * b0
-                    c[r + 1] += a0 * b1
-                    c[r + 2] += a0 * b2
-                    c[r + 3] += a0 * b3
     return c

@@ -17,9 +17,10 @@ symmetry condition needs no scaling.  The Gram route never multiplies by J:
 J is a signed permutation, so for M = [X; Y] (row halves) J^T M = [-Y; X]
 is M's numerators with the row halves swapped and the new top half negated,
 and M^T J M = (J^T M)^T M is one dense product, compared with d^2 J for J
-built once per size.  The block route reads A11^T, A21^T and A12^T as
-quadrants of M^T and makes its own four k x k products, so the two routes
-share no product and stay independent checks of each other.
+built once per size.  The block route splits M's numerators into its blocks
+(symplectic_blocks), transposes A11, A21 and A12, and makes its own four
+k x k products, so the two routes share no product and stay independent
+checks of each other.
 
 The conjugation lemmas gather instead of multiplying by permutations:
 P X P^T for P = perm_matrix(cols) is X gathered at the inverse of cols on
@@ -71,26 +72,22 @@ def symplectic_gram(k: int) -> ExactMatrix:
     return block_matrix([[z, i], [-i, z]])
 
 
-def _quadrants(num: list[int], n: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The flat numerators of the four quadrants of an n x n matrix, n even."""
-    k = n // 2
+def symplectic_blocks(m: ExactMatrix) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The flat numerators, over m.den, of the four quadrants (A11, A12, A21, A22)
+    of an even-sized square matrix."""
+    if not m.is_square() or m.rows % 2:
+        raise ShapeMismatchError("symplectic blocks need an even square matrix")
+    k = m.rows // 2
+    num = m.num
 
     def quad(r0, c0):
         out = []
-        for i in range(r0, r0 + k):
-            p = (i * n + c0) * 4
+        for i in range(k):
+            p = ((r0 + i) * m.cols + c0) * 4
             out.extend(num[p:p + 4 * k])
         return out
 
     return quad(0, 0), quad(0, k), quad(k, 0), quad(k, k)
-
-
-def symplectic_blocks(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
-    """The four quadrants (A11, A12, A21, A22) of an even-sized square matrix."""
-    if not m.is_square() or m.rows % 2:
-        raise ShapeMismatchError("symplectic blocks need an even square matrix")
-    k = m.rows // 2
-    return tuple(ExactMatrix(k, k, q, m.den) for q in _quadrants(m.num, m.rows))
 
 
 @functools.lru_cache(maxsize=16)
@@ -117,15 +114,12 @@ def is_symplectic_gram(m: ExactMatrix) -> bool:
 def is_symplectic_blocks(m: ExactMatrix) -> bool:
     """Block route: A11^T A21, A12^T A22 symmetric and A11^T A22 - A21^T A12 = I.
 
-    The quadrants of M^T = [[A11^T, A21^T], [A12^T, A22^T]] are the
-    transposed blocks.  Products of numerators are den^2 times the products
-    of the blocks, so the last condition compares with den^2 I.
+    Products of numerators are den^2 times the products of the blocks, so
+    the last condition compares with den^2 I.
     """
-    if not m.is_square() or m.rows % 2:
-        raise ShapeMismatchError("symplectic blocks need an even square matrix")
-    n, k = m.rows, m.rows // 2
-    a11, a12, a21, a22 = _quadrants(m.num, n)
-    a11_t, a21_t, a12_t, _ = _quadrants(transposed_num(m.num, n, n), n)
+    a11, a12, a21, a22 = symplectic_blocks(m)
+    k = m.rows // 2
+    a11_t, a21_t, a12_t = (transposed_num(q, k, k) for q in (a11, a21, a12))
 
     def product(x, y):
         return kernels.matmul_num(x, y, k, k, k)

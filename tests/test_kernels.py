@@ -70,8 +70,44 @@ def factor_pair(draw):
     return n, k, m, a, b
 
 
-@settings(max_examples=100, deadline=None)
-@given(factor_pair())
+@st.composite
+def gaussian_pair(draw):
+    """(n, k, m, a, b) with entries in Z[i] (odd components zero): dense, with
+    all-zero rows, or a checkerboard of purely real and purely imaginary entries."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    shape = draw(st.sampled_from(["dense", "zero rows", "checker"]))
+
+    def flat(rows, cols):
+        out = []
+        for r in range(rows):
+            zero_row = shape == "zero rows" and draw(st.booleans())
+            for c in range(cols):
+                re, im = (0, 0) if zero_row else (draw(ENTRY), draw(ENTRY))
+                if shape == "checker":
+                    re, im = (re, 0) if (r + c) % 2 == 0 else (0, im)
+                out += [re, 0, im, 0]
+        return out
+
+    return n, k, m, flat(n, k), flat(k, m)
+
+
+GAUSSIAN_EXAMPLES = [
+    (0, 2, 3, [], [1, 0, -1, 0] * 6),
+    (2, 0, 3, [], []),
+    (2, 3, 0, [0, 0, 5, 0] * 6, []),
+    (1, 2, 1, [1 << 70, 0, -(1 << 65), 0, 0, 0, 3, 0], [(1 << 64) + 1, 0, 0, 0, 0, 0, -(1 << 90), 0]),
+]
+
+
+def _with_examples(test):
+    for case in GAUSSIAN_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(factor_pair(), gaussian_pair()))
+@_with_examples
 @example((0, 2, 3, [], [1] * 24))
 @example((2, 0, 3, [], []))
 @example((2, 3, 0, [-1] * 24, []))
@@ -123,94 +159,41 @@ def test_python_kernel_on_sparse_and_rational_structure():
     assert got == [e * x for c, e in zip(perm, signs) for x in b[12 * c:12 * (c + 1)]]
 
 
-@st.composite
-def gaussian_pair(draw):
-    """(n, k, m, a, b) with entries in Z[i] (odd components zero): dense, with
-    all-zero rows, or a checkerboard of purely real and purely imaginary entries."""
-    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
-    shape = draw(st.sampled_from(["dense", "zero rows", "checker"]))
-
-    def flat(rows, cols):
-        out = []
-        for r in range(rows):
-            zero_row = shape == "zero rows" and draw(st.booleans())
-            for c in range(cols):
-                re, im = (0, 0) if zero_row else (draw(ENTRY), draw(ENTRY))
-                if shape == "checker":
-                    re, im = (re, 0) if (r + c) % 2 == 0 else (0, im)
-                out += [re, 0, im, 0]
-        return out
-
-    return n, k, m, flat(n, k), flat(k, m)
-
-
-GAUSSIAN_EXAMPLES = [
-    (0, 2, 3, [], [1, 0, -1, 0] * 6),
-    (2, 0, 3, [], []),
-    (2, 3, 0, [0, 0, 5, 0] * 6, []),
-    (1, 2, 1, [1 << 70, 0, -(1 << 65), 0, 0, 0, 3, 0], [(1 << 64) + 1, 0, 0, 0, 0, 0, -(1 << 90), 0]),
-]
-
-
-def _with_examples(test):
-    for case in GAUSSIAN_EXAMPLES:
-        test = example(case)(test)
-    return test
-
-
-@settings(max_examples=100, deadline=None)
-@given(gaussian_pair())
-@_with_examples
-def test_gaussian_path_matches_the_generic_loop_and_scalar_reference_property(case):
-    n, k, m, a, b = case
-    got = _kernels_py._matmul_gauss(a, b, n, k, m)
-    assert got == _kernels_py._matmul_generic(a, b, n, k, m) == _kernels_py.matmul_num(a, b, n, k, m)
-    assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a), ExactMatrix(k, m, b))
-
-
 @settings(max_examples=50, deadline=None)
 @given(gaussian_pair())
 @_with_examples
-def test_gaussian_path_matches_the_compiled_kernel_property(compiled_speedups, case):
+def test_gaussian_inputs_match_the_compiled_kernel_property(compiled_speedups, case):
     n, k, m, a, b = case
-    assert _kernels_py._matmul_gauss(a, b, n, k, m) == compiled_speedups.matmul_num(a, b, n, k, m)
+    assert _kernels_py.matmul_num(a, b, n, k, m) == compiled_speedups.matmul_num(a, b, n, k, m)
 
 
-def test_an_odd_component_in_either_factor_takes_the_generic_loop(monkeypatch):
-    taken = []
-
-    def logged(name):
-        loop = getattr(_kernels_py, name)
-
-        def run(*args):
-            taken.append(name)
-            return loop(*args)
-        return run
-
-    for name in ("_matmul_gauss", "_matmul_generic"):
-        monkeypatch.setattr(_kernels_py, name, logged(name))
+def test_odd_components_in_one_factor_match_the_scalar_reference():
+    """Z[i] factors leave z b and z^3 b unlisted; an odd component in either factor,
+    or a factor of pure z or z^3 entries, must still give the full product."""
     rng = random.Random(31)
-    for odd in ("a", "b", "both", "neither"):
-        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        a, b = random_flat(n, k, 9, rng), random_flat(k, m, 9, rng)
-        a[1::2], b[1::2] = [0] * (len(a) // 2), [0] * (len(b) // 2)
-        # one z or z^3 component in the chosen factor
-        if odd in ("a", "both"):
-            a[4 * rng.randrange(n * k) + rng.choice((1, 3))] = rng.choice((-2, 1))
-        if odd in ("b", "both"):
-            b[4 * rng.randrange(k * m) + rng.choice((1, 3))] = rng.choice((-2, 1))
-        taken.clear()
-        got = _kernels_py.matmul_num(a, b, n, k, m)
-        assert taken == ["_matmul_gauss" if odd == "neither" else "_matmul_generic"]
-        assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a), ExactMatrix(k, m, b))
+    for odd in ("a", "b", "both", "neither", "only odd"):
+        for _ in range(5):
+            n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a, b = random_flat(n, k, 9, rng), random_flat(k, m, 9, rng)
+            a[1::2], b[1::2] = [0] * (len(a) // 2), [0] * (len(b) // 2)
+            if odd in ("a", "both"):
+                a[4 * rng.randrange(n * k) + rng.choice((1, 3))] = rng.choice((-2, 1))
+            if odd in ("b", "both"):
+                b[4 * rng.randrange(k * m) + rng.choice((1, 3))] = rng.choice((-2, 1))
+            if odd == "only odd":
+                a[0::2] = [0] * (len(a) // 2)
+                a[1::2] = [rng.randint(-9, 9) for _ in range(len(a) // 2)]
+            got = _kernels_py.matmul_num(a, b, n, k, m)
+            assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a),
+                                                              ExactMatrix(k, m, b))
 
 
 @pytest.mark.parametrize("bounds", [[], ["--max-m", "1", "--max-n", "8", "--max-r", "1",
                                          "--samples", "1"]])
 def test_verify_multiplies_only_gaussian_rationals(monkeypatch, capsys, bounds):
-    """Every product verify makes has entries in Q(i), which is what the Q(i) path
-    of the Python kernel rests on; an entry with a z or z^3 part (such as sqrt2)
-    would send the products back to the 16-product loop."""
+    """Every product verify makes has entries in Q(i), which is what the Python
+    kernel's speed on verify rests on; an entry with a z or z^3 part (such as
+    sqrt2) would make it list z b and z^3 b and pay up to 16 products per entry."""
     real, odd, calls = kernels.matmul_num, [], []
 
     def watched(a, b, n, k, m):
