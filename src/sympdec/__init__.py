@@ -4,19 +4,16 @@ tensor-decomposability decision reports, with a JSON CLI."""
 
 __version__ = "0.1.0"
 
-from sympdec.cyclotomic import CycScalar
-from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix
+from sympdec.matrix import ExactMatrix, block_diag, block_matrix
 from sympdec.intmatrix import IntMatrix, smith_normal_form
 from sympdec.abgroup import FgAbGroup
 
 __all__ = [
-    "CycScalar",
     "ExactMatrix",
     "IntMatrix",
     "FgAbGroup",
     "smith_normal_form",
     "block_diag",
     "block_matrix",
-    "perm_matrix",
     "__version__",
 ]

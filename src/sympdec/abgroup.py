@@ -2,13 +2,11 @@
 
 Order 0 stands for Z and k >= 2 for Z/k; order 1 is rejected so every
 generator is honest.  The factor order is meaningful (homomorphism matrices
-are written on these generators), so equality is structural; use canonical()
-or is_isomorphic_to() for isomorphism-class comparisons.
+are written on these generators), so equality is structural, not an
+isomorphism-class comparison.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 class FgAbGroup:
@@ -25,18 +23,6 @@ class FgAbGroup:
         raise AttributeError("FgAbGroup is immutable")
 
     @classmethod
-    def trivial(cls) -> "FgAbGroup":
-        return cls(())
-
-    @classmethod
-    def free(cls, rank: int = 1) -> "FgAbGroup":
-        return cls((0,) * rank)
-
-    @classmethod
-    def cyclic(cls, order: int) -> "FgAbGroup":
-        return cls((order,))
-
-    @classmethod
     def product(cls, *groups: "FgAbGroup") -> "FgAbGroup":
         factors: tuple[int, ...] = ()
         for g in groups:
@@ -47,34 +33,6 @@ class FgAbGroup:
     def ngens(self) -> int:
         return len(self.factors)
 
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for f in self.factors if f == 0)
-
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def canonical(self) -> "FgAbGroup":
-        """Free factors first, torsion as an ascending divisibility chain."""
-        torsion = [f for f in self.factors if f]
-        # pairwise gcd/lcm sweeps converge to invariant factors without
-        # ever factoring the orders (they can be huge factorials here)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(torsion)):
-                for j in range(i + 1, len(torsion)):
-                    x, y = torsion[i], torsion[j]
-                    if y % x:
-                        g = gcd(x, y)
-                        torsion[i], torsion[j] = g, x * y // g
-                        changed = True
-        torsion = [f for f in sorted(torsion) if f != 1]
-        return FgAbGroup((0,) * self.free_rank + tuple(torsion))
-
-    def is_isomorphic_to(self, other: "FgAbGroup") -> bool:
-        return self.canonical().factors == other.canonical().factors
-
     def __eq__(self, other):
         if not isinstance(other, FgAbGroup):
             return NotImplemented
@@ -82,11 +40,3 @@ class FgAbGroup:
 
     def __hash__(self):
         return hash(self.factors)
-
-    def __repr__(self):
-        return f"FgAbGroup({self.factors!r})"
-
-    def __str__(self):
-        if not self.factors:
-            return "0"
-        return " x ".join("Z" if f == 0 else f"Z/{f}" for f in self.factors)

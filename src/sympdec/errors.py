@@ -37,10 +37,6 @@ class MalformedHomError(SympdecError):
     """A homomorphism matrix is not well defined on its source generators."""
 
 
-class CaseMismatchError(SympdecError):
-    """Requested obstruction example does not match its case conditions."""
-
-
 class HypothesisFailureError(SympdecError):
     """A connectivity certificate could not be established."""
 

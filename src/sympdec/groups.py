@@ -23,11 +23,12 @@ k x k products, so the two routes share no product and stay independent
 checks of each other.
 
 The conjugation lemmas gather instead of multiplying by permutations:
-P X P^T for P = perm_matrix(cols) is X gathered at the inverse of cols on
-both sides (ExactMatrix.gather), so verify_sj_conjugation and
-verify_l_conjugation read s_j(A) and A^{(+n)} at the index lists behind
-perm_pj and perm_pmn.  The permutation matrices themselves stay public as
-the tests' dense oracle.
+for the permutation matrix P whose column k is e_{cols[k]}, P X P^T is X
+gathered at the inverse of cols on both sides (ExactMatrix.gather), so
+verify_sj_conjugation and verify_l_conjugation read s_j(A) and A^{(+n)}
+at the index lists of the slot swap P_j and the m,n shuffle.  No
+permutation matrix is ever built; the tests build them densely as the
+oracle for the gathers.
 
 The Kronecker basis is ordered left-factor-major, which makes
 J_{2m} kron I_n literally equal to J_{2mn}, so the symplectic-times-
@@ -40,14 +41,14 @@ membership holds on the nose and every draw is reproducible from its seed.
 
 Membership travels with the element.  random_sp and random_so return
 their draws marked as members (the private no-slot ExactMatrix subclasses
-_Sp and _O, with ExactMatrix's values, equality and hashing), and so does
+_Sp and _O, with ExactMatrix's values and equality), and so does
 every construction: the direct sums, stabilizations, doubling and
 tensor_sp_o give _Sp, tensor_sp_sp gives _O.  A construction trusts a
 marked input; every other input goes through is_symplectic (both routes)
 or is_orthogonal, and a non-member raises NotInGroupError.  Arithmetic
-(@, +, -, transpose, kron, with_perturbed_entry) returns plain ExactMatrix
-values, and the predicates never read the mark, so a check of a
-construction's output, as the verify suites make, always runs them in full.
+(@, unary -, kron, gather) returns plain ExactMatrix values, and the
+predicates never read the mark, so a check of a construction's output, as
+the verify suites make, always runs them in full.
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ import random
 from operator import add, itemgetter, mul, neg, sub
 
 from sympdec import kernels
-from sympdec.cyclotomic import CycScalar
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
-from sympdec.matrix import (ExactMatrix, block_diag, block_matrix, is_scaled_identity, perm_matrix,
+from sympdec.matrix import (ExactMatrix, block_diag, block_matrix, is_scaled_identity,
                             place_blocks, transposed_num)
 
 
@@ -208,16 +208,6 @@ def r_fold_sum_sp(a: ExactMatrix, r: int) -> ExactMatrix:
     return _interleaved_sum([a] * r)
 
 
-def stabilization(a: ExactMatrix, extra: int) -> ExactMatrix:
-    """Pad Sp(m) to Sp(m+extra) with identity blocks (direct sum with I)."""
-    if extra < 0:
-        raise IndexOutOfRangeError("extra must be nonnegative")
-    if extra == 0:
-        _require(a, _Sp, "input is not symplectic")
-        return a
-    return direct_sum_sp(a, _Sp.identity(2 * extra))
-
-
 def stabilization_sj(a: ExactMatrix, j: int, r: int) -> ExactMatrix:
     """Place the blocks of a in the j-th of r diagonal slots: Sp(n) -> Sp(rn), 1 <= j <= r.
 
@@ -232,7 +222,8 @@ def stabilization_sj(a: ExactMatrix, j: int, r: int) -> ExactMatrix:
 
 
 def _pj_cols(j: int, n: int, r: int) -> list[int]:
-    """The columns of perm_pj(j, n, r): slots j and j+1 of rn swapped."""
+    """The columns of the permutation P_j of rn, 1 <= j <= r-1: the j-th and
+    (j+1)-st slots of n swapped (column k of P_j is e_{cols[k]})."""
     if not 1 <= j <= r - 1:
         raise IndexOutOfRangeError(f"j = {j} not in 1..{r - 1}")
     cols = list(range(r * n))
@@ -242,20 +233,15 @@ def _pj_cols(j: int, n: int, r: int) -> list[int]:
     return cols
 
 
-def perm_pj(j: int, n: int, r: int) -> ExactMatrix:
-    """Permutation swapping the j-th and (j+1)-st n x n diagonal slots of rn, 1 <= j <= r-1."""
-    return perm_matrix(_pj_cols(j, n, r))
-
-
 def _doubled(cols: list[int]) -> list[int]:
-    """The index list of diag(P, P) for P = perm_matrix(cols)."""
+    """The index list of diag(P, P) for the permutation P with columns cols."""
     return cols + [len(cols) + c for c in cols]
 
 
 def verify_sj_conjugation(a: ExactMatrix, j: int, r: int) -> bool:
     """Exact identity s_{j+1}(A) = diag(P_j, P_j) s_j(A) diag(P_j, P_j).
 
-    For P = perm_matrix(cols), (P X)[u, :] = X[cols^-1[u], :] and
+    For P with columns cols, (P X)[u, :] = X[cols^-1[u], :] and
     (X P)[:, v] = X[:, cols[v]].  P_j is an involution (cols^-1 = cols), so
     the conjugate is s_j(A) gathered at diag(P_j, P_j)'s own index list on
     both sides, with no product.
@@ -280,19 +266,17 @@ def tensor_sp_o(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def _pmn_cols(m: int, n: int) -> list[int]:
-    """The columns of perm_pmn(m, n): column k*m + s is e_{s*n + k}."""
+    """The columns of the m,n shuffle P: column k*m + s is e_{s*n + k}.
+
+    For A in Sp(m), diag(P, P) conjugates A^{(+n)} to A kron I_n.
+    """
     return [s * n + k for k in range(n) for s in range(m)]
-
-
-def perm_pmn(m: int, n: int) -> ExactMatrix:
-    """Shuffle with column (k*m + s) equal to e_{s*n + k}: conjugates X^{(+n)} to X kron I_n."""
-    return perm_matrix(_pmn_cols(m, n))
 
 
 def verify_l_conjugation(a: ExactMatrix, n: int) -> bool:
     """Exact identity A kron I_n = diag(P,P) A^{(+n)} diag(P,P)^T with P the m,n shuffle.
 
-    For P = perm_matrix(cols), (P X P^T)[u, v] = X[cols^-1[u], cols^-1[v]]
+    For P with columns cols, (P X P^T)[u, v] = X[cols^-1[u], cols^-1[v]]
     (see verify_sj_conjugation), and the inverse of the m,n shuffle is the
     n,m shuffle, so the right side is A^{(+n)} gathered at diag(P_{n,m},
     P_{n,m})'s index list, with no product.
@@ -316,25 +300,6 @@ def _basis_pairs(m: int, n: int) -> list[tuple[int, int, int]]:
             for a in range(count)]
 
 
-def change_of_basis_p(m: int, n: int) -> ExactMatrix:
-    """An exact matrix P with P^T (J_{2m} kron J_{2n}) P = I.
-
-    G = J kron J is a symmetric signed involution with empty diagonal; its
-    index pairs {a, a'} (G e_a = eps e_{a'}) yield the orthonormal columns
-    (e_a + eps e_{a'})/sqrt2 and i (e_a - eps e_{a'})/sqrt2, taken in
-    increasing order of the smaller index.  Any other choice differs by a
-    complex-orthogonal change of basis.
-    """
-    half = CycScalar.sqrt2() / 2          # 1/sqrt2
-    ihalf = CycScalar.i() * half          # i/sqrt2
-    # rows a, a' of the column pair, by eps
-    pair = {eps: ExactMatrix.from_rows([[half, ihalf], [eps * half, -eps * ihalf]])
-            for eps in (1, -1)}
-    size = 4 * m * n
-    return place_blocks(size, size, [(pair[eps], (a, partner), (2 * a, 2 * a + 1))
-                                     for a, partner, eps in _basis_pairs(m, n)])
-
-
 # component k of x * i^e is sign * x[src], as (src, sign) for k = 0..3 (i = z^2)
 _TIMES_I_POWER = {0: ((0, 1), (1, 1), (2, 1), (3, 1)),
                   1: ((2, -1), (3, -1), (0, 1), (1, 1)),
@@ -344,11 +309,13 @@ _TIMES_I_POWER = {0: ((0, 1), (1, 1), (2, 1), (3, 1)),
 def tensor_sp_sp(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Sp(m) x Sp(n) -> O(4mn): Kronecker product conjugated to the orthonormal basis.
 
-    The conjugate P^{-1} K P of K = A kron B by P = change_of_basis_p(m, n)
-    is gathered from the entries of K, not multiplied out.  For the index
-    pairs (a, a', eps_a) of P, column 2a + t of P is
-    i^t (e_a + (-1)^t eps_a e_a')/sqrt2, and P^{-1} = P^T G is P^T with its
-    odd rows negated, so row 2a + s of P^{-1} is
+    G = J_{2m} kron J_{2n} is a symmetric signed involution with empty
+    diagonal.  Its index pairs (a, a', eps_a) (_basis_pairs) give the
+    orthonormal change of basis P, P^T G P = I, whose column 2a + t is
+    i^t (e_a + (-1)^t eps_a e_a')/sqrt2; any other choice differs by a
+    complex-orthogonal matrix.  The conjugate P^{-1} K P of K = A kron B
+    is gathered from the entries of K, not multiplied out.  P^{-1} = P^T G
+    is P^T with its odd rows negated, so row 2a + s of P^{-1} is
     (-i)^s (e_a + (-1)^s eps_a e_a')^T/sqrt2.  Entry (2a + s, 2b + t) is
     therefore (-i)^s i^t / 2 * (U[b] + (-1)^t eps_b U[b']) with the row
     combination U = K[a] + (-1)^s eps_a K[a'].
@@ -500,10 +467,3 @@ def random_sp(m: int, seed=0) -> ExactMatrix:
 def random_gl(k: int, seed=0) -> ExactMatrix:
     """Random unimodular integer matrix (invertible by construction)."""
     return _int_matrix(_random_unimodular(k, _rng(f"gl:{k}", seed))[0])
-
-
-def with_perturbed_entry(m: ExactMatrix, delta: int = 1) -> ExactMatrix:
-    """Copy of m with delta added to the top-left entry; used to build non-members."""
-    num = list(m.num)
-    num[0] += delta * m.den
-    return ExactMatrix(m.rows, m.cols, num, m.den)

@@ -166,14 +166,6 @@ def _verdicts(h: AbHom) -> tuple[bool, bool]:
     return surjective, injective
 
 
-def is_surjective(h: AbHom) -> bool:
-    return _verdicts(h)[0]
-
-
-def is_injective(h: AbHom) -> bool:
-    return _verdicts(h)[1]
-
-
 def is_isomorphism(h: AbHom) -> bool:
     return all(_verdicts(h))
 
@@ -191,13 +183,6 @@ class ImageDescriptor:
         head = "" if self.index == 1 else str(self.index)
         tail = "Z" if self.modulus == 0 else f"(Z/{self.modulus})"
         return f"{head}{tail}" if head else tail
-
-    def is_proper(self) -> bool:
-        """True when the image is a proper subgroup of the ambient cyclic group."""
-        if self.modulus == 1:
-            return False
-        # index is gcd-normalized, so the image is everything exactly at index 1
-        return self.index != 1
 
 
 def image_description(h: AbHom) -> ImageDescriptor:

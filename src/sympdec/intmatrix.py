@@ -42,9 +42,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.data[i * self.cols + j]
 
-    def __getitem__(self, ij):
-        return self.entry(*ij)
-
     def row_lists(self) -> list[list[int]]:
         c = self.cols
         return [self.data[i * c:(i + 1) * c] for i in range(self.rows)]
@@ -74,17 +71,6 @@ class IntMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self.data)))
-
-    def __repr__(self):
-        return f"IntMatrix({self.row_lists()!r})"
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entry(i, j) == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
 
     def diagonal(self) -> list[int]:
         return [self.entry(i, i) for i in range(min(self.rows, self.cols))]

@@ -23,5 +23,5 @@ def backend() -> str:
 def describe() -> str:
     """The active backend, and for the fallback the ImportError that chose it."""
     if IMPORT_ERROR is None:
-        return BACKEND
-    return f"{BACKEND}; compiled kernel not imported: {IMPORT_ERROR}"
+        return backend()
+    return f"{backend()}; compiled kernel not imported: {IMPORT_ERROR}"

@@ -2,10 +2,10 @@
 verdicts, no-section obstructions, and obstruction-degree bookkeeping.
 
 A report never claims more than its rule proves: failing the hypotheses of
-a decomposition rule yields a not-covered verdict (possibly with obstruction
-data attached as evidence), while the no-section verdict is reserved for the
-explicit sphere examples where the obstruction genuinely rules the
-decomposition out.
+a decomposition rule yields a not-covered verdict, possibly with obstruction
+data attached as evidence.  The obstruction rules out a section of the
+universal tensor map, not the decomposition of the given input, so it never
+becomes the verdict.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from sympdec.abgroup import FgAbGroup
-from sympdec.errors import (
-    CaseMismatchError,
-    EvenNError,
-    HypothesisFailureError,
-    NotCoprimeError,
-)
+from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
 from sympdec.induced import (
     FORMULAS,
     AbHom,
@@ -32,7 +27,6 @@ from sympdec.induced import (
 from sympdec.intmatrix import IntMatrix, xgcd
 
 DECOMPOSABLE = "decomposable"
-NO_SECTION = "no-section"
 NOT_COVERED = "not-covered"
 
 # classifying-space degrees paired with the small odd sizes whose orthogonal
@@ -275,10 +269,6 @@ def _first_failing_azumaya_hypothesis(m: int, n: int, dim: int) -> str | None:
     return None
 
 
-def azumaya_hypotheses_hold(m: int, n: int, dim: int) -> bool:
-    return _first_failing_azumaya_hypothesis(m, n, dim) is None
-
-
 def decide_azumaya(m: int, n: int, dim: int) -> DecisionReport:
     """Decomposability verdict for degree-2mn algebras with symplectic involution.
 
@@ -372,26 +362,3 @@ def postnikov_degree_check(m: int, n: int) -> dict:
             "note": "base stage; handled by the skeleton factorization"}
     return {"m": m, "n": n, "rank": 2 * m * n, "stages": stages,
             "base_stage": base, "pass": ok}
-
-
-def example_obstruction(kind: str, m: int, n: int) -> DecisionReport:
-    """Report a sphere on which a generator class admits no decomposition."""
-    if kind not in (KIND_HIGH_N, KIND_SMALL_N):
-        raise CaseMismatchError(f"unknown kind {kind!r}")
-    obstruction = no_section_witness(m, n)
-    if obstruction is None or obstruction.case != kind:
-        raise CaseMismatchError(
-            f"case conditions for {kind} do not hold at (m, n) = ({m}, {n})"
-        )
-    degree = obstruction.degree
-    return DecisionReport(
-        verdict=NO_SECTION,
-        rule=f"generator obstruction on the {degree}-sphere",
-        m=m, n=n, dim=degree,
-        obstruction=obstruction,
-        notes=(
-            f"a generator of the degree-{degree} homotopy of the classifying space "
-            f"is a class on the unit {degree}-sphere",
-            f"its decomposition would force the image {obstruction.image} to be all of Z",
-        ),
-    )

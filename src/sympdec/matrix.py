@@ -12,7 +12,6 @@ from itertools import accumulate
 from math import gcd
 
 from sympdec import kernels
-from sympdec.cyclotomic import CycScalar, as_cyc
 from sympdec.errors import ShapeMismatchError
 
 
@@ -35,33 +34,14 @@ class ExactMatrix:
     def _raw(cls, rows: int, cols: int, num: list[int], den: int) -> "ExactMatrix":
         """A matrix from numerators already in canonical form (content 1, den > 0).
 
-        For results whose content cannot differ from an input's: permuting
-        entries or flipping signs leaves the joint gcd unchanged.
+        For results whose content cannot differ from an input's: flipping
+        signs leaves the joint gcd unchanged.
         """
         self = object.__new__(cls)
         self.rows, self.cols, self.num, self.den = rows, cols, num, den
         return self
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, entries) -> "ExactMatrix":
-        """Build from a list of rows whose entries are CycScalar, int or Fraction."""
-        grid = [[as_scalar(x) for x in row] for row in entries]
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        if any(len(row) != cols for row in grid):
-            raise ShapeMismatchError("ragged rows")
-        den = 1
-        for row in grid:
-            for x in row:
-                den = den * x.den // gcd(den, x.den)
-        num = []
-        for row in grid:
-            for x in row:
-                f = den // x.den
-                num.extend(c * f for c in x.num)
-        return cls(rows, cols, num, den)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -76,26 +56,11 @@ class ExactMatrix:
 
     # -- element access ----------------------------------------------------
 
-    def entry(self, i: int, j: int) -> CycScalar:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        p = (i * self.cols + j) * 4
-        return CycScalar._raw(tuple(self.num[p:p + 4]), self.den)
-
-    def __getitem__(self, ij):
-        return self.entry(*ij)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.num)
-
-    def is_identity(self) -> bool:
-        return self.is_square() and self.den == 1 and is_scaled_identity(self.num, self.rows, 1)
-
     def gather(self, row_indices, col_indices) -> "ExactMatrix":
-        """The submatrix with entry (i, j) = self[row_indices[i], col_indices[j]].
+        """The submatrix whose entry (i, j) is entry (row_indices[i], col_indices[j]) of self.
 
         The inverse of place_blocks: place_blocks(rows, cols, [(m.gather(r, c), r, c)])
         agrees with m at those indices.  Indices may repeat; each must lie
@@ -115,22 +80,6 @@ class ExactMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatchError("addition shape mismatch")
-        da, db = self.den, other.den
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        num = [x * fa + y * fb for x, y in zip(self.num, other.num)]
-        return ExactMatrix(self.rows, self.cols, num, da * fa)
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + (-other)
-
     def __neg__(self):
         return ExactMatrix._raw(self.rows, self.cols, [-x for x in self.num], self.den)
 
@@ -143,14 +92,6 @@ class ExactMatrix:
             )
         num = kernels.matmul_num(self.num, other.num, self.rows, self.cols, other.cols)
         return ExactMatrix(self.rows, other.cols, num, self.den * other.den)
-
-    def scale(self, a) -> "ExactMatrix":
-        a = as_scalar(a)
-        return ExactMatrix(self.rows, self.cols, _times(a.num, self.num), self.den * a.den)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._raw(self.cols, self.rows, transposed_num(self.num, self.rows, self.cols),
-                                self.den)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, left factor major: (A kron B)[ip+k, jq+l] = A[i,j]*B[k,l]."""
@@ -170,7 +111,7 @@ class ExactMatrix:
                     num.extend(b[k * w:(k + 1) * w])
         return ExactMatrix(r * p, c * q, num, self.den * other.den)
 
-    # -- comparison / display ----------------------------------------------
+    # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -181,17 +122,6 @@ class ExactMatrix:
             and self.den == other.den
             and self.num == other.num
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.den, tuple(self.num)))
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols}, den={self.den})"
-
-    def __str__(self):
-        cells = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
 
 
 def transposed_num(num: list[int], rows: int, cols: int) -> list[int]:
@@ -243,21 +173,6 @@ def _times(a, num: list[int]) -> list[int]:
     out[2::4] = [a0 * x2 + a1 * x1 + a2 * x0 - a3 * x3 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
     out[3::4] = [a0 * x3 + a1 * x2 + a2 * x1 + a3 * x0 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
     return out
-
-
-def as_scalar(x) -> CycScalar:
-    s = as_cyc(x)
-    if s is NotImplemented:
-        raise TypeError(f"cannot coerce {type(x).__name__} to CycScalar")
-    return s
-
-
-def perm_matrix(cols: list[int]) -> ExactMatrix:
-    """Permutation matrix whose k-th column is the standard basis vector e[cols[k]]."""
-    n = len(cols)
-    if sorted(cols) != list(range(n)):
-        raise ValueError("not a permutation of 0..n-1")
-    return place_blocks(n, n, [(ExactMatrix.identity(n), cols, range(n))])
 
 
 def place_blocks(rows: int, cols: int, placements) -> ExactMatrix:

@@ -217,15 +217,12 @@ def run_formulas(bounds: Bounds, samples: int, seed) -> VerifyReport:
     return rep
 
 
-def run_bezout(bounds: Bounds, samples: int, seed, max_m: int | None = None,
-               max_n: int | None = None) -> VerifyReport:
-    """Exhaustive witness identities over coprime m with odd n."""
+def run_bezout(bounds: Bounds, samples: int, seed) -> VerifyReport:
+    """Exhaustive witness identities over coprime m <= 5*max_m with odd n <= 33*max_n."""
     del samples, seed
     rep = VerifyReport("bezout")
-    mm = max_m if max_m is not None else 5 * bounds.max_m
-    nn = max_n if max_n is not None else 33 * bounds.max_n
-    for m in range(1, mm + 1):
-        for n in range(3, nn + 1, 2):
+    for m in range(1, 5 * bounds.max_m + 1):
+        for n in range(3, 33 * bounds.max_n + 1, 2):
             if gcd(m, n) != 1:
                 continue
             w = bezout_uv(m, n)
@@ -237,15 +234,13 @@ def run_bezout(bounds: Bounds, samples: int, seed, max_m: int | None = None,
     return rep
 
 
-def run_j_iso(bounds: Bounds, samples: int, seed, max_m: int | None = None,
-              max_n: int | None = None) -> VerifyReport:
-    """Pairing map invertibility in every required degree, for both z values."""
+def run_j_iso(bounds: Bounds, samples: int, seed) -> VerifyReport:
+    """Pairing map invertibility in every required degree, for both z values,
+    over coprime 2 <= m <= max(2, 2*max_m) and odd 9 <= n <= max(9, 6*max_n)."""
     del samples, seed
     rep = VerifyReport("J-iso")
-    mm = max_m if max_m is not None else max(2, 2 * bounds.max_m)
-    nn = max_n if max_n is not None else max(9, 6 * bounds.max_n)
-    for m in range(2, mm + 1):
-        for n in range(9, nn + 1, 2):
+    for m in range(2, max(2, 2 * bounds.max_m) + 1):
+        for n in range(9, max(9, 6 * bounds.max_n) + 1, 2):
             if gcd(m, n) != 1:
                 continue
             w = bezout_uv(m, n)

@@ -1,0 +1,147 @@
+"""Reference constructions the tests check the library against.
+
+Each builds its result entry by entry from the textbook definition, not
+through the index lists, gathers and numerator loops the library uses, so
+a fault on either side shows as a disagreement.  The one exception,
+change_of_basis_p, reads the library's index pairs of J kron J; the tests
+check it against a scan of J kron J made in sympy.  Matrix entries are given
+as an int or Fraction, or as the 4-tuple of rational coefficients of
+1, z, z^2, z^3 (z^4 = -1); for instance i = (0, 0, 1, 0) and
+1/sqrt2 = (z - z^3)/2 = (0, 1/2, 0, -1/2).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from sympdec.abgroup import FgAbGroup
+from sympdec.groups import _basis_pairs
+from sympdec.intmatrix import IntMatrix
+from sympdec.matrix import ExactMatrix
+
+I = (0, 0, 1, 0)
+HALF_SQRT2 = (0, Fraction(1, 2), 0, Fraction(-1, 2))      # 1/sqrt2
+HALF_I_SQRT2 = (0, Fraction(1, 2), 0, Fraction(1, 2))     # i/sqrt2
+
+
+def coeffs(x) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The four rational coefficients of an entry given as a number or a 4-tuple."""
+    return tuple(Fraction(c) for c in (x if isinstance(x, tuple) else (x, 0, 0, 0)))
+
+
+def from_rows(rows, cols: int | None = None) -> ExactMatrix:
+    """The matrix with the given rows of entries; cols is needed only when there are no rows."""
+    rows = [[coeffs(x) for x in row] for row in rows]
+    cols = len(rows[0]) if rows else cols or 0
+    assert all(len(row) == cols for row in rows), "ragged rows"
+    den = lcm(1, *(c.denominator for row in rows for x in row for c in x))
+    return ExactMatrix(len(rows), cols, [int(c * den) for row in rows for x in row for c in x], den)
+
+
+def entry(m: ExactMatrix, i: int, j: int) -> tuple[Fraction, ...]:
+    """Entry (i, j) of m as its four rational coefficients."""
+    assert 0 <= i < m.rows and 0 <= j < m.cols
+    p = 4 * (i * m.cols + j)
+    return tuple(Fraction(c, m.den) for c in m.num[p:p + 4])
+
+
+def product(x, y) -> tuple[Fraction, ...]:
+    """The product of two entries, by the schoolbook rule with z^4 = -1."""
+    out = [Fraction(0)] * 4
+    for s, a in enumerate(coeffs(x)):
+        for t, b in enumerate(coeffs(y)):
+            out[(s + t) % 4] += a * b if s + t < 4 else -a * b
+    return tuple(out)
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    return from_rows([[entry(m, i, j) for i in range(m.rows)] for j in range(m.cols)], m.rows)
+
+
+def scale(m: ExactMatrix, a) -> ExactMatrix:
+    """Each entry of m times the scalar a."""
+    return from_rows([[product(a, entry(m, i, j)) for j in range(m.cols)]
+                      for i in range(m.rows)], m.cols)
+
+
+def with_perturbed_entry(m: ExactMatrix, delta: int = 1) -> ExactMatrix:
+    """Copy of m with delta added to the top-left entry: a non-member of m's group."""
+    num = list(m.num)
+    num[0] += delta * m.den
+    return ExactMatrix(m.rows, m.cols, num, m.den)
+
+
+# -- permutations and the orthonormal basis of J kron J -----------------------
+
+def perm_matrix(cols) -> ExactMatrix:
+    """Permutation matrix whose k-th column is the standard basis vector e[cols[k]]."""
+    n = len(cols)
+    if sorted(cols) != list(range(n)):
+        raise ValueError("not a permutation of 0..n-1")
+    return from_rows([[int(r == cols[k]) for k in range(n)] for r in range(n)], n)
+
+
+def perm_pj(j: int, n: int, r: int) -> ExactMatrix:
+    """P_j: swaps the j-th and (j+1)-st slots of n in rn, 1 <= j <= r-1."""
+    assert 1 <= j <= r - 1
+    lo, hi = (j - 1) * n, (j + 1) * n
+
+    def image(k):
+        return k if not lo <= k < hi else k + n if k < lo + n else k - n
+    return perm_matrix([image(k) for k in range(r * n)])
+
+
+def perm_pmn(m: int, n: int) -> ExactMatrix:
+    """The m,n shuffle P: column k*m + s is e_{s*n + k}; diag(P, P) conjugates
+    A^{(+n)} to A kron I_n for A in Sp(m)."""
+    cols = [0] * (m * n)
+    for s in range(m):
+        for k in range(n):
+            cols[k * m + s] = s * n + k
+    return perm_matrix(cols)
+
+
+def change_of_basis_p(m: int, n: int) -> ExactMatrix:
+    """P with P^T (J_{2m} kron J_{2n}) P = I, from the library's index pairs.
+
+    Each pair (a, a', eps) gives the columns 2a and 2a + 1, which are
+    (e_a + eps e_a')/sqrt2 and i (e_a - eps e_a')/sqrt2.
+    """
+    size = 4 * m * n
+    rows = [[0] * size for _ in range(size)]
+    for a, partner, eps in _basis_pairs(m, n):
+        rows[a][2 * a], rows[a][2 * a + 1] = HALF_SQRT2, HALF_I_SQRT2
+        rows[partner][2 * a], rows[partner][2 * a + 1] = (product(eps, HALF_SQRT2),
+                                                         product(-eps, HALF_I_SQRT2))
+    return from_rows(rows, size)
+
+
+# -- integer matrices and abelian groups ----------------------------------------
+
+def is_diagonal(m: IntMatrix) -> bool:
+    return all(m.entry(i, j) == 0 for i in range(m.rows) for j in range(m.cols) if i != j)
+
+
+def canonical(g: FgAbGroup) -> FgAbGroup:
+    """The isomorphism class of g: free factors first, torsion as an ascending
+    divisibility chain."""
+    torsion = [f for f in g.factors if f]
+    # pairwise gcd/lcm sweeps converge to invariant factors without ever
+    # factoring the orders (they can be huge factorials)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(torsion)):
+            for j in range(i + 1, len(torsion)):
+                x, y = torsion[i], torsion[j]
+                if y % x:
+                    d = gcd(x, y)
+                    torsion[i], torsion[j] = d, x * y // d
+                    changed = True
+    free = g.factors.count(0)
+    return FgAbGroup((0,) * free + tuple(f for f in sorted(torsion) if f != 1))
+
+
+def isomorphic(g: FgAbGroup, h: FgAbGroup) -> bool:
+    return canonical(g) == canonical(h)

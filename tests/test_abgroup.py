@@ -2,6 +2,8 @@ import pytest
 
 from sympdec.abgroup import FgAbGroup
 
+from oracles import canonical, isomorphic
+
 
 def test_rejects_order_one_and_negatives():
     with pytest.raises(ValueError):
@@ -11,35 +13,31 @@ def test_rejects_order_one_and_negatives():
 
 
 def test_canonical_invariant_factors():
+    # the tests' isomorphism-class oracle
     g = FgAbGroup((12, 2, 3, 0))
-    assert g.canonical() == FgAbGroup((0, 6, 12))
-    assert FgAbGroup((2, 3)).canonical() == FgAbGroup((6,))
-    assert FgAbGroup((2, 4)).canonical() == FgAbGroup((2, 4))
-    assert FgAbGroup(()).canonical() == FgAbGroup(())
+    assert canonical(g) == FgAbGroup((0, 6, 12))
+    assert canonical(FgAbGroup((2, 3))) == FgAbGroup((6,))
+    assert canonical(FgAbGroup((2, 4))) == FgAbGroup((2, 4))
+    assert canonical(FgAbGroup(())) == FgAbGroup(())
 
 
 def test_order_of_factors_is_preserved_structurally():
     assert FgAbGroup((2, 0)) != FgAbGroup((0, 2))
-    assert FgAbGroup((2, 0)).is_isomorphic_to(FgAbGroup((0, 2)))
-    assert not FgAbGroup((4,)).is_isomorphic_to(FgAbGroup((2, 2)))
+    assert isomorphic(FgAbGroup((2, 0)), FgAbGroup((0, 2)))
+    assert not isomorphic(FgAbGroup((4,)), FgAbGroup((2, 2)))
+    with pytest.raises(AttributeError):
+        FgAbGroup((2,)).factors = (3,)
 
 
 def test_product_and_ranks():
     g = FgAbGroup.product(FgAbGroup((0,)), FgAbGroup((2,)), FgAbGroup(()))
-    assert g == FgAbGroup((0, 2))
-    assert g.ngens == 2 and g.free_rank == 1
-    assert not g.is_finite()
-    assert FgAbGroup((2, 2)).is_finite()
-
-
-def test_str():
-    assert str(FgAbGroup(())) == "0"
-    assert str(FgAbGroup((0, 2))) == "Z x Z/2"
-    assert str(FgAbGroup((12,))) == "Z/12"
+    assert g == FgAbGroup((0, 2)) and hash(g) == hash(FgAbGroup((0, 2)))
+    assert g.ngens == 2 and g.factors == (0, 2)
+    assert FgAbGroup.product().ngens == 0
 
 
 def test_huge_orders_canonicalize_without_factoring():
     from math import factorial
     big = factorial(199) * 2
     g = FgAbGroup((big, 2))
-    assert g.canonical() == FgAbGroup((2, big))
+    assert canonical(g) == FgAbGroup((2, big))

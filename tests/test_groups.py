@@ -4,29 +4,25 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import sqrt
 from sympy.polys.matrices import DomainMatrix
 
 from sympdec import groups
-from sympdec.cyclotomic import CycScalar
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
 from sympdec.groups import (
     _random_symmetric,
     _random_unimodular,
     _rng,
-    change_of_basis_p,
     direct_sum_sp,
     doubling,
     is_orthogonal,
     is_symplectic,
     is_symplectic_blocks,
     is_symplectic_gram,
-    perm_pj,
-    perm_pmn,
     r_fold_sum_sp,
     random_gl,
     random_so,
     random_sp,
-    stabilization,
     stabilization_sj,
     symplectic_gram,
     tensor_sp_o,
@@ -34,11 +30,12 @@ from sympdec.groups import (
     verify_l_conjugation,
     verify_mixed_product,
     verify_sj_conjugation,
-    with_perturbed_entry,
 )
-from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix
+from sympdec.matrix import ExactMatrix, block_diag, block_matrix
 
 from conftest import Q_ZETA8, over_q_zeta8
+from oracles import (I, change_of_basis_p, entry, from_rows, perm_matrix, perm_pj, perm_pmn,
+                     scale, transpose, with_perturbed_entry)
 
 
 # -- membership predicates ---------------------------------------------------
@@ -55,7 +52,7 @@ def test_gram_matrix_is_symplectic():
 
 
 def test_rational_diagonal_example():
-    assert is_symplectic(ExactMatrix.from_rows([[2, 0], [0, Fraction(1, 2)]]))
+    assert is_symplectic(from_rows([[2, 0], [0, Fraction(1, 2)]]))
 
 
 def test_odd_size_raises():
@@ -76,7 +73,7 @@ def test_gram_and_block_routes_form_a_biconditional():
 
 def test_orthogonal_predicates():
     assert is_orthogonal(ExactMatrix.identity(3))
-    refl = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    refl = from_rows([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
     assert is_orthogonal(refl) and over_q_zeta8(refl).det() == -Q_ZETA8.one
     assert not is_orthogonal(with_perturbed_entry(ExactMatrix.identity(3)))
 
@@ -131,8 +128,8 @@ def orthogonal_candidates(draw):
         n = draw(st.integers(1, 6))
         a = random_so(n, seed)
         if kind == "reflection":
-            a = ExactMatrix.from_rows([[-1 if i == j == 0 else int(i == j) for j in range(n)]
-                                       for i in range(n)]) @ a
+            a = from_rows([[-1 if i == j == 0 else int(i == j) for j in range(n)]
+                           for i in range(n)]) @ a
     if draw(st.booleans()):
         a = with_perturbed_entry(a, draw(st.sampled_from([-2, -1, 1, 2])))
     return a
@@ -153,12 +150,15 @@ def test_is_orthogonal_agrees_with_sympy_property(m):
 # -- direct sums and stabilizations -------------------------------------------
 
 def test_direct_sum_of_identities():
-    assert direct_sum_sp(ExactMatrix.identity(2), ExactMatrix.identity(2)).is_identity()
+    assert direct_sum_sp(ExactMatrix.identity(2), ExactMatrix.identity(2)) == ExactMatrix.identity(4)
 
 
 def test_direct_sum_with_identity_is_stabilization():
+    # the first of r slots is the plain stabilization, a direct sum with the identity
     a = random_sp(2, seed=3)
-    assert direct_sum_sp(a, ExactMatrix.identity(4)) == stabilization(a, 2)
+    assert direct_sum_sp(a, ExactMatrix.identity(4)) == stabilization_sj(a, 1, 2)
+    assert direct_sum_sp(ExactMatrix.identity(4), a) == stabilization_sj(a, 2, 2)
+    assert stabilization_sj(a, 1, 1) == a
 
 
 def test_direct_sum_closure_randomized():
@@ -176,7 +176,7 @@ def test_direct_sum_rejects_non_members():
 def test_r_fold_sum():
     a = random_sp(1, seed=4)
     assert r_fold_sum_sp(a, 1) == a
-    assert r_fold_sum_sp(ExactMatrix.identity(2), 2).is_identity()
+    assert r_fold_sum_sp(ExactMatrix.identity(2), 2) == ExactMatrix.identity(4)
     triple = r_fold_sum_sp(a, 3)
     assert triple == direct_sum_sp(a, direct_sum_sp(a, a))
     assert is_symplectic(triple)
@@ -185,8 +185,8 @@ def test_r_fold_sum():
 def test_stabilization_sj_basics():
     a = random_sp(1, seed=5)
     # the first slot recovers the plain stabilization
-    assert stabilization_sj(a, 1, 3) == stabilization(a, 2)
-    assert stabilization_sj(ExactMatrix.identity(4), 2, 3).is_identity()
+    assert stabilization_sj(a, 1, 3) == direct_sum_sp(a, ExactMatrix.identity(4))
+    assert stabilization_sj(ExactMatrix.identity(4), 2, 3) == ExactMatrix.identity(12)
     for j in (1, 2, 3):
         assert is_symplectic(stabilization_sj(a, j, 3))
     with pytest.raises(IndexOutOfRangeError):
@@ -208,16 +208,19 @@ def test_sj_conjugation_identity():
 
 def test_perm_pj_is_a_transposition():
     p = perm_pj(1, 2, 3)
-    assert (p @ p).is_identity()
+    assert p @ p == ExactMatrix.identity(6) and p != ExactMatrix.identity(6)
+    assert groups._pj_cols(1, 2, 3) == [2, 3, 0, 1, 4, 5]
     with pytest.raises(IndexOutOfRangeError):
-        perm_pj(3, 2, 3)
+        groups._pj_cols(3, 2, 3)
+    with pytest.raises(IndexOutOfRangeError):
+        verify_sj_conjugation(random_sp(2, seed=6), 3, 3)
 
 
 # -- doubling -----------------------------------------------------------------
 
 def test_doubling():
-    assert doubling(ExactMatrix.identity(3)).is_identity()
-    refl = ExactMatrix.from_rows([[1, 0], [0, -1]])
+    assert doubling(ExactMatrix.identity(3)) == ExactMatrix.identity(6)
+    refl = from_rows([[1, 0], [0, -1]])
     d = doubling(refl)
     assert d == block_diag(refl, refl)
     assert is_symplectic(d)
@@ -230,7 +233,7 @@ def test_doubling():
 # -- tensor products ----------------------------------------------------------
 
 def test_tensor_sp_o_identities():
-    assert tensor_sp_o(ExactMatrix.identity(4), ExactMatrix.identity(3)).is_identity()
+    assert tensor_sp_o(ExactMatrix.identity(4), ExactMatrix.identity(3)) == ExactMatrix.identity(12)
 
 
 def test_tensor_sp_o_center_to_center():
@@ -264,11 +267,11 @@ def test_orthonormal_change_of_basis():
     for m, n in [(1, 1), (1, 2), (2, 2)]:
         p = change_of_basis_p(m, n)
         g = symplectic_gram(m).kron(symplectic_gram(n))
-        assert (p.transpose() @ g @ p).is_identity()
+        assert transpose(p) @ g @ p == ExactMatrix.identity(4 * m * n)
 
 
 def test_tensor_sp_sp():
-    assert tensor_sp_sp(ExactMatrix.identity(2), ExactMatrix.identity(2)).is_identity()
+    assert tensor_sp_sp(ExactMatrix.identity(2), ExactMatrix.identity(2)) == ExactMatrix.identity(4)
     for k in range(10):
         a = random_sp(1, seed=f"tss:{k}:a")
         b = random_sp(1 + k % 2, seed=f"tss:{k}:b")
@@ -283,24 +286,20 @@ def test_l_conjugation_identity():
     for m, n in [(1, 2), (2, 3), (3, 2)]:
         a = random_sp(m, seed=f"L:{m}:{n}")
         assert verify_l_conjugation(a, n)
-    assert perm_pmn(1, 1).is_identity()
+    assert perm_pmn(1, 1) == ExactMatrix.identity(1)
+    assert perm_pmn(2, 3) == perm_matrix(groups._pmn_cols(2, 3))
 
 
 def test_mixed_product():
     assert verify_mixed_product(ExactMatrix.identity(2), ExactMatrix.identity(3))
     assert verify_mixed_product(random_gl(2, seed=1), random_gl(3, seed=2))
     # scalar case is the commutativity of the field
-    assert verify_mixed_product(ExactMatrix.from_rows([[7]]), ExactMatrix.from_rows([[5]]))
+    assert verify_mixed_product(from_rows([[7]]), from_rows([[5]]))
 
 
 # -- placed constructions against dense oracles -------------------------------
 # The oracles build every matrix entry by entry and combine by dense products,
 # so none of them goes through matrix.place_blocks.
-
-def dense_perm(cols):
-    n = len(cols)
-    return ExactMatrix.from_rows([[int(r == cols[k]) for k in range(n)] for r in range(n)])
-
 
 def dense_block_diag(*blocks):
     size = sum(b.rows for b in blocks)
@@ -309,9 +308,9 @@ def dense_block_diag(*blocks):
     for b in blocks:
         for i in range(b.rows):
             for j in range(b.cols):
-                rows[o + i][o + j] = b.entry(i, j)
+                rows[o + i][o + j] = entry(b, i, j)
         o += b.rows
-    return ExactMatrix.from_rows(rows)
+    return from_rows(rows, size)
 
 
 def interleaving(halves):
@@ -319,38 +318,39 @@ def interleaving(halves):
     starts = [2 * sum(halves[:t]) for t in range(len(halves))]
     cols = [s + q for s, k in zip(starts, halves) for q in range(k)]
     cols += [s + k + q for s, k in zip(starts, halves) for q in range(k)]
-    s = dense_perm(cols)
-    assert perm_matrix(cols) == s
-    return s
+    return perm_matrix(cols)
 
 
 def interleaved_oracle(*blocks):
     s = interleaving([b.rows // 2 for b in blocks])
-    return s.transpose() @ dense_block_diag(*blocks) @ s
+    return transpose(s) @ dense_block_diag(*blocks) @ s
 
 
 def dense_gram(k):
-    return ExactMatrix.from_rows([[1 if c == r + k else -1 if r == c + k else 0
-                                   for c in range(2 * k)] for r in range(2 * k)])
+    return from_rows([[1 if c == r + k else -1 if r == c + k else 0
+                       for c in range(2 * k)] for r in range(2 * k)], 2 * k)
 
 
 def g_scan_change_of_basis(m, n):
-    """P from a scan of G = J kron J: each column of G holds one nonzero, eps at the partner."""
-    g = dense_gram(m).kron(dense_gram(n))
-    half = CycScalar.sqrt2() / 2
-    ihalf = CycScalar.i() * half
-    cols, seen = [], [False] * g.rows
-    for a in range(g.rows):
+    """P over sympy's Q(z), from a scan of G = J kron J: each column of G holds one
+    nonzero, eps at the partner, and gives the columns (e_a + eps e_a')/sqrt2 and
+    i (e_a - eps e_a')/sqrt2."""
+    g = over_q_zeta8(dense_gram(m).kron(dense_gram(n))).to_list()
+    half = Q_ZETA8.from_sympy(1 / sqrt(2))
+    ihalf = Q_ZETA8.from_sympy(sqrt(-1)) * half
+    size = len(g)
+    cols, seen = [], [False] * size
+    for a in range(size):
         if seen[a]:
             continue
-        partner = next(r for r in range(g.rows) if not g.entry(r, a).is_zero())
-        eps = g.entry(partner, a)
+        partner = next(r for r in range(size) if g[r][a])
+        eps = g[partner][a]
         seen[a] = seen[partner] = True
-        u, v = [0] * g.rows, [0] * g.rows
+        u, v = [Q_ZETA8.zero] * size, [Q_ZETA8.zero] * size
         u[a], u[partner] = half, eps * half
         v[a], v[partner] = ihalf, -eps * ihalf
         cols += [u, v]
-    return ExactMatrix.from_rows([list(row) for row in zip(*cols)])
+    return DomainMatrix([list(row) for row in zip(*cols)], (size, size), Q_ZETA8)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -372,7 +372,7 @@ def test_change_of_basis_matches_the_gram_scan():
     for m in (1, 2, 3):
         assert dense_gram(m) == symplectic_gram(m)
         for n in (1, 2, 3):
-            assert change_of_basis_p(m, n) == g_scan_change_of_basis(m, n)
+            assert over_q_zeta8(change_of_basis_p(m, n)) == g_scan_change_of_basis(m, n)
 
 
 def test_tensor_sp_sp_inverse_and_gram_oracle():
@@ -380,12 +380,12 @@ def test_tensor_sp_sp_inverse_and_gram_oracle():
         for n in (1, 2, 3):
             # the identity factors leave exactly the P^{-1} P that tensor_sp_sp forms
             ident = tensor_sp_sp(ExactMatrix.identity(2 * m), ExactMatrix.identity(2 * n))
-            assert ident.is_identity()
+            assert ident == ExactMatrix.identity(4 * m * n)
             if m * n <= 4:
                 a, b = random_sp(m, seed=f"tss-p:{m}"), random_sp(n, seed=f"tss-p:{n}:b")
                 p = change_of_basis_p(m, n)
                 g = dense_gram(m).kron(dense_gram(n))
-                assert tensor_sp_sp(a, b) == p.transpose() @ g @ a.kron(b) @ p
+                assert tensor_sp_sp(a, b) == transpose(p) @ g @ a.kron(b) @ p
 
 
 @settings(max_examples=25, deadline=None)
@@ -394,7 +394,7 @@ def test_tensor_sp_sp_matches_the_dense_conjugation_property(m, n, seed):
     a, b = random_sp(m, seed), random_sp(n, seed + 1)
     p = change_of_basis_p(m, n)
     g = dense_gram(m).kron(dense_gram(n))
-    assert tensor_sp_sp(a, b) == p.transpose() @ g @ a.kron(b) @ p
+    assert tensor_sp_sp(a, b) == transpose(p) @ g @ a.kron(b) @ p
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -404,8 +404,8 @@ def test_conjugation_gathers_match_the_dense_permutation_products(n):
         x = ExactMatrix(2 * r * n, 2 * r * n, [rng.randint(-3, 3) for _ in range(16 * r * r * n * n)])
         for j in range(1, r):
             cols = groups._pj_cols(j, n, r)
-            p = dense_perm(cols)
-            assert perm_pj(j, n, r) == p
+            p = perm_pj(j, n, r)
+            assert perm_matrix(cols) == p
             pp = dense_block_diag(p, p)
             idx = groups._doubled(cols)
             assert x.gather(idx, idx) == pp @ x @ pp
@@ -414,13 +414,13 @@ def test_conjugation_gathers_match_the_dense_permutation_products(n):
             assert verify_sj_conjugation(a, j, r)
     for m in range(1, 5):
         x = ExactMatrix(2 * m * n, 2 * m * n, [rng.randint(-3, 3) for _ in range(16 * m * m * n * n)])
-        p = dense_perm(groups._pmn_cols(m, n))
-        assert perm_pmn(m, n) == p and p.transpose() == perm_pmn(n, m)
+        p = perm_pmn(m, n)
+        assert perm_matrix(groups._pmn_cols(m, n)) == p and transpose(p) == perm_pmn(n, m)
         pp = dense_block_diag(p, p)
         idx = groups._doubled(groups._pmn_cols(n, m))
-        assert x.gather(idx, idx) == pp @ x @ pp.transpose()
+        assert x.gather(idx, idx) == pp @ x @ transpose(pp)
         a = random_sp(m, seed=f"gather:L:{m}:{n}")
-        assert a.kron(ExactMatrix.identity(n)) == pp @ r_fold_sum_sp(a, n) @ pp.transpose()
+        assert a.kron(ExactMatrix.identity(n)) == pp @ r_fold_sum_sp(a, n) @ transpose(pp)
         assert verify_l_conjugation(a, n)
 
 
@@ -436,10 +436,10 @@ def test_row_swap_gram_route_matches_the_dense_gram_product():
         for seed in range(4):
             member = random_sp(k, seed=f"gram:{k}:{seed}")
             cases = [member, with_perturbed_entry(member), with_perturbed_entry(member, -2),
-                     anti_symplectic(member), member.scale(CycScalar.i()), -member,
+                     anti_symplectic(member), scale(member, I), -member,
                      ExactMatrix(2 * k, 2 * k, [x for x in member.num], 3)]
             for m in cases:
-                assert is_symplectic_gram(m) == (m.transpose() @ j @ m == j)
+                assert is_symplectic_gram(m) == (transpose(m) @ j @ m == j)
                 assert is_symplectic_gram(m) == is_symplectic_blocks(m)
             assert is_symplectic_gram(member) and is_symplectic_gram(-member)
             assert not is_symplectic_gram(anti_symplectic(member))
@@ -449,8 +449,8 @@ def test_row_swap_gram_route_matches_the_dense_gram_product():
 def test_block_route_refuses_each_broken_condition_alone():
     """Each matrix breaks exactly one block condition; both routes must refuse it."""
     i2, z2 = ExactMatrix.identity(2), ExactMatrix.zeros(2, 2)
-    c = ExactMatrix.from_rows([[0, 1], [0, 0]])
-    half, double = i2.scale(Fraction(1, 2)), i2.scale(2)
+    c = from_rows([[0, 1], [0, 0]])
+    half, double = scale(i2, Fraction(1, 2)), scale(i2, 2)
     broken = [block_matrix([[i2, z2], [c, i2]]),            # A11^T A21 = C
               block_matrix([[i2, c], [z2, i2]]),            # A12^T A22 = C
               block_matrix([[double, z2], [z2, i2]]),       # A11^T A22 - A21^T A12 = 2I
@@ -485,8 +485,8 @@ def test_constructions_trust_generator_built_inputs(monkeypatch):
     o = random_so(3, seed="mark:o")
     with monkeypatch.context() as patched:
         calls = _count_predicates(patched)
-        symplectic = [direct_sum_sp(a, b), r_fold_sum_sp(b, 3), stabilization(a, 0),
-                      stabilization(a, 2), stabilization_sj(b, 2, 3), doubling(o),
+        symplectic = [direct_sum_sp(a, b), r_fold_sum_sp(b, 3), stabilization_sj(a, 1, 1),
+                      stabilization_sj(a, 1, 3), stabilization_sj(b, 2, 3), doubling(o),
                       tensor_sp_o(a, o)]
         orthogonal = [tensor_sp_sp(a, b)]
         assert verify_sj_conjugation(a, 1, 2) and verify_l_conjugation(a, 3)
@@ -499,13 +499,14 @@ def test_constructions_trust_generator_built_inputs(monkeypatch):
 
 
 # each construction with a non-member in one input slot: sp where a symplectic
-# matrix belongs, so where an orthogonal one does; a and o are members
+# matrix belongs, so where an orthogonal one does; a and o are members.
+# stabilization-k places the input beside k identity slots
 NON_MEMBER_SLOTS = {
     "direct-sum-left": lambda sp, so, a, o: direct_sum_sp(sp, a),
     "direct-sum-right": lambda sp, so, a, o: direct_sum_sp(a, sp),
     "r-fold": lambda sp, so, a, o: r_fold_sum_sp(sp, 2),
-    "stabilization-0": lambda sp, so, a, o: stabilization(sp, 0),
-    "stabilization-1": lambda sp, so, a, o: stabilization(sp, 1),
+    "stabilization-0": lambda sp, so, a, o: stabilization_sj(sp, 1, 1),
+    "stabilization-1": lambda sp, so, a, o: stabilization_sj(sp, 2, 2),
     "stabilization-j": lambda sp, so, a, o: stabilization_sj(sp, 1, 2),
     "sj-conjugation": lambda sp, so, a, o: verify_sj_conjugation(sp, 1, 2),
     "l-conjugation": lambda sp, so, a, o: verify_l_conjugation(sp, 2),
@@ -544,11 +545,11 @@ def test_arithmetic_results_are_unmarked():
     assert type(a) is groups._Sp and type(o) is groups._O
     assert type(tensor_sp_sp(a, b)) is groups._O and type(tensor_sp_o(a, o)) is groups._Sp
     for x in (a, o, tensor_sp_sp(a, b), direct_sum_sp(a, b)):
-        for y in (x @ x, -x, x.transpose(), x.kron(x), x.kron(o), with_perturbed_entry(x, 0)):
+        for y in (x @ x, -x, x.kron(x), x.kron(o), x.gather(range(x.rows), range(x.cols))):
             assert type(y) is ExactMatrix
-        # the mark changes neither equality nor hashing
+        # the mark does not change equality
         plain = ExactMatrix(x.rows, x.cols, x.num, x.den)
-        assert plain == x and x == plain and hash(plain) == hash(x)
+        assert plain == x and x == plain
 
 
 def test_predicates_do_not_read_the_mark():
@@ -580,7 +581,7 @@ def test_random_so_membership_and_determinism():
         if n >= 2:
             # a genuinely complex rotation: some entry has a nonzero i = z^2 part
             assert all(any(a.num[2::4]) for a in draws)
-            assert len(set(draws)) > 1
+            assert any(a != draws[0] for a in draws)
         if n >= 3:
             assert random_so(n, seed=0) != random_so(n, seed=1)
 
@@ -589,8 +590,8 @@ def test_random_unimodular_carries_its_inverse_transpose():
     for k in range(1, 7):
         for seed in range(40):
             rows = _random_unimodular(k, random.Random(f"unimodular:{k}:{seed}"))
-            a, a_inv_t = (ExactMatrix.from_rows(r) for r in rows)
-            assert (a.transpose() @ a_inv_t).is_identity()
+            a, a_inv_t = (from_rows(r) for r in rows)
+            assert transpose(a) @ a_inv_t == ExactMatrix.identity(k)
 
 
 def dense_random_sp(m, seed):
@@ -601,9 +602,9 @@ def dense_random_sp(m, seed):
     for _ in range(rng.randint(2, 4)):
         kind = rng.randrange(3)
         if kind == 0:
-            f = block_diag(*(ExactMatrix.from_rows(r) for r in _random_unimodular(m, rng)))
+            f = block_diag(*(from_rows(r) for r in _random_unimodular(m, rng)))
         else:
-            s = ExactMatrix.from_rows(_random_symmetric(m, rng))
+            s = from_rows(_random_symmetric(m, rng))
             f = block_matrix([[ident, s], [zero, ident]] if kind == 1 else [[ident, zero], [s, ident]])
         out = out @ f
     return out

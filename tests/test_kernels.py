@@ -1,5 +1,5 @@
-"""Both kernel backends must agree with each other and with a scalar-level
-reference that multiplies CycScalar entries one at a time."""
+"""Both kernel backends must agree with each other and with sympy's product
+over Q(z), outside our arithmetic."""
 
 import hashlib
 import importlib.util
@@ -16,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from sympdec import _kernels_py, kernels
 from sympdec.cli import main
-from sympdec.cyclotomic import CycScalar
 from sympdec.matrix import ExactMatrix
+
+from conftest import over_q_zeta8
 
 try:
     from sympdec import _speedups
@@ -29,18 +30,9 @@ if _speedups is not None:
     BACKENDS.append(("compiled", _speedups.matmul_num))
 
 
-def scalar_reference(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    # independent route: entry-by-entry CycScalar arithmetic, no flat kernels
-    rows = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = CycScalar.zero()
-            for t in range(a.cols):
-                acc = acc + a.entry(i, t) * b.entry(t, j)
-            row.append(acc)
-        rows.append(row)
-    return ExactMatrix.from_rows(rows) if rows else ExactMatrix.zeros(0, b.cols)
+def scalar_reference(a: ExactMatrix, b: ExactMatrix):
+    """a @ b as sympy multiplies it over Q(z), with no flat kernel."""
+    return over_q_zeta8(a) * over_q_zeta8(b)
 
 
 def random_flat(n, k, magnitude, rng):
@@ -55,7 +47,7 @@ def test_backend_matches_scalar_reference(name, fn):
         a = ExactMatrix(n, k, random_flat(n, k, 30, rng), rng.randint(1, 6))
         b = ExactMatrix(k, m, random_flat(k, m, 30, rng), rng.randint(1, 6))
         got = ExactMatrix(n, m, fn(a.num, b.num, n, k, m), a.den * b.den)
-        assert got == scalar_reference(a, b)
+        assert over_q_zeta8(got) == scalar_reference(a, b)
 
 
 ENTRY = st.one_of(st.integers(-30, 30), st.integers(-(1 << 100), 1 << 100))
@@ -116,7 +108,8 @@ def test_python_kernel_matches_scalar_reference_property(case):
     n, k, m, a, b = case
     got = _kernels_py.matmul_num(a, b, n, k, m)
     assert len(got) == 4 * n * m
-    assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a), ExactMatrix(k, m, b))
+    assert over_q_zeta8(ExactMatrix(n, m, got)) == scalar_reference(ExactMatrix(n, k, a),
+                                                                    ExactMatrix(k, m, b))
 
 
 def structured_flat(n, k, rng):
@@ -147,7 +140,8 @@ def structured_cases(count, seed):
 def test_python_kernel_on_sparse_and_rational_structure():
     for n, k, m, a, b in structured_cases(60, 21):
         got = _kernels_py.matmul_num(a, b, n, k, m)
-        assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a), ExactMatrix(k, m, b))
+        assert over_q_zeta8(ExactMatrix(n, m, got)) == scalar_reference(ExactMatrix(n, k, a),
+                                                                        ExactMatrix(k, m, b))
     # a signed permutation times a dense matrix: rows of the product are signed rows
     rng = random.Random(22)
     perm, signs = [2, 0, 3, 1], [1, -1, -1, 1]
@@ -184,8 +178,8 @@ def test_odd_components_in_one_factor_match_the_scalar_reference():
                 a[0::2] = [0] * (len(a) // 2)
                 a[1::2] = [rng.randint(-9, 9) for _ in range(len(a) // 2)]
             got = _kernels_py.matmul_num(a, b, n, k, m)
-            assert ExactMatrix(n, m, got) == scalar_reference(ExactMatrix(n, k, a),
-                                                              ExactMatrix(k, m, b))
+            assert over_q_zeta8(ExactMatrix(n, m, got)) == scalar_reference(ExactMatrix(n, k, a),
+                                                                            ExactMatrix(k, m, b))
 
 
 @pytest.mark.parametrize("bounds", [[], ["--max-m", "1", "--max-n", "8", "--max-r", "1",

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from sympdec import induced, lifting, suites
-from sympdec.errors import CaseMismatchError, EvenNError, HypothesisFailureError, NotCoprimeError
+from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
 from sympdec.induced import ZDependent, hom, is_isomorphism
 from sympdec.intmatrix import smith_normal_form
 from sympdec.lifting import (
@@ -14,7 +14,6 @@ from sympdec.lifting import (
     connectivity_j,
     decide_azumaya,
     decide_bundle,
-    example_obstruction,
     no_section_witness,
     postnikov_degree_check,
 )
@@ -175,7 +174,8 @@ def test_certificate_agrees_with_the_j_iso_suite(monkeypatch, verdict):
     monkeypatch.setattr(suites, "connectivity_j", lambda m, n: 7)
     monkeypatch.setattr(suites, "is_isomorphism", verdict)
     monkeypatch.setattr(lifting, "is_isomorphism", verdict)
-    suites.run_j_iso(suites.Bounds(), 1, 0, max_m=6, max_n=41)
+    # m <= 2*max_m = 6 and n <= 6*max_n = 42; run_j_iso does not apply the size guard
+    suites.run_j_iso(suites.Bounds(max_m=3, max_n=7, max_r=1), 1, 0)
     pairs = {(m, n) for m in range(1, 7) for n in range(1, 42, 2) if gcd(m, n) == 1}
     assert set(records) == {(m, n) for m, n in pairs if m > 1 and n > 7}
     first_failures = set()
@@ -229,7 +229,6 @@ def test_no_section_witness_high_n_case():
     assert ob.degree == 12
     assert str(ob.image) == "2Z"
     assert ob.case == KIND_HIGH_N
-    assert ob.image.is_proper()
 
 
 def test_no_section_witness_small_n_case():
@@ -312,28 +311,15 @@ def test_postnikov_degrees():
         assert postnikov_degree_check(1, n)["pass"]
 
 
-def test_example_obstruction_reports():
-    r = example_obstruction(KIND_HIGH_N, 2, 13)
-    assert r.verdict == "no-section" and r.dim == 12
-    assert r.obstruction is not None and str(r.obstruction.image) == "2Z"
-    r = example_obstruction(KIND_SMALL_N, 4, 3)
-    assert r.verdict == "no-section" and r.dim == 8
-    with pytest.raises(CaseMismatchError):
-        example_obstruction(KIND_HIGH_N, 2, 9)
-    with pytest.raises(CaseMismatchError):
-        example_obstruction("sphere_unknown", 2, 13)
-
-
 def test_decomposable_verdict_never_meets_an_applicable_obstruction():
     # the universal no-section witness lives above the dimension cap of the
     # decomposition rule, so both can hold for the same (m, n) but never
     # contradict each other on a space the rule covers
-    from sympdec.lifting import azumaya_hypotheses_hold
     for m in range(1, 21):
         for n in range(1, 21):
             if n % 2 == 0:
                 continue
-            covered = azumaya_hypotheses_hold(m, n, 7)
+            covered = decide_azumaya(m, n, 7).verdict == "decomposable"
             witness = no_section_witness(m, n)
             if covered and witness is not None:
                 assert witness.degree > 7, (m, n)

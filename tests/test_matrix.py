@@ -2,20 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import QQ
+from sympy import I as I_, QQ, exp, pi, sqrt
 
-from sympdec.cyclotomic import CycScalar
 from sympdec.errors import ShapeMismatchError
-from sympdec.matrix import ExactMatrix, block_diag, block_matrix, perm_matrix, place_blocks
+from sympdec.matrix import (ExactMatrix, block_diag, block_matrix, is_scaled_identity,
+                            place_blocks, transposed_num)
 
 from conftest import Q_ZETA8, over_q_zeta8
+from oracles import HALF_SQRT2, I, entry, from_rows, perm_matrix, product, scale, transpose
+
+SQRT2 = (0, 1, 0, -1)
 
 
 def rand_matrix(n, rng, span=5):
-    return ExactMatrix.from_rows(
-        [[Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(n)]
-         for _ in range(n)]
-    )
+    return from_rows([[Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(n)]
+                      for _ in range(n)])
 
 
 def test_kron_identities():
@@ -24,7 +25,7 @@ def test_kron_identities():
 
 def test_perm_matrix_transposition_is_involution():
     p = perm_matrix([1, 0])
-    assert (p @ p).is_identity()
+    assert p @ p == ExactMatrix.identity(2)
 
 
 def test_perm_matrix_rejects_non_permutation():
@@ -36,30 +37,34 @@ def test_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         ExactMatrix.identity(2) @ ExactMatrix.identity(3)
     with pytest.raises(ShapeMismatchError):
-        ExactMatrix.identity(2) + ExactMatrix.zeros(2, 3)
+        ExactMatrix(2, 3, [0] * 20)
 
 
 def test_transpose_involution_and_product_rule():
+    """transposed_num, which the membership predicates apply to numerators."""
     rng = random.Random(13)
-    a = rand_matrix(4, rng)
-    b = rand_matrix(4, rng)
-    assert a.transpose().transpose() == a
-    assert (a @ b).transpose() == b.transpose() @ a.transpose()
+    for rows, cols in ((4, 4), (2, 5), (0, 3), (3, 1)):
+        a = ExactMatrix(rows, cols, [rng.randint(-9, 9) for _ in range(4 * rows * cols)])
+        b = ExactMatrix(rows, cols, [rng.randint(-9, 9) for _ in range(4 * rows * cols)])
+        at, bt = (ExactMatrix(cols, rows, transposed_num(x.num, rows, cols)) for x in (a, b))
+        assert at == transpose(a) and transposed_num(at.num, cols, rows) == a.num
+        # (A^T B)^T = B^T A, all products of numerators
+        left = ExactMatrix(cols, cols, transposed_num((at @ b).num, cols, cols))
+        assert left == bt @ a
 
 
 def test_block_assembly():
     i2, i3 = ExactMatrix.identity(2), ExactMatrix.identity(3)
     m = block_matrix([[i2, ExactMatrix.zeros(2, 3)], [ExactMatrix.zeros(3, 2), i3]])
-    assert m.is_identity()
-    assert block_diag(i2, i3).is_identity()
+    assert m == ExactMatrix.identity(5)
+    assert block_diag(i2, i3) == ExactMatrix.identity(5)
     with pytest.raises(ShapeMismatchError):
         block_matrix([[i2, i3]])
 
 
 def entrywise(rows, cols, cells):
     """Reference assembly: cells maps (row, col) to an entry, all else is zero."""
-    return ExactMatrix.from_rows([[cells.get((i, j), 0) for j in range(cols)]
-                                  for i in range(rows)]) if rows else ExactMatrix.zeros(0, cols)
+    return from_rows([[cells.get((i, j), 0) for j in range(cols)] for i in range(rows)], cols)
 
 
 def rand_block(r, c, rng):
@@ -72,7 +77,7 @@ def test_block_assembly_matches_entrywise_reference():
         hs = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
         ws = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
         grid = [[rand_block(h, w, rng) for w in ws] for h in hs]
-        cells = {(sum(hs[:p]) + i, sum(ws[:q]) + j): b.entry(i, j)
+        cells = {(sum(hs[:p]) + i, sum(ws[:q]) + j): entry(b, i, j)
                  for p, row in enumerate(grid) for q, b in enumerate(row)
                  for i in range(b.rows) for j in range(b.cols)}
         assert block_matrix(grid) == entrywise(sum(hs), sum(ws), cells)
@@ -80,15 +85,15 @@ def test_block_assembly_matches_entrywise_reference():
                   for _ in range(rng.randint(0, 4))]
         cells, r0, c0 = {}, 0, 0
         for b in blocks:
-            cells.update({(r0 + i, c0 + j): b.entry(i, j)
+            cells.update({(r0 + i, c0 + j): entry(b, i, j)
                           for i in range(b.rows) for j in range(b.cols)})
             r0, c0 = r0 + b.rows, c0 + b.cols
         assert block_diag(*blocks) == entrywise(r0, c0, cells)
 
 
 def test_place_blocks_scatters_and_rejects_bad_indices():
-    b = ExactMatrix.from_rows([[1, Fraction(1, 2)], [CycScalar.i(), 3]])
-    cells = {(3, 0): 1, (3, 2): Fraction(1, 2), (1, 0): CycScalar.i(), (1, 2): 3}
+    b = from_rows([[1, Fraction(1, 2)], [I, 3]])
+    cells = {(3, 0): 1, (3, 2): Fraction(1, 2), (1, 0): I, (1, 2): 3}
     assert place_blocks(4, 3, [(b, [3, 1], [0, 2])]) == entrywise(4, 3, cells)
     with pytest.raises(ShapeMismatchError):
         place_blocks(4, 3, [(b, [3], [0, 2])])
@@ -98,27 +103,37 @@ def test_place_blocks_scatters_and_rejects_bad_indices():
 
 
 def test_entries_with_cyclotomic_values():
-    i = CycScalar.i()
-    s2 = CycScalar.sqrt2()
-    m = ExactMatrix.from_rows([[i, 0], [s2, Fraction(1, 2)]])
-    assert m.entry(0, 0) == i
-    assert m.entry(1, 1) == Fraction(1, 2)
-    # determinants from sympy over Q(z), where i = z^2
+    m = from_rows([[I, 0], [SQRT2, Fraction(1, 2)]])
+    assert (m.num, m.den) == ([0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, -2, 1, 0, 0, 0], 2)
+    # entries and determinants from sympy over Q(z), where i = z^2 and sqrt2 = z - z^3
+    z = Q_ZETA8.from_sympy(exp(I_ * pi / 4))
+    d = over_q_zeta8(m)
+    assert d[0, 0].element == z ** 2 and d[1, 0].element == z - z ** 3
+    assert d[1, 1].element == Q_ZETA8(QQ(1, 2))
     assert over_q_zeta8(m).det() == Q_ZETA8([QQ(1, 2), 0, 0])
-    assert over_q_zeta8(ExactMatrix.from_rows([[i, s2], [s2, -i]])).det() == -Q_ZETA8.one
+    minus_i = (0, 0, -1, 0)
+    assert over_q_zeta8(from_rows([[I, SQRT2], [SQRT2, minus_i]])).det() == -Q_ZETA8.one
+    # 1/sqrt2 = (z - z^3)/2
+    assert over_q_zeta8(from_rows([[HALF_SQRT2]]))[0, 0].element == Q_ZETA8.from_sympy(1 / sqrt(2))
 
 
 def test_common_denominator_is_canonical():
-    a = ExactMatrix.from_rows([[Fraction(1, 2), 1]])
-    b = ExactMatrix.from_rows([[Fraction(2, 4), Fraction(3, 3)]])
-    assert a == b and hash(a) == hash(b)
+    a = ExactMatrix(1, 2, [1, 0, 0, 0, 2, 0, 0, 0], 2)
+    b = ExactMatrix(1, 2, [2, 0, 0, 0, 4, 0, 0, 0], 4)
+    assert a == b and (a.num, a.den) == (b.num, b.den)
     assert a.den == 2
 
 
 def test_scale_and_negate():
-    m = ExactMatrix.identity(3)
-    assert m.scale(Fraction(1, 2)) + m.scale(Fraction(1, 2)) == m
-    assert -(-m) == m
+    """kron by a 1 x 1 matrix scales; unary minus negates and keeps the content."""
+    rng = random.Random(14)
+    for _ in range(10):
+        m = rand_mixed(rng.randint(0, 3), rng.randint(0, 3), rng)
+        for a in (Fraction(1, 2), I, SQRT2, (Fraction(1, 3), -2, 0, 5)):
+            assert from_rows([[a]]).kron(m) == scale(m, a) == m.kron(from_rows([[a]]))
+        assert -(-m) == m and -m == scale(m, -1)
+    half = from_rows([[Fraction(1, 2)]]).kron(ExactMatrix.identity(3))
+    assert half @ from_rows([[2]]).kron(ExactMatrix.identity(3)) == ExactMatrix.identity(3)
 
 
 def test_gather_reads_entries_and_inverts_place_blocks():
@@ -128,12 +143,12 @@ def test_gather_reads_entries_and_inverts_place_blocks():
         m = rand_block(rows, cols, rng)
         r_idx = [rng.randrange(rows) for _ in range(rng.randint(0, 6))]
         c_idx = [rng.randrange(cols) for _ in range(rng.randint(0, 6))]
-        cells = {(i, j): m.entry(r, c) for i, r in enumerate(r_idx) for j, c in enumerate(c_idx)}
+        cells = {(i, j): entry(m, r, c) for i, r in enumerate(r_idx) for j, c in enumerate(c_idx)}
         assert m.gather(r_idx, c_idx) == entrywise(len(r_idx), len(c_idx), cells)
         # distinct indices: placing the gathered block back agrees with m there
         r_set, c_set = sorted(set(r_idx)), sorted(set(c_idx))
         back = place_blocks(rows, cols, [(m.gather(r_set, c_set), r_set, c_set)])
-        assert all(back.entry(r, c) == m.entry(r, c) for r in r_set for c in c_set)
+        assert all(entry(back, r, c) == entry(m, r, c) for r in r_set for c in c_set)
 
 
 def test_gather_rejects_bad_indices():
@@ -152,8 +167,10 @@ def test_gather_reduces_content_and_transpose_and_negation_keep_it():
     rng = random.Random(13)
     for _ in range(20):
         m = rand_block(rng.randint(0, 4), rng.randint(0, 4), rng)
-        for out, num in ((m.transpose(), m.transpose().num), (-m, [-x for x in m.num])):
-            assert out == ExactMatrix(out.rows, out.cols, num, m.den)
+        t = transposed_num(m.num, m.rows, m.cols)
+        assert (transpose(m).num, transpose(m).den) == (t, m.den)
+        assert ((-m).num, (-m).den) == ([-x for x in m.num], m.den)
+        assert -m == ExactMatrix(m.rows, m.cols, [-x for x in m.num], m.den)
 
 
 def rand_mixed(r, c, rng):
@@ -172,26 +189,28 @@ def test_kron_and_transpose_match_entrywise_references():
     for _ in range(30):
         a = rand_mixed(rng.randint(0, 3), rng.randint(0, 3), rng)
         b = rand_mixed(rng.randint(0, 3), rng.randint(0, 3), rng)
-        cells = {(i * b.rows + k, j * b.cols + l): a.entry(i, j) * b.entry(k, l)
+        cells = {(i * b.rows + k, j * b.cols + l): product(entry(a, i, j), entry(b, k, l))
                  for i in range(a.rows) for j in range(a.cols)
                  for k in range(b.rows) for l in range(b.cols)}
         assert a.kron(b) == entrywise(a.rows * b.rows, a.cols * b.cols, cells)
-        assert a.transpose() == entrywise(a.cols, a.rows, {(j, i): a.entry(i, j)
-                                                           for i in range(a.rows)
-                                                           for j in range(a.cols)})
-    i = CycScalar.i()
-    z = ExactMatrix.from_rows([[0, 1], [i, 0]])
+        t = ExactMatrix(a.cols, a.rows, transposed_num(a.num, a.rows, a.cols), a.den)
+        assert t == entrywise(a.cols, a.rows, {(j, i): entry(a, i, j)
+                                               for i in range(a.rows) for j in range(a.cols)})
+    z = from_rows([[0, 1], [I, 0]])
     assert z.kron(ExactMatrix.identity(2)) == entrywise(
-        4, 4, {(0, 2): 1, (1, 3): 1, (2, 0): i, (3, 1): i})
+        4, 4, {(0, 2): 1, (1, 3): 1, (2, 0): I, (3, 1): I})
 
 
 def test_is_identity_compares_without_building_it():
-    assert ExactMatrix.identity(0).is_identity() and ExactMatrix.identity(4).is_identity()
-    i = CycScalar.i()
-    for rows in ([[1, 0], [0, 2]], [[1, 1], [0, 1]], [[1, 0], [0, i]], [[Fraction(1, 2), 0], [0, 1]],
-                 [[1, 0], [0, 0]], [[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0]]):
-        assert not ExactMatrix.from_rows(rows).is_identity()
-    assert ExactMatrix(2, 2, [3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0], 3).is_identity()
+    """is_scaled_identity(num, n, d): whether numerators num are d times I_n."""
+    for n in (0, 1, 4):
+        assert is_scaled_identity(ExactMatrix.identity(n).num, n, 1)
+        assert is_scaled_identity([3 * x for x in ExactMatrix.identity(n).num], n, 3)
+    for rows in ([[1, 0], [0, 2]], [[1, 1], [0, 1]], [[1, 0], [0, I]], [[2, 0], [0, 1]],
+                 [[1, 0], [0, 0]], [[0, 1], [1, 0]], [[1, (0, 1, 0, 0)], [0, 1]]):
+        assert not is_scaled_identity(from_rows(rows).num, 2, 1)
+    assert not is_scaled_identity(from_rows([[2, 0], [0, 2]]).num, 2, 1)
+    assert is_scaled_identity(from_rows([[2, 0], [0, 2]]).num, 2, 2)
 
 
 def test_content_is_reduced_against_the_denominator():

@@ -47,11 +47,13 @@ def test_reports_are_deterministic_per_seed():
 def test_failures_carry_replayable_inputs(monkeypatch):
     from sympdec import groups
 
+    from oracles import with_perturbed_entry
+
     real = groups.doubling
 
     def broken(a):
         # corrupt every doubled matrix so its membership check fails
-        return groups.with_perturbed_entry(real(a))
+        return with_perturbed_entry(real(a))
 
     monkeypatch.setattr(groups, "doubling", broken)
     rep = run_suite("closure", Bounds(1, 3, 1), 4, 7)[0]
