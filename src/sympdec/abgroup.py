@@ -4,20 +4,34 @@ Order 0 stands for Z and k >= 2 for Z/k; order 1 is rejected so every
 generator is honest.  The factor order is meaningful (homomorphism matrices
 are written on these generators), so equality is structural, not an
 isomorphism-class comparison.
+
+The public constructor accepts integers only (operator.index, so a float
+raises TypeError) and checks every order.  The private FgAbGroup._raw takes
+a tuple of orders already checked, for results that are valid whenever
+their inputs are, such as FgAbGroup.product.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 
 class FgAbGroup:
     __slots__ = ("factors",)
 
     def __init__(self, factors=()):
-        factors = tuple(int(f) for f in factors)
+        factors = tuple(map(index, factors))
         for f in factors:
             if f == 1 or f < 0:
                 raise ValueError(f"invalid cyclic order {f}; use 0 for Z or k >= 2 for Z/k")
         object.__setattr__(self, "factors", factors)
+
+    @classmethod
+    def _raw(cls, factors: tuple[int, ...]) -> "FgAbGroup":
+        """The group on factors, a tuple of ints each 0 or >= 2, taken unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "factors", factors)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FgAbGroup is immutable")
@@ -27,7 +41,7 @@ class FgAbGroup:
         factors: tuple[int, ...] = ()
         for g in groups:
             factors += g.factors
-        return cls(factors)
+        return cls._raw(factors)
 
     @property
     def ngens(self) -> int:

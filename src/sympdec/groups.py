@@ -43,12 +43,13 @@ Membership travels with the element.  random_sp and random_so return
 their draws marked as members (the private no-slot ExactMatrix subclasses
 _Sp and _O, with ExactMatrix's values and equality), and so does
 every construction: the direct sums, stabilizations, doubling and
-tensor_sp_o give _Sp, tensor_sp_sp gives _O.  A construction trusts a
-marked input; every other input goes through is_symplectic (both routes)
-or is_orthogonal, and a non-member raises NotInGroupError.  Arithmetic
-(@, unary -, kron, gather) returns plain ExactMatrix values, and the
-predicates never read the mark, so a check of a construction's output, as
-the verify suites make, always runs them in full.
+tensor_sp_o give _Sp, tensor_sp_sp gives _O.  So does unary minus: -A
+is in Sp or O exactly when A is, so -A keeps A's mark.  A construction
+trusts a marked input; every other input goes through is_symplectic (both
+routes) or is_orthogonal, and a non-member raises NotInGroupError.  The
+rest of the arithmetic (@, kron, gather) returns plain ExactMatrix values,
+and the predicates never read the mark, so a check of a construction's
+output, as the verify suites make, always runs them in full.
 """
 
 from __future__ import annotations

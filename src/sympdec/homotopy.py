@@ -5,14 +5,18 @@ table rule used.  Degrees outside a family's tabulated range come back as
 an explicit out-of-range marker, never as a guess; three unstable special
 orthogonal degrees are recorded as torsion-only markers because only that
 much is tabulated.
+
+Every group an answer names is the trivial group, Z or Z/2, built once and
+shared (FgAbGroup is immutable), except the cyclic group of the first
+unstable symplectic degree, built per query from its order.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
+from typing import NamedTuple
 
 from sympdec.abgroup import FgAbGroup
 
@@ -22,23 +26,24 @@ OUT_OF_RANGE = "out-of-range"
 
 FAMILIES = ("sp", "psp", "so", "o", "u", "gl")
 
-# stable tables, indexed by degree mod 8 (factor tuples for FgAbGroup)
-_SP_STABLE = {0: (), 1: (), 2: (), 3: (0,), 4: (2,), 5: (2,), 6: (), 7: (0,)}
-_SO_STABLE = {0: (2,), 1: (2,), 2: (), 3: (0,), 4: (), 5: (), 6: (), 7: (0,)}
+_TRIVIAL, _Z, _Z2 = FgAbGroup(()), FgAbGroup((0,)), FgAbGroup((2,))
+
+# stable tables, indexed by degree mod 8
+_SP_STABLE = {0: _TRIVIAL, 1: _TRIVIAL, 2: _TRIVIAL, 3: _Z, 4: _Z2, 5: _Z2, 6: _TRIVIAL, 7: _Z}
+_SO_STABLE = {0: _Z2, 1: _Z2, 2: _TRIVIAL, 3: _Z, 4: _TRIVIAL, 5: _TRIVIAL, 6: _TRIVIAL, 7: _Z}
 
 # unstable special orthogonal degrees recorded only as torsion
 _SO_TORSION_PAIRS = {(7, 3), (11, 5), (15, 7)}
 
 
-@dataclass(frozen=True)
-class TableAnswer:
+class TableAnswer(NamedTuple):
     kind: str                      # GROUP, TORSION_ONLY or OUT_OF_RANGE
     group: FgAbGroup | None
     provenance: str
 
     @classmethod
-    def of(cls, factors, provenance: str) -> "TableAnswer":
-        return cls(GROUP, FgAbGroup(factors), provenance)
+    def of(cls, group: FgAbGroup, provenance: str) -> "TableAnswer":
+        return cls(GROUP, group, provenance)
 
     @classmethod
     def torsion_only(cls, provenance: str) -> "TableAnswer":
@@ -65,9 +70,8 @@ def pi_sp(i: int, n: int) -> TableAnswer:
             f"symplectic stable table (8-periodic), i = {i} < 4n = {4 * n}",
         )
     if i in (4 * n, 4 * n + 1):
-        factors = (2,) if n % 2 else ()
         return TableAnswer.of(
-            factors,
+            _Z2 if n % 2 else _TRIVIAL,
             f"symplectic boundary degree {i}: Z/2 for odd n, trivial for even n (n = {n})",
         )
     if i == 4 * n + 2:
@@ -80,7 +84,7 @@ def pi_sp(i: int, n: int) -> TableAnswer:
                 f"n <= {largest} prints")
         order = factorial(2 * n + 1) * (2 if n % 2 else 1)
         return TableAnswer.of(
-            (order,),
+            FgAbGroup((order,)),
             f"first unstable symplectic degree 4n+2: cyclic of order (2n+1)!"
             f"{' doubled for odd n' if n % 2 else ''}",
         )
@@ -109,9 +113,9 @@ def pi_psp(i: int, n: int) -> TableAnswer:
     """Homotopy of the projective symplectic group (quotient by the center)."""
     _check(i, n)
     if i == 0:
-        return TableAnswer.of((), "projective symplectic group is connected")
+        return TableAnswer.of(_TRIVIAL, "projective symplectic group is connected")
     if i == 1:
-        return TableAnswer.of((2,), "fundamental group of the center quotient is Z/2")
+        return TableAnswer.of(_Z2, "fundamental group of the center quotient is Z/2")
     inner = pi_sp(i, n)
     if inner.kind != GROUP:
         return inner
@@ -122,7 +126,7 @@ def pi_so(i: int, n: int) -> TableAnswer:
     """Homotopy of the complex special orthogonal group."""
     _check(i, n)
     if i == 0:
-        return TableAnswer.of((), "special orthogonal group is connected")
+        return TableAnswer.of(_TRIVIAL, "special orthogonal group is connected")
     if 0 < i < n - 1:
         return TableAnswer.of(
             _SO_STABLE[i % 8],
@@ -141,7 +145,7 @@ def pi_o(i: int, n: int) -> TableAnswer:
     """Homotopy of the full complex orthogonal group (two components)."""
     _check(i, n)
     if i == 0:
-        return TableAnswer.of((2,), "orthogonal group has two components")
+        return TableAnswer.of(_Z2, "orthogonal group has two components")
     return pi_so(i, n)
 
 
@@ -153,10 +157,9 @@ def pi_u_gl(i: int, n: int) -> TableAnswer:
             f"degree {i} beyond tabulated unitary range 2n-1 = {2 * n - 1}"
         )
     if i == 0:
-        return TableAnswer.of((), "unitary group is connected")
-    factors = (0,) if i % 2 else ()
+        return TableAnswer.of(_TRIVIAL, "unitary group is connected")
     return TableAnswer.of(
-        factors, f"unitary stable table (2-periodic), i = {i} < 2n = {2 * n}"
+        _Z if i % 2 else _TRIVIAL, f"unitary stable table (2-periodic), i = {i} < 2n = {2 * n}"
     )
 
 
@@ -184,7 +187,7 @@ def pi_classifying(family: str, i: int, n: int) -> TableAnswer:
         raise ValueError("classifying-space degrees start at 1")
     if family == "psp" and i == 4 * n + 4:
         return TableAnswer.of(
-            (2,),
+            _Z2,
             "recorded constant: degree 4n+4 of the projective symplectic "
             "classifying space is Z/2 (one past the shifted boundary pair)",
         )

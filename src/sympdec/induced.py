@@ -3,9 +3,19 @@
 The formulas form one table, FORMULAS, keyed by CLI op; one builder,
 hom(op, i, **params), turns an entry into an AbHom: an integer matrix on
 the chosen generators of finitely generated abelian groups, with entries
-reduced modulo the target orders and the well-definedness invariant
-enforced at construction.  Formulas refuse degrees outside their validity
-windows instead of extrapolating; the windows are part of the mathematics.
+reduced modulo the target orders.  Formulas refuse degrees outside their
+validity windows instead of extrapolating; the windows are part of the
+mathematics.
+
+The AbHom constructor checks the shape and the well-definedness invariant
+(each generator of finite order a maps to an element that a kills), so
+every hom built by hom() or by a caller is checked.  The arithmetic on
+homs, compose, stack, identity_hom, zero_hom and diagonal_hom, builds its
+results through the private AbHom._trusted, which skips that scan: a
+composite or a pairing of well-defined maps is well defined, and so are
+the identity, zero and diagonal maps.  compose still reduces the product
+modulo the target orders, so a trusted result equals, field by field, the
+one the checked constructor builds from the same data.
 
 Generators are identified along the stabilization maps, so a formula's
 matrix is stated relative to that identification.  Trivial factors carry
@@ -47,28 +57,32 @@ class AbHom:
     valid_range: str = ""
 
     def __post_init__(self):
-        m = self.matrix
-        if m.rows != self.target.ngens or m.cols != self.source.ngens:
-            raise MalformedHomError(
-                f"matrix is {m.rows}x{m.cols}, need {self.target.ngens}x{self.source.ngens}"
-            )
-        data = list(m.data)
-        for r, order in enumerate(self.target.factors):
-            if order:
-                for c in range(m.cols):
-                    data[r * m.cols + c] %= order
-        object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, data))
-        for c, a in enumerate(self.source.factors):
-            if a == 0:
-                continue
-            for r, t in enumerate(self.target.factors):
-                e = self.matrix.entry(r, c)
-                bad = (a * e) % t if t else (a * e)
-                if bad:
-                    raise MalformedHomError(
-                        f"generator of order {a} maps to an element of infinite or "
-                        f"incompatible order (entry {e} at row {r})"
-                    )
+        m, src, tgt = self.matrix, self.source.factors, self.target.factors
+        cols = len(src)
+        if m.rows != len(tgt) or m.cols != cols:
+            raise MalformedHomError(f"matrix is {m.rows}x{m.cols}, need {len(tgt)}x{cols}")
+        data = _reduced(m.data, cols, tgt)
+        for c, a in enumerate(src):
+            if a:
+                for r, t in enumerate(tgt):
+                    e = data[r * cols + c]
+                    if (a * e) % t if t else e:
+                        raise MalformedHomError(
+                            f"generator of order {a} maps to an element of infinite or "
+                            f"incompatible order (entry {e} at row {r})"
+                        )
+        object.__setattr__(self, "matrix", IntMatrix._raw(m.rows, cols, data))
+
+    @classmethod
+    def _trusted(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix,
+                 source_names: tuple[str, ...] = (),
+                 target_names: tuple[str, ...] = ()) -> "AbHom":
+        """A hom well defined by construction, its matrix already reduced
+        modulo the target orders; the constructor's scan is skipped."""
+        h = object.__new__(cls)
+        vars(h).update(source=source, target=target, matrix=matrix, source_names=source_names,
+                       target_names=target_names, provenance="", valid_range="")
+        return h
 
     def to_json(self) -> dict:
         return {
@@ -98,37 +112,44 @@ class ZDependent:
         return ((0, self.z0), (1, self.z1))
 
 
+def _reduced(data: list[int], cols: int, orders: tuple[int, ...]) -> list[int]:
+    """A copy of the row-major data, each row reduced modulo its finite order."""
+    return [x % t if t else x for r, t in enumerate(orders) for x in data[r * cols:(r + 1) * cols]]
+
+
 def identity_hom(g: FgAbGroup) -> AbHom:
-    return AbHom(g, g, IntMatrix.identity(g.ngens))
+    return AbHom._trusted(g, g, IntMatrix.identity(g.ngens))
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> AbHom:
-    return AbHom(source, target, IntMatrix.zeros(target.ngens, source.ngens))
+    return AbHom._trusted(source, target, IntMatrix.zeros(target.ngens, source.ngens))
 
 
 def diagonal_hom(g: FgAbGroup) -> AbHom:
     """x -> (x, x) into the doubled group."""
-    ident = IntMatrix.identity(g.ngens).row_lists()
-    return AbHom(g, FgAbGroup.product(g, g), IntMatrix.from_rows(ident + ident))
+    n = g.ngens
+    ident = IntMatrix.identity(n).data
+    return AbHom._trusted(g, FgAbGroup.product(g, g), IntMatrix._raw(2 * n, n, ident + ident))
 
 
 def compose(outer: AbHom, inner: AbHom) -> AbHom:
     if inner.target != outer.source:
         raise MalformedHomError("composition chain mismatch")
-    return AbHom(inner.source, outer.target, outer.matrix @ inner.matrix,
-                 inner.source_names, outer.target_names)
+    m = outer.matrix @ inner.matrix
+    data = _reduced(m.data, m.cols, outer.target.factors)
+    return AbHom._trusted(inner.source, outer.target, IntMatrix._raw(m.rows, m.cols, data),
+                          inner.source_names, outer.target_names)
 
 
 def stack(top: AbHom, bottom: AbHom) -> AbHom:
     """Pair two homomorphisms with the same source: x -> (top(x), bottom(x))."""
     if top.source != bottom.source:
         raise MalformedHomError("stacked homomorphisms need a common source")
-    rows = top.matrix.row_lists() + bottom.matrix.row_lists()
-    return AbHom(
+    t, b = top.matrix, bottom.matrix
+    return AbHom._trusted(
         top.source,
         FgAbGroup.product(top.target, bottom.target),
-        IntMatrix(top.matrix.rows + bottom.matrix.rows, top.matrix.cols,
-                  [x for row in rows for x in row]),
+        IntMatrix._raw(t.rows + b.rows, t.cols, t.data + b.data),
         top.source_names,
         top.target_names + bottom.target_names,
     )
@@ -136,13 +157,13 @@ def stack(top: AbHom, bottom: AbHom) -> AbHom:
 
 def _presentation_matrix(h: AbHom) -> IntMatrix:
     """[matrix | target-order relation columns]."""
-    m = h.matrix
+    m, c = h.matrix, h.matrix.cols
     rel = [(r, order) for r, order in enumerate(h.target.factors) if order]
-    rows = []
-    for r in range(m.rows):
-        extra = [order if rr == r else 0 for rr, order in rel]
-        rows.append(m.row_lists()[r] + extra)
-    return IntMatrix(m.rows, m.cols + len(rel), [x for row in rows for x in row])
+    data = []
+    for r, row in enumerate(m.row_lists()):
+        data += row
+        data += [order if rr == r else 0 for rr, order in rel]
+    return IntMatrix._raw(m.rows, c + len(rel), data)
 
 
 def _verdicts(h: AbHom) -> tuple[bool, bool]:
@@ -227,7 +248,9 @@ class Formula(NamedTuple):
     the size in lookup errors.  A window clause is (bound text, exclusive
     upper limit of i, or None where the clause does not apply at i).
     rule(i, p) returns one coefficient row per target part, one coefficient
-    per source part, and the provenance text.
+    per source part, and the provenance text.  required, filled in once
+    from params below FORMULAS, names the params hom needs: u, v default to
+    the Bezout witness and z to both candidates.
 
     From degree period_from on, every part the entry reads lies in its
     family's stable range, where the table depends only on i mod 8 (Bott,
@@ -248,11 +271,7 @@ class Formula(NamedTuple):
     z_degree: int | None = None             # the degree whose map depends on z
     label: Callable = lambda i: f"pi_{i}"   # generator-name prefix at degree i
     period_from: int = 0                    # maps at i and i + 8 agree from here on
-
-    @property
-    def required(self) -> tuple[str, ...]:
-        """u, v default to the Bezout witness and z to both candidates."""
-        return tuple(q for q in self.params if q not in ("u", "v", "z"))
+    required: tuple[str, ...] = ()
 
 
 def _holds(text, cond):
@@ -362,6 +381,8 @@ FORMULAS = {
         shift=1, z_degree=2, label=lambda i: "pi_2 B" if i == 2 else f"pi_{i - 1}",
         period_from=3),
 }
+FORMULAS = {op: f._replace(required=tuple(q for q in f.params if q not in ("u", "v", "z")))
+            for op, f in FORMULAS.items()}
 
 
 def _part(family: str, size: str, degree: int, label: str, p):

@@ -4,9 +4,17 @@ smith_normal_form(M) returns (D, U, V) with U*M*V = D, U and V unimodular,
 D diagonal with d1 | d2 | ... and every diagonal entry nonnegative.  Pivots
 are always the entry of smallest nonzero absolute value in the remaining
 block, scanned row-major, which keeps the reduction deterministic.
+
+The public constructor accepts integers only (operator.index, so a float
+raises TypeError) and checks the shape.  The private IntMatrix._raw takes a
+row-major list of ints of the right length unchecked, for results that are
+valid whenever their inputs are: products, the identity and zero matrices,
+and the D, U and V of smith_normal_form.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from sympdec.errors import ShapeMismatchError
 
@@ -15,12 +23,22 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = [int(x) for x in entries]
+        rows, cols = index(rows), index(cols)
+        if rows < 0 or cols < 0:
+            raise ShapeMismatchError("negative dimensions")
+        entries = list(map(index, entries))
         if len(entries) != rows * cols:
             raise ShapeMismatchError(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows
         self.cols = cols
         self.data = entries
+
+    @classmethod
+    def _raw(cls, rows: int, cols: int, data: list[int]) -> "IntMatrix":
+        """The rows x cols matrix on data, a row-major list of rows * cols ints, taken unchecked."""
+        self = object.__new__(cls)
+        self.rows, self.cols, self.data = rows, cols, data
+        return self
 
     @classmethod
     def from_rows(cls, grid) -> "IntMatrix":
@@ -33,14 +51,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        data = [0] * (n * n)
+        data[::n + 1] = [1] * n
+        return cls._raw(n, n, data)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i * self.cols + j]
+        return cls._raw(rows, cols, [0] * (rows * cols))
 
     def row_lists(self) -> list[list[int]]:
         c = self.cols
@@ -51,18 +68,16 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeMismatchError("multiplication shape mismatch")
-        a, b = self.row_lists(), other.row_lists()
+        c = other.cols
+        b = other.row_lists()
         out = []
-        for i in range(self.rows):
-            ai = a[i]
-            row = [0] * other.cols
-            for t, x in enumerate(ai):
+        for ai in self.row_lists():
+            row = [0] * c
+            for x, bt in zip(ai, b):
                 if x:
-                    bt = b[t]
-                    for j in range(other.cols):
-                        row[j] += x * bt[j]
-            out.append(row)
-        return IntMatrix.from_rows(out) if out else IntMatrix.zeros(0, other.cols)
+                    row = [y + x * z for y, z in zip(row, bt)]
+            out += row
+        return IntMatrix._raw(self.rows, c, out)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -73,15 +88,15 @@ class IntMatrix:
         return hash((self.rows, self.cols, tuple(self.data)))
 
     def diagonal(self) -> list[int]:
-        return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
+        return self.data[::self.cols + 1][:min(self.rows, self.cols)]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize m by unimodular row/column operations: U @ m @ V = D."""
     r, c = m.rows, m.cols
     a = m.row_lists()
-    u = IntMatrix.identity(r).row_lists()
-    v = IntMatrix.identity(c).row_lists()
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def row_sub(i, k, q):
         # row i -= q * row k
@@ -167,8 +182,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
 
-    mk = lambda g, rr, cc: IntMatrix(rr, cc, [x for row in g for x in row])
-    return mk(a, r, c), mk(u, r, r), mk(v, c, c)
+    flat = lambda g: [x for row in g for x in row]
+    return (IntMatrix._raw(r, c, flat(a)), IntMatrix._raw(r, r, flat(u)),
+            IntMatrix._raw(c, c, flat(v)))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

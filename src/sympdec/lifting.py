@@ -188,9 +188,10 @@ def _certify_pairing(w: BezoutWitness) -> int:
         h = hom("J", i, m=m, n=n, u=w.u, v=w.v)
         for z, hz in h.candidates if isinstance(h, ZDependent) else ((None, h),):
             key = (hz.source, hz.target, hz.matrix)
-            if key not in verdicts:
-                verdicts[key] = is_isomorphism(hz)
-            if not verdicts[key]:
+            iso = verdicts.get(key)
+            if iso is None:
+                iso = verdicts[key] = is_isomorphism(hz)
+            if not iso:
                 at = f"degree {i}" if z is None else f"degree {i} (z = {z})"
                 raise HypothesisFailureError(
                     f"pairing map fails to be an isomorphism at {at}"

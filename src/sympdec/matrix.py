@@ -81,7 +81,8 @@ class ExactMatrix:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
-        return ExactMatrix._raw(self.rows, self.cols, [-x for x in self.num], self.den)
+        # type(self): -A lies in Sp or O exactly when A does, so a membership mark stays
+        return type(self)._raw(self.rows, self.cols, [-x for x in self.num], self.den)
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):

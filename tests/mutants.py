@@ -165,6 +165,36 @@ MUTANTS = [
            "injective = all((0 if order else vr[r][j]) == 0",
            ("tests/test_induced.py::test_isomorphism_agrees_with_its_two_halves",
             "tests/test_induced.py::test_zero_dimensional_homs")),
+    Mutant("the CLI lets ValueError through as a traceback",
+           "src/sympdec/cli.py",
+           "    except ValueError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n"
+           "        return 2\n",
+           "",
+           ("tests/test_cli.py::test_out_of_domain_sizes_exit_two",
+            "tests/test_cli.py::test_no_cli_input_produces_a_traceback",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("interleaved sums swap the halves of each block's index list",
+           "src/sympdec/groups.py",
+           "idx = [*range(o, o + k), *range(total + o, total + o + k)]",
+           "idx = [*range(total + o, total + o + k), *range(o, o + k)]",
+           ("tests/test_groups.py::test_interleaved_sums_match_the_conjugated_block_diagonal",)),
+    Mutant("place_blocks drops its lower range checks",
+           "src/sympdec/matrix.py",
+           "if any(not 0 <= r < rows for r in row_idx) or any(not 0 <= c < cols for c in col_idx):",
+           "if any(not r < rows for r in row_idx) or any(not c < cols for c in col_idx):",
+           ("tests/test_matrix.py::test_place_blocks_scatters_and_rejects_bad_indices",)),
+    Mutant("trusted compose skips the reduction modulo the target orders",
+           "src/sympdec/induced.py",
+           "data = _reduced(m.data, m.cols, outer.target.factors)",
+           "data = m.data",
+           ("tests/test_induced.py::test_compose_and_stack",
+            "tests/test_induced.py::test_trusted_results_equal_the_checked_constructors")),
+    Mutant("the AbHom constructor skips its well-definedness scan",
+           "src/sympdec/induced.py",
+           "        for c, a in enumerate(src):\n            if a:",
+           "        for c, a in enumerate(()):\n            if a:",
+           ("tests/test_induced.py::test_well_definedness_enforced",
+            "tests/test_induced.py::test_well_definedness_property")),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+?)(?:\[[^\]]*\])?(?: - |$)", re.M)

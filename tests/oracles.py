@@ -120,7 +120,7 @@ def change_of_basis_p(m: int, n: int) -> ExactMatrix:
 # -- integer matrices and abelian groups ----------------------------------------
 
 def is_diagonal(m: IntMatrix) -> bool:
-    return all(m.entry(i, j) == 0 for i in range(m.rows) for j in range(m.cols) if i != j)
+    return all(x == 0 for i, row in enumerate(m.row_lists()) for j, x in enumerate(row) if i != j)
 
 
 def canonical(g: FgAbGroup) -> FgAbGroup:

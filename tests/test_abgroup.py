@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from sympdec.abgroup import FgAbGroup
+from sympdec.induced import AbHom
+from sympdec.intmatrix import IntMatrix
 
 from oracles import canonical, isomorphic
 
@@ -10,6 +14,19 @@ def test_rejects_order_one_and_negatives():
         FgAbGroup((1,))
     with pytest.raises(ValueError):
         FgAbGroup((-2,))
+
+
+def test_rejects_non_integer_orders():
+    for bad in (2.5, 2.0, Fraction(4, 1), "2"):
+        with pytest.raises(TypeError):
+            FgAbGroup((0, bad))
+    assert FgAbGroup((True * 2, 0)).factors == (2, 0)
+
+
+def test_homs_into_non_integer_orders_are_refused():
+    # 2.7 used to truncate to Z/2, so this hom mapped into Z/2
+    with pytest.raises(TypeError):
+        AbHom(FgAbGroup((0,)), FgAbGroup((2.7,)), IntMatrix(1, 1, [1]))
 
 
 def test_canonical_invariant_factors():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import sqrt
 from sympy.polys.matrices import DomainMatrix
 
-from sympdec import groups
+from sympdec import groups, suites
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
 from sympdec.groups import (
     _random_symmetric,
@@ -545,11 +545,37 @@ def test_arithmetic_results_are_unmarked():
     assert type(a) is groups._Sp and type(o) is groups._O
     assert type(tensor_sp_sp(a, b)) is groups._O and type(tensor_sp_o(a, o)) is groups._Sp
     for x in (a, o, tensor_sp_sp(a, b), direct_sum_sp(a, b)):
-        for y in (x @ x, -x, x.kron(x), x.kron(o), x.gather(range(x.rows), range(x.cols))):
+        for y in (x @ x, x.kron(x), x.kron(o), x.gather(range(x.rows), range(x.cols))):
             assert type(y) is ExactMatrix
         # the mark does not change equality
         plain = ExactMatrix(x.rows, x.cols, x.num, x.den)
         assert plain == x and x == plain
+
+
+def test_negation_keeps_the_mark(monkeypatch):
+    a, o = random_sp(2, seed="neg:a"), random_so(3, seed="neg:o")
+    plain = ExactMatrix(a.rows, a.cols, a.num, a.den)
+    assert type(-a) is groups._Sp and type(-o) is groups._O and type(-plain) is ExactMatrix
+    assert -(-a) == a and is_symplectic(-a) and is_orthogonal(-o)
+    with monkeypatch.context() as patched:
+        calls = _count_predicates(patched)
+        # the center suite's tensor_sp_o(-a, b) takes -a on trust
+        assert tensor_sp_o(-a, o) == -tensor_sp_o(a, o)
+        assert calls == []
+
+
+def test_closure_suite_runs_both_routes_on_every_output(monkeypatch):
+    seen = {name: [] for name in ("is_symplectic_gram", "is_symplectic_blocks", "is_orthogonal")}
+    for name, log in seen.items():
+        real = getattr(groups, name)
+        monkeypatch.setattr(groups, name, lambda m, real=real, log=log: log.append(m) or real(m))
+    samples = 3
+    rep = suites.run_closure(suites.Bounds(), samples, seed=11)
+    assert rep.ok and rep.cases == 6 * samples
+    # each sample checks five symplectic outputs by both routes and one orthogonal output
+    gram, blocks = seen["is_symplectic_gram"], seen["is_symplectic_blocks"]
+    assert len(gram) == 5 * samples and [id(m) for m in gram] == [id(m) for m in blocks]
+    assert len(seen["is_orthogonal"]) == samples
 
 
 def test_predicates_do_not_read_the_mark():

@@ -156,7 +156,7 @@ def test_certificate_reports_a_rejected_map_at_its_degree(monkeypatch, i, z):
 def _reject_some(h):
     """A stand-in verdict that fails the Z/2 map at degree 5, and the free map
     at degree 4 when 3 divides n."""
-    if h.source.factors == (2,) or (h.source.factors == (0, 0) and h.matrix.entry(0, 0) % 3 == 0):
+    if h.source.factors == (2,) or (h.source.factors == (0, 0) and h.matrix.row_lists()[0][0] % 3 == 0):
         return False
     return is_isomorphism(h)
 

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
+from sympdec.errors import ShapeMismatchError
 from sympdec.induced import _presentation_matrix
 from sympdec.intmatrix import IntMatrix, smith_normal_form, xgcd
 
@@ -30,6 +33,20 @@ def check_snf(m: IntMatrix):
             assert b == 0
     assert unimodular(u) and unimodular(v)
     return d
+
+
+def test_rejects_non_integer_entries_and_shapes():
+    for bad in (2.9, 2.0, Fraction(6, 2)):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, [bad])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, bad]])
+    with pytest.raises(TypeError):
+        IntMatrix(1.0, 1, [2])
+    with pytest.raises(ShapeMismatchError):
+        IntMatrix(-1, -1, [0])
+    m = IntMatrix(1, 2, [True, 3])
+    assert m.data == [1, 3] and type(m.data[0]) is int
 
 
 def test_frozen_example_2x2():
