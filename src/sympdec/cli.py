@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_induced(args) -> dict:
     op = args.op
     formula = induced.FORMULAS[op]
-    missing = [f"--{q}" for q in formula.required if getattr(args, q) is None]
+    missing = [f"--{q}" for q in induced.REQUIRED[op] if getattr(args, q) is None]
     if missing:
         raise SympdecError(f"missing required flags: {', '.join(missing)}")
     h = induced.hom(op, args.i, **{q: getattr(args, q) for q in formula.params})

@@ -7,15 +7,11 @@ reduced modulo the target orders.  Formulas refuse degrees outside their
 validity windows instead of extrapolating; the windows are part of the
 mathematics.
 
-The AbHom constructor checks the shape and the well-definedness invariant
-(each generator of finite order a maps to an element that a kills), so
-every hom built by hom() or by a caller is checked.  The arithmetic on
-homs, compose, stack, identity_hom, zero_hom and diagonal_hom, builds its
-results through the private AbHom._trusted, which skips that scan: a
-composite or a pairing of well-defined maps is well defined, and so are
-the identity, zero and diagonal maps.  compose still reduces the product
-modulo the target orders, so a trusted result equals, field by field, the
-one the checked constructor builds from the same data.
+The AbHom constructor reduces the entries modulo the target orders and
+checks the shape and the well-definedness invariant (each generator of
+finite order a maps to an element that a kills) in one pass.  Every AbHom
+goes through it: those hom() builds, those a caller builds, and the
+results of compose, stack, identity_hom, zero_hom and diagonal_hom.
 
 Generators are identified along the stabilization maps, so a formula's
 matrix is stated relative to that identification.  Trivial factors carry
@@ -61,7 +57,9 @@ class AbHom:
         cols = len(src)
         if m.rows != len(tgt) or m.cols != cols:
             raise MalformedHomError(f"matrix is {m.rows}x{m.cols}, need {len(tgt)}x{cols}")
-        data = _reduced(m.data, cols, tgt)
+        # each row reduced modulo its finite target order
+        data = [x % t if t else x
+                for r, t in enumerate(tgt) for x in m.data[r * cols:(r + 1) * cols]]
         for c, a in enumerate(src):
             if a:
                 for r, t in enumerate(tgt):
@@ -72,17 +70,6 @@ class AbHom:
                             f"incompatible order (entry {e} at row {r})"
                         )
         object.__setattr__(self, "matrix", IntMatrix._raw(m.rows, cols, data))
-
-    @classmethod
-    def _trusted(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix,
-                 source_names: tuple[str, ...] = (),
-                 target_names: tuple[str, ...] = ()) -> "AbHom":
-        """A hom well defined by construction, its matrix already reduced
-        modulo the target orders; the constructor's scan is skipped."""
-        h = object.__new__(cls)
-        vars(h).update(source=source, target=target, matrix=matrix, source_names=source_names,
-                       target_names=target_names, provenance="", valid_range="")
-        return h
 
     def to_json(self) -> dict:
         return {
@@ -112,33 +99,26 @@ class ZDependent:
         return ((0, self.z0), (1, self.z1))
 
 
-def _reduced(data: list[int], cols: int, orders: tuple[int, ...]) -> list[int]:
-    """A copy of the row-major data, each row reduced modulo its finite order."""
-    return [x % t if t else x for r, t in enumerate(orders) for x in data[r * cols:(r + 1) * cols]]
-
-
 def identity_hom(g: FgAbGroup) -> AbHom:
-    return AbHom._trusted(g, g, IntMatrix.identity(g.ngens))
+    return AbHom(g, g, IntMatrix.identity(g.ngens))
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> AbHom:
-    return AbHom._trusted(source, target, IntMatrix.zeros(target.ngens, source.ngens))
+    return AbHom(source, target, IntMatrix.zeros(target.ngens, source.ngens))
 
 
 def diagonal_hom(g: FgAbGroup) -> AbHom:
     """x -> (x, x) into the doubled group."""
     n = g.ngens
     ident = IntMatrix.identity(n).data
-    return AbHom._trusted(g, FgAbGroup.product(g, g), IntMatrix._raw(2 * n, n, ident + ident))
+    return AbHom(g, FgAbGroup.product(g, g), IntMatrix._raw(2 * n, n, ident + ident))
 
 
 def compose(outer: AbHom, inner: AbHom) -> AbHom:
     if inner.target != outer.source:
         raise MalformedHomError("composition chain mismatch")
-    m = outer.matrix @ inner.matrix
-    data = _reduced(m.data, m.cols, outer.target.factors)
-    return AbHom._trusted(inner.source, outer.target, IntMatrix._raw(m.rows, m.cols, data),
-                          inner.source_names, outer.target_names)
+    return AbHom(inner.source, outer.target, outer.matrix @ inner.matrix,
+                 inner.source_names, outer.target_names)
 
 
 def stack(top: AbHom, bottom: AbHom) -> AbHom:
@@ -146,7 +126,7 @@ def stack(top: AbHom, bottom: AbHom) -> AbHom:
     if top.source != bottom.source:
         raise MalformedHomError("stacked homomorphisms need a common source")
     t, b = top.matrix, bottom.matrix
-    return AbHom._trusted(
+    return AbHom(
         top.source,
         FgAbGroup.product(top.target, bottom.target),
         IntMatrix._raw(t.rows + b.rows, t.cols, t.data + b.data),
@@ -248,9 +228,7 @@ class Formula(NamedTuple):
     the size in lookup errors.  A window clause is (bound text, exclusive
     upper limit of i, or None where the clause does not apply at i).
     rule(i, p) returns one coefficient row per target part, one coefficient
-    per source part, and the provenance text.  required, filled in once
-    from params below FORMULAS, names the params hom needs: u, v default to
-    the Bezout witness and z to both candidates.
+    per source part, and the provenance text.
 
     From degree period_from on, every part the entry reads lies in its
     family's stable range, where the table depends only on i mod 8 (Bott,
@@ -271,7 +249,6 @@ class Formula(NamedTuple):
     z_degree: int | None = None             # the degree whose map depends on z
     label: Callable = lambda i: f"pi_{i}"   # generator-name prefix at degree i
     period_from: int = 0                    # maps at i and i + 8 agree from here on
-    required: tuple[str, ...] = ()
 
 
 def _holds(text, cond):
@@ -381,7 +358,8 @@ FORMULAS = {
         shift=1, z_degree=2, label=lambda i: "pi_2 B" if i == 2 else f"pi_{i - 1}",
         period_from=3),
 }
-FORMULAS = {op: f._replace(required=tuple(q for q in f.params if q not in ("u", "v", "z")))
+# the params hom needs, per op: u, v default to the Bezout witness and z to both candidates
+REQUIRED = {op: tuple(q for q in f.params if q not in ("u", "v", "z"))
             for op, f in FORMULAS.items()}
 
 
@@ -405,7 +383,7 @@ def hom(op: str, i: int, **params):
     ZDependent holding both candidates, and otherwise an AbHom.
     """
     f = FORMULAS[op]
-    if params.keys() - f.params or any(q not in params for q in f.required):
+    if params.keys() - f.params or any(q not in params for q in REQUIRED[op]):
         raise TypeError(f"{op} takes {', '.join(f.params)}; got {', '.join(params) or 'none'}")
     p = SimpleNamespace(**params)
     if "u" in f.params and (params.get("u") is None or params.get("v") is None):

@@ -183,12 +183,6 @@ MUTANTS = [
            "if any(not 0 <= r < rows for r in row_idx) or any(not 0 <= c < cols for c in col_idx):",
            "if any(not r < rows for r in row_idx) or any(not c < cols for c in col_idx):",
            ("tests/test_matrix.py::test_place_blocks_scatters_and_rejects_bad_indices",)),
-    Mutant("trusted compose skips the reduction modulo the target orders",
-           "src/sympdec/induced.py",
-           "data = _reduced(m.data, m.cols, outer.target.factors)",
-           "data = m.data",
-           ("tests/test_induced.py::test_compose_and_stack",
-            "tests/test_induced.py::test_trusted_results_equal_the_checked_constructors")),
     Mutant("the AbHom constructor skips its well-definedness scan",
            "src/sympdec/induced.py",
            "        for c, a in enumerate(src):\n            if a:",

@@ -1,6 +1,4 @@
-from dataclasses import fields as dataclass_fields
 from itertools import product
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,63 +166,6 @@ def test_compose_and_stack():
     assert paired.matrix.row_lists() == [[2], [3]]
     d = diagonal_hom(Z2)
     assert d.matrix.row_lists() == [[1], [1]]
-
-
-_ORDERS = st.lists(st.sampled_from([0, 2, 3, 4, 6, 12]), max_size=3)
-
-
-@st.composite
-def well_defined_homs(draw, src, tgt, tag):
-    """A hom src -> tgt through the checked constructor, from unreduced entries:
-    a generator of order a goes to multiples of t / gcd(a, t) in Z/t, to 0 in Z."""
-    def entry(a, t):
-        if not a:
-            return draw(st.integers(-40, 40))
-        return draw(st.integers(-5, 5)) * (t // gcd(a, t)) if t else 0
-    rows = [[entry(a, t) for a in src] for t in tgt]
-    return AbHom(FgAbGroup(src), FgAbGroup(tgt), IntMatrix(len(tgt), len(src), sum(rows, [])),
-                 tuple(f"{tag}s{c}" for c in range(len(src))),
-                 tuple(f"{tag}t{r}" for r in range(len(tgt))))
-
-
-def assert_same(trusted, checked):
-    """Equal field by field, the trusted matrix a list of ints like the checked one."""
-    assert [getattr(trusted, f.name) for f in dataclass_fields(AbHom)] == \
-        [getattr(checked, f.name) for f in dataclass_fields(AbHom)]
-    assert type(trusted.matrix.data) is list
-    assert all(type(x) is int for x in trusted.matrix.data)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_ORDERS, _ORDERS, _ORDERS, st.data())
-def test_trusted_results_equal_the_checked_constructors(a, b, c, data):
-    inner = data.draw(well_defined_homs(a, b, "i"))
-    outer = data.draw(well_defined_homs(b, c, "o"))
-    beside = data.draw(well_defined_homs(a, c, "b"))
-    ga, gb, gc = inner.source, inner.target, outer.target
-
-    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inner.matrix.row_lists())]
-               if inner.matrix.rows else [0] * len(a) for row in outer.matrix.row_lists()]
-    checked = AbHom(ga, gc, IntMatrix(len(c), len(a), sum(product, [])),
-                    inner.source_names, outer.target_names)
-    assert_same(compose(outer, inner), checked)
-
-    rows = inner.matrix.row_lists() + beside.matrix.row_lists()
-    checked = AbHom(ga, FgAbGroup(b + c), IntMatrix(len(b) + len(c), len(a), sum(rows, [])),
-                    inner.source_names, inner.target_names + beside.target_names)
-    assert_same(stack(inner, beside), checked)
-
-    ident = [[int(r == s) for s in range(len(a))] for r in range(len(a))]
-    for trusted, checked in (
-            (identity_hom(ga), AbHom(ga, ga, IntMatrix(len(a), len(a), sum(ident, [])))),
-            (zero_hom(ga, gb), AbHom(ga, gb, IntMatrix(len(b), len(a), [0] * (len(a) * len(b))))),
-            (diagonal_hom(ga), AbHom(ga, FgAbGroup(a + a),
-                                     IntMatrix(2 * len(a), len(a), sum(ident + ident, []))))):
-        assert_same(trusted, checked)
-
-    g = FgAbGroup.product(ga, gb, gc)
-    assert g == FgAbGroup(a + b + c) and hash(g) == hash(FgAbGroup(a + b + c))
-    assert type(g.factors) is tuple and all(type(x) is int for x in g.factors)
 
 
 # -- formula emitters ----------------------------------------------------------
