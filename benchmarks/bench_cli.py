@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Time the CLI's fixed cost per command: parsing argv and writing the JSON.
+
+Usage: PYTHONPATH=src python benchmarks/bench_cli.py [--per-kind 50] [--reps 5] [--seed 0]
+
+Builds a fixed, seeded list of argvs in the shape of the `queries` mix of
+bench_e2e (pi, induced, bezout, decide azumaya and bundle, connectivity,
+postnikov) and prints, per command kind, microseconds per call, best of
+--reps passes over the kind's argvs:
+- parse: the full two-level parser, ``build_parser().parse_args(argv)``,
+  against the parse ``main`` does, which hands argv[1:] to the command's
+  own parser;
+- emit: ``json.dumps(body, sort_keys=True, indent=2)``, which runs json's
+  pure-Python encoder because of the indent, against the CLI's writer, on
+  the body each argv prints.
+Before timing, it checks that both parses give the same namespace and both
+writers the same text.  Neither part multiplies a matrix, so the timings do
+not depend on the kernel backend.
+"""
+
+import argparse
+import contextlib
+import functools
+import io
+import json
+import random
+import time
+
+from sympdec import cli
+
+
+def _argvs(rng: random.Random, per_kind: int) -> dict[str, list[list[str]]]:
+    def coprime_odd(m, lo, hi):
+        while True:
+            n = rng.randrange(lo | 1, hi, 2)
+            if all(n % p for p in range(2, m + 1) if m % p == 0):
+                return n
+
+    def pi():
+        family = rng.choice(("sp", "psp", "so", "o", "u", "gl"))
+        n = rng.randint(1, 200)
+        return ["--family", family, "--n", n, "--i", rng.randint(0, 2 * n)]
+
+    def induced():
+        op = rng.choice(("direct-sum", "doubling", "tensor-sp-o", "ttilde", "J"))
+        m = rng.randint(2, 40)
+        n = coprime_odd(m, 4 * m + 5, 4 * m + 99)
+        flags = ["--n", n] if op == "doubling" else ["--m", m, "--n", n]
+        return [op, "--i", rng.randint(1, 4 * m + 2), *flags]
+
+    def sizes():
+        m = rng.randint(2, 40)
+        return ["--m", m, "--n", coprime_odd(m, 9, 4 * m + 41)]
+
+    kinds = {
+        "pi": lambda: ["pi", *pi()],
+        "induced": lambda: ["induced", *induced()],
+        "bezout": lambda: ["bezout", *sizes()],
+        "decide": lambda: ["decide", rng.choice(("azumaya", "bundle")), *sizes(),
+                           "--dim", rng.randint(0, 7)],
+        "connectivity": lambda: ["connectivity", *sizes()],
+        "postnikov": lambda: ["postnikov", "--n", rng.randrange(3, 400, 2),
+                              "--m", rng.randint(1, 20)],
+    }
+    return {kind: [[str(w) for w in make()] for _ in range(per_kind)]
+            for kind, make in kinds.items()}
+
+
+def _body(argv):
+    """The JSON body the command prints for argv, or None when it prints none."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+    return json.loads(out.getvalue()) if out.getvalue() else None
+
+
+def _best_us(fn, inputs, reps: int) -> float:
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        for x in inputs:
+            fn(x)
+        best = min(best, time.perf_counter() - start)
+    return best / len(inputs) * 1e6
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--per-kind", type=int, default=50)
+    ap.add_argument("--reps", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    full = cli.build_parser()
+    dumps = functools.partial(json.dumps, sort_keys=True, indent=2)
+
+    print(f"{'kind':<13}{'argvs':>6}{'full parse':>12}{'own parse':>11}"
+          f"{'json.dumps':>12}{'writer':>9}   (us per call, best of {args.reps})")
+    for kind, argvs in _argvs(random.Random(args.seed), args.per_kind).items():
+        for argv in argvs:
+            if cli._parse_args(argv) != full.parse_args(argv):
+                raise SystemExit(f"the parses differ on {argv}")
+        bodies = [b for b in map(_body, argvs) if b is not None]
+        for body in bodies:
+            if cli._json_text(body) != dumps(body):
+                raise SystemExit(f"the writers differ on the body of a {kind} command")
+        row = (_best_us(full.parse_args, argvs, args.reps),
+               _best_us(cli._parse_args, argvs, args.reps),
+               _best_us(dumps, bodies, args.reps),
+               _best_us(cli._json_text, bodies, args.reps))
+        print(f"{kind:<13}{len(argvs):>6}{row[0]:>12.1f}{row[1]:>11.1f}"
+              f"{row[2]:>12.1f}{row[3]:>9.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,17 +2,19 @@
 decisions, witnesses, and the batch verification suites.
 
 JSON goes to stdout (sorted keys, so equal inputs give byte-identical
-output); pass --output human for readable text.  Exit codes: 0 success,
-1 verification or hypothesis failure, 2 usage error.
+output); pass --output human for readable text.  The JSON text is exactly
+``json.dumps(body, sort_keys=True, indent=2)``, written by ``_json_text``
+without json's pure-Python indenting encoder; no command emits a float.
+Exit codes: 0 success, 1 verification or hypothesis failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from sympdec import __version__, homotopy, induced, lifting, suites
 from sympdec.errors import HypothesisFailureError, SympdecError
@@ -30,7 +32,7 @@ def _default_seed() -> int:
 def _emit(obj: dict, output: str) -> None:
     try:
         if output == "json":
-            print(json.dumps(obj, sort_keys=True, indent=2))
+            print(_json_text(obj))
         else:
             for line in _human_lines(obj):
                 print(line)
@@ -40,6 +42,37 @@ def _emit(obj: dict, output: str) -> None:
         # the output, and the flush at exit, to devnull so that no traceback
         # follows, as the SIGPIPE note of the signal module's docs suggests
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for the str keys, str,
+    int, bool and None scalars, lists and tuples a command emits; pad is the
+    newline plus indent that ends the value's last line.  Anything else,
+    floats included, raises TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(value, inner) for value in obj]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # the C encoder raises TypeError for a key that is not a str
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
+                 for key, value in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _human_lines(obj, indent: int = 0):
@@ -77,8 +110,14 @@ def _add_output(p: argparse.ArgumentParser):
     p.add_argument("--output", choices=("json", "human"), default="json")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full two-level parser: options, then a command and its flags."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser by command name."""
     parser = argparse.ArgumentParser(
         prog="sympdec",
         description="Exact symplectic decomposability toolkit",
@@ -132,7 +171,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="default: $SYMPDEC_SEED or 0")
     _add_output(p)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, at the cost of one parser level
+    when argv starts with a command that its own parser parses in full."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _parsers()[1].get(argv[0]) if argv else None
+    # the full parser refuses an argument that starts with "--=" itself, as
+    # ambiguous between its --help and --version, before any command sees it
+    if command is not None and not any(arg.startswith("--=") for arg in argv):
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _cmd_induced(args) -> dict:
@@ -152,8 +206,7 @@ def _cmd_induced(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "pi":
             answer = homotopy.pi_table(args.family, args.i, args.n, args.space)

@@ -173,6 +173,30 @@ MUTANTS = [
            ("tests/test_cli.py::test_out_of_domain_sizes_exit_two",
             "tests/test_cli.py::test_no_cli_input_produces_a_traceback",
             "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("the JSON writer tests int before bool, so true prints as 1",
+           "src/sympdec/cli.py",
+           "    if obj is None:\n        return \"null\"\n",
+           "    if obj is None:\n        return \"null\"\n"
+           "    if isinstance(obj, int):\n        return int.__repr__(obj)\n",
+           ("tests/test_cli.py::test_json_writer_matches_json_dumps",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("the JSON writer drops the key sort",
+           "src/sympdec/cli.py",
+           "for key, value in sorted(obj.items())]",
+           "for key, value in obj.items()]",
+           ("tests/test_cli.py::test_json_writer_matches_json_dumps",
+            "tests/test_cli_golden.py::test_cli_matches_golden",
+            "tests/test_induced_golden.py::test_induced_cli_matches_golden")),
+    Mutant("the parse path ignores unrecognised arguments instead of falling back",
+           "src/sympdec/cli.py",
+           "        if not extras:\n",
+           "        if True:\n",
+           ("tests/test_cli.py::test_parse_path_matches_the_full_parser",)),
+    Mutant("the parse path hands a \"--=\" argument to the command's own parser",
+           "src/sympdec/cli.py",
+           "if command is not None and not any(arg.startswith(\"--=\") for arg in argv):",
+           "if command is not None:",
+           ("tests/test_cli.py::test_parse_path_matches_the_full_parser",)),
     Mutant("interleaved sums swap the halves of each block's index list",
            "src/sympdec/groups.py",
            "idx = [*range(o, o + k), *range(total + o, total + o + k)]",

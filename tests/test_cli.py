@@ -8,7 +8,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympdec import homotopy, induced
+import test_cli_golden
+import test_induced_golden
+from sympdec import cli, homotopy, induced
 from sympdec.cli import main
 
 
@@ -248,3 +250,65 @@ def test_no_cli_input_produces_a_traceback(argv):
         assert out.getvalue() == "" and err.getvalue(), argv
     else:
         json.loads(out.getvalue())
+
+
+_PI = ["pi", "--family", "sp", "--n", "2", "--i", "3"]
+_EDGE_ARGVS = (
+    [], ["--version"], ["-h"], ["pi", "-h"], ["frobnicate", "--n", "1"], ["pi"],
+    [*_PI, "extra"], [*_PI, "--version"], ["--version", *_PI],
+    ["pi", "--fam", "sp", "--n", "2", "--i", "3"],
+    ["pi", "--family=sp", "--n", "2", "--i", "3"],
+    ["pi", "--family", "sp", "--n", "two", "--i", "3"],
+    [*_PI, "--"], ["pi", "--", *_PI[1:]], ["--", *_PI],
+    # the full parser refuses "--=x" itself, before the command's parser sees it
+    [*_PI, "--=x"], ["verify", "all", "--="],
+    ["induced", "J", "--i", "3", "--m", "2", "--n", "9", "--u"],
+    ["verify", "all", "--max", "2"], ["decide", "azumaya", "--m", "2"],
+)
+
+
+def _parse_outcome(parse, argv):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_parse_path_matches_the_full_parser():
+    full = cli.build_parser().parse_args
+    argvs = [*test_cli_golden.grid(), *test_induced_golden.grid(), *_EDGE_ARGVS]
+    wrong = [argv for argv in argvs
+             if _parse_outcome(cli._parse_args, argv) != _parse_outcome(full, argv)]
+    assert not wrong, f"{len(wrong)} argvs parse differently, first: {wrong[0]}"
+
+
+def test_parse_path_reads_sys_argv_by_default(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["sympdec", *_PI])
+    assert cli._parse_args(None) == cli.build_parser().parse_args(_PI)
+
+
+_TEXT = st.text() | st.sampled_from(('"', "\\", "\x00\n\t\x1f\x7f", "é", "日本", "\U0001f600",
+                                     "\ud800", 'a"b\\c'))
+_BODIES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200) | _TEXT,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_TEXT, inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BODIES)
+def test_json_writer_matches_json_dumps(body):
+    assert cli._json_text(body) == json.dumps(body, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("body", [1.5, float("nan"), {"a": [0.0]}, {1, 2}, b"x", [b"x"],
+                                  frozenset(), {1: 2}, {"a": {None: 1}}, {True: 1}, {(1,): 2},
+                                  {"a": 1, 2: 3}])
+def test_json_writer_refuses_other_types(body):
+    with pytest.raises(TypeError):
+        cli._json_text(body)

@@ -8,8 +8,10 @@ op, m in {1, 2, 3} (the r of r-fold), n in {1, ..., 5, 8, 9, 11, 13} and
 
 The fixture stores each distinct outcome once, as [exit code, stdout parsed
 as JSON (null when empty), stderr], plus one outcome index per case in grid
-order.  The CLI prints ``json.dumps(body, sort_keys=True, indent=2)``, so
-the parsed form gives back the exact bytes; recording checks that it does.
+order.  The check renders each parsed body with
+``json.dumps(body, sort_keys=True, indent=2)``, an oracle independent of the
+CLI's own JSON writer, and compares bytes; recording checks that the parsed
+form gives back the exact bytes.
 Re-record only on purpose: ``PYTHONPATH=src python tests/test_induced_golden.py``.
 """
 
