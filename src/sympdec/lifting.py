@@ -210,7 +210,7 @@ def no_section_witness(m: int, n: int) -> Obstruction | None:
     """
     if n % 2 == 0:
         raise EvenNError("no-section cases require odd n")
-    if 4 * m + 4 < n and 4 * m + 4 < 4 * m * n:
+    if 1 < m and 4 * m + 4 < n and 4 * m + 4 < 4 * m * n:
         degree = 4 * m + 4
         # source pi_degree B PSp(m) x B SO(n) = Z/2 x Z; torsion column is
         # forced to zero, the free column carries the recorded coefficient m

@@ -10,6 +10,7 @@ from sympdec.intmatrix import smith_normal_form
 from sympdec.lifting import (
     KIND_HIGH_N,
     KIND_SMALL_N,
+    SMALL_ODD_CASES,
     bezout_uv,
     connectivity_j,
     decide_azumaya,
@@ -323,6 +324,24 @@ def test_decomposable_verdict_never_meets_an_applicable_obstruction():
             witness = no_section_witness(m, n)
             if covered and witness is not None:
                 assert witness.degree > 7, (m, n)
+
+
+def test_every_obstruction_names_a_proper_subgroup():
+    # kZ is proper in Z only for k >= 2; m = 1 gives no obstruction
+    for m in range(1, 51):
+        for n in range(1, 100, 2):
+            ob = no_section_witness(m, n)
+            if ob is None:
+                continue
+            if ob.case == KIND_HIGH_N:
+                k, degree = m, 4 * m + 4
+            else:
+                assert ob.case == KIND_SMALL_N, (m, n)
+                k, degree = n, SMALL_ODD_CASES[n]
+            assert k >= 2 and ob.degree == degree, (m, n)
+            assert str(ob.image) == f"{k}Z", (m, n)
+            assert f"= {k}Z is a proper subgroup of Z" in ob.note, (m, n)
+    assert decide_azumaya(1, 9, 7).obstruction is None
 
 
 def test_reports_serialize():
