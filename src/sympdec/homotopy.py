@@ -32,8 +32,9 @@ _TRIVIAL, _Z, _Z2 = FgAbGroup(()), FgAbGroup((0,)), FgAbGroup((2,))
 _SP_STABLE = {0: _TRIVIAL, 1: _TRIVIAL, 2: _TRIVIAL, 3: _Z, 4: _Z2, 5: _Z2, 6: _TRIVIAL, 7: _Z}
 _SO_STABLE = {0: _Z2, 1: _Z2, 2: _TRIVIAL, 3: _Z, 4: _TRIVIAL, 5: _TRIVIAL, 6: _TRIVIAL, 7: _Z}
 
-# unstable special orthogonal degrees recorded only as torsion
-_SO_TORSION_PAIRS = {(7, 3), (11, 5), (15, 7)}
+# unstable special orthogonal degrees (i, n) recorded only as torsion; lifting
+# reads its small odd no-section cases off them
+SO_TORSION_PAIRS = {(7, 3), (11, 5), (15, 7)}
 
 
 class TableAnswer(NamedTuple):
@@ -132,7 +133,7 @@ def pi_so(i: int, n: int) -> TableAnswer:
             _SO_STABLE[i % 8],
             f"orthogonal stable table (8-periodic), i = {i} < n-1 = {n - 1}",
         )
-    if (i, n) in _SO_TORSION_PAIRS:
+    if (i, n) in SO_TORSION_PAIRS:
         return TableAnswer.torsion_only(
             f"unstable degree ({i}, {n}) recorded as torsion-only"
         )

@@ -171,38 +171,6 @@ def is_isomorphism(h: AbHom) -> bool:
     return all(_verdicts(h))
 
 
-@dataclass(frozen=True)
-class ImageDescriptor:
-    """Image of a homomorphism into a cyclic group: the subgroup index*ambient."""
-
-    modulus: int   # 0 for ambient Z, 1 for the trivial group, k >= 2 for Z/k
-    index: int
-
-    def __str__(self):
-        if self.modulus == 1 or self.index == 0 or self.index == self.modulus:
-            return "0"
-        head = "" if self.index == 1 else str(self.index)
-        tail = "Z" if self.modulus == 0 else f"(Z/{self.modulus})"
-        return f"{head}{tail}" if head else tail
-
-
-def image_description(h: AbHom) -> ImageDescriptor:
-    """Image subgroup for a cyclic (or trivial) target."""
-    if h.target.ngens == 0:
-        return ImageDescriptor(1, 0)
-    if h.target.ngens != 1:
-        raise MalformedHomError("image description requires a cyclic target")
-    modulus = h.target.factors[0]
-    g = 0
-    for e in h.matrix.row_lists()[0]:
-        g = gcd(g, e)
-    if modulus:
-        g = gcd(g, modulus)
-        if g == modulus:
-            g = 0
-    return ImageDescriptor(modulus, g)
-
-
 # -- the formula table ---------------------------------------------------------
 
 _FAMILIES = {"sp": (pi_sp, "Sp"), "psp": (pi_psp, "PSp"), "so": (pi_so, "SO"), "o": (pi_o, "O")}

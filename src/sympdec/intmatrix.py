@@ -41,15 +41,6 @@ class IntMatrix:
         return self
 
     @classmethod
-    def from_rows(cls, grid) -> "IntMatrix":
-        grid = [list(row) for row in grid]
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        if any(len(r) != cols for r in grid):
-            raise ShapeMismatchError("ragged rows")
-        return cls(rows, cols, [x for row in grid for x in row])
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         data = [0] * (n * n)
         data[::n + 1] = [1] * n

@@ -15,23 +15,16 @@ from math import gcd
 
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
-from sympdec.induced import (
-    FORMULAS,
-    AbHom,
-    ImageDescriptor,
-    ZDependent,
-    hom,
-    image_description,
-    is_isomorphism,
-)
-from sympdec.intmatrix import IntMatrix, xgcd
+from sympdec.homotopy import SO_TORSION_PAIRS
+from sympdec.induced import FORMULAS, ZDependent, hom, is_isomorphism
+from sympdec.intmatrix import xgcd
 
 DECOMPOSABLE = "decomposable"
 NOT_COVERED = "not-covered"
 
-# classifying-space degrees paired with the small odd sizes whose orthogonal
-# homotopy is recorded as torsion-only
-SMALL_ODD_CASES = {3: 8, 5: 12, 7: 16}
+# the small odd sizes whose orthogonal homotopy is recorded as torsion-only,
+# each with its classifying-space degree
+SMALL_ODD_CASES = {n: i + 1 for i, n in SO_TORSION_PAIRS}
 
 KIND_HIGH_N = "sphere_4m+4"
 KIND_SMALL_N = "sphere_C"
@@ -54,7 +47,7 @@ class BezoutWitness:
 @dataclass(frozen=True)
 class Obstruction:
     degree: int
-    image: ImageDescriptor
+    image: str
     case: str
     source: FgAbGroup
     target: FgAbGroup
@@ -63,7 +56,7 @@ class Obstruction:
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
-            "image": str(self.image),
+            "image": self.image,
             "case": self.case,
             "source": list(self.source.factors),
             "target": list(self.target.factors),
@@ -165,13 +158,12 @@ def connectivity_j(m: int, n: int) -> int:
     _check_domain(m, n)
     if n % 2 == 0:
         raise EvenNError("connectivity certificate requires odd n")
-    if gcd(m, n) != 1:
-        raise NotCoprimeError(f"need gcd(m, n) = 1; got gcd({m}, {n}) = {gcd(m, n)}")
+    w = bezout_uv(m, n)   # refuses m and n that are not coprime
     if m <= 1:
         raise HypothesisFailureError("m > 1 required")
     if n <= 7:
         raise HypothesisFailureError("n > 7 required")
-    return _certify_pairing(bezout_uv(m, n))
+    return _certify_pairing(w)
 
 
 def _certify_pairing(w: BezoutWitness) -> int:
@@ -202,58 +194,32 @@ def _certify_pairing(w: BezoutWitness) -> int:
 def no_section_witness(m: int, n: int) -> Obstruction | None:
     """Obstruction showing the tensor classifying map admits no section.
 
-    Case one: 4m+4 < n (and 4m+4 < 4mn): at classifying degree 4m+4 the
-    free part of the source is carried onto m*Z inside Z.  Case two: for
-    n in {3, 5, 7} with the recorded torsion-only degree stable on the
-    symplectic side, the image at that degree is n*Z.  Returns None when
-    neither case applies.
+    At one classifying degree the map is recorded as multiplication by a
+    coefficient k on Z, so its image is kZ, a proper subgroup of Z only for
+    k >= 2.  Case one: 1 < m and 4m+4 < n; at degree 4m+4 the source is
+    Z/2 x Z, whose torsion column is forced to zero while the free column
+    carries k = m.  Case two: n in {3, 5, 7}, whose orthogonal factor is
+    torsion at the recorded degree and contributes nothing, and k = n; the
+    degree must be stable on the symplectic side (at most 4m+2), or the
+    table cannot justify the free source.  Returns None when neither case
+    applies.
     """
     if n % 2 == 0:
         raise EvenNError("no-section cases require odd n")
-    if 1 < m and 4 * m + 4 < n and 4 * m + 4 < 4 * m * n:
-        degree = 4 * m + 4
-        # source pi_degree B PSp(m) x B SO(n) = Z/2 x Z; torsion column is
-        # forced to zero, the free column carries the recorded coefficient m
-        hom = AbHom(
-            FgAbGroup((2, 0)),
-            FgAbGroup((0,)),
-            IntMatrix.from_rows([[0, m]]),
-            (f"pi_{degree} B PSp({m})", f"pi_{degree} B SO({n})"),
-            (f"pi_{degree} B PSp({m * n})",),
-            provenance=f"tensor classifying map at degree {degree}",
-        )
-        return Obstruction(
-            degree=degree,
-            image=image_description(hom),
-            case=KIND_HIGH_N,
-            source=hom.source,
-            target=hom.target,
-            note=f"image m*Z = {m}Z is a proper subgroup of Z, so no section exists",
-        )
-    if n in SMALL_ODD_CASES and n < 4 * m + 3:
-        degree = SMALL_ODD_CASES[n]
-        if degree > 4 * m + 2:
-            # the symplectic side of the recorded degree is not stable for
-            # this m, so the table cannot justify the free source factor
-            return None
-        hom = AbHom(
-            FgAbGroup((0,)),
-            FgAbGroup((0,)),
-            IntMatrix.from_rows([[n]]),
-            (f"pi_{degree} B PSp({m})",),
-            (f"pi_{degree} B PSp({m * n})",),
-            provenance=f"tensor classifying map at degree {degree}; "
-                       f"orthogonal factor is torsion and contributes nothing",
-        )
-        return Obstruction(
-            degree=degree,
-            image=image_description(hom),
-            case=KIND_SMALL_N,
-            source=FgAbGroup((0,)),
-            target=hom.target,
-            note=f"image n*Z = {n}Z is a proper subgroup of Z, so no section exists",
-        )
-    return None
+    if 1 < m and 4 * m + 4 < n:
+        case, degree, k, name, source = KIND_HIGH_N, 4 * m + 4, m, "m", FgAbGroup((2, 0))
+    elif n in SMALL_ODD_CASES and SMALL_ODD_CASES[n] <= 4 * m + 2:
+        case, degree, k, name, source = KIND_SMALL_N, SMALL_ODD_CASES[n], n, "n", FgAbGroup((0,))
+    else:
+        return None
+    return Obstruction(
+        degree=degree,
+        image=f"{k}Z",
+        case=case,
+        source=source,
+        target=FgAbGroup((0,)),
+        note=f"image {name}*Z = {k}Z is a proper subgroup of Z, so no section exists",
+    )
 
 
 def _first_failing_azumaya_hypothesis(m: int, n: int, dim: int) -> str | None:

@@ -2,8 +2,8 @@
 
 Every sample derives its randomness from (seed, suite, case label, index),
 so reruns and parallel execution produce identical reports and every
-failure record replays from its recorded inputs.  Matrix sizes are held
-to the exact-arithmetic guard 2 * max_m * max_n * max_r <= 64.
+failure record replays from its recorded inputs.  run_suite holds matrix
+sizes to the exact-arithmetic guard 2 * max_m * max_n * max_r <= 64.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def _case_seed(seed, suite: str, label: str, k: int) -> str:
 
 def run_closure(bounds: Bounds, samples: int, seed) -> VerifyReport:
     """Every construction lands in its claimed group, by exact predicate."""
-    bounds.check()
     rep = VerifyReport("closure")
 
     def pick(label, k, lo, hi):
@@ -127,7 +126,6 @@ def run_closure(bounds: Bounds, samples: int, seed) -> VerifyReport:
 
 def run_lemmas(bounds: Bounds, samples: int, seed) -> VerifyReport:
     """Exact conjugation identities behind both stabilization lemmas."""
-    bounds.check()
     rep = VerifyReport("lemmas")
     for n in range(1, bounds.max_n + 1):
         for r in range(2, bounds.max_r + 1):
@@ -147,7 +145,6 @@ def run_lemmas(bounds: Bounds, samples: int, seed) -> VerifyReport:
 
 def run_mixed_product(bounds: Bounds, samples: int, seed) -> VerifyReport:
     """Kronecker mixed-product identity on random invertible matrices."""
-    bounds.check()
     rep = VerifyReport("mixed-product")
     for k in range(samples):
         rng = random.Random(_case_seed(seed, "mixed-product", "pq", k))
@@ -161,7 +158,6 @@ def run_mixed_product(bounds: Bounds, samples: int, seed) -> VerifyReport:
 
 def run_center(bounds: Bounds, samples: int, seed) -> VerifyReport:
     """The tensor product carries the center to the center."""
-    bounds.check()
     rep = VerifyReport("center")
     for m in range(1, bounds.max_m + 1):
         for n in range(1, bounds.max_n + 1):

@@ -159,6 +159,17 @@ MUTANTS = [
            "key = (hz.source, hz.target, hz.matrix)",
            "key = (hz.source, hz.target)",
            ("tests/test_lifting.py::test_certificate_reports_a_rejected_map_at_its_degree",)),
+    Mutant("no-section case one claims 1Z is proper for m = 1",
+           "src/sympdec/lifting.py",
+           "    if 1 < m and 4 * m + 4 < n:\n",
+           "    if 4 * m + 4 < n:\n",
+           ("tests/test_lifting.py::test_every_obstruction_names_a_proper_subgroup",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("no-section case two takes its coefficient from m instead of n",
+           "src/sympdec/lifting.py",
+           "SMALL_ODD_CASES[n], n, \"n\",",
+           "SMALL_ODD_CASES[n], m, \"n\",",
+           ("tests/test_lifting.py::test_no_section_witness_small_n_case",)),
     Mutant("is_isomorphism counts torsion in the kernel as zero",
            "src/sympdec/induced.py",
            "injective = all((vr[r][j] % order if order else vr[r][j]) == 0",

@@ -40,7 +40,7 @@ def test_rejects_non_integer_entries_and_shapes():
         with pytest.raises(TypeError):
             IntMatrix(1, 1, [bad])
         with pytest.raises(TypeError):
-            IntMatrix.from_rows([[1, bad]])
+            IntMatrix(1, 2, [1, bad])
     with pytest.raises(TypeError):
         IntMatrix(1.0, 1, [2])
     with pytest.raises(ShapeMismatchError):
@@ -51,19 +51,19 @@ def test_rejects_non_integer_entries_and_shapes():
 
 def test_frozen_example_2x2():
     # d1 = gcd of the entries = 2 and d1*d2 = |det| = 8, so the diagonal is (2, 4)
-    d = check_snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    d = check_snf(IntMatrix(2, 2, [2, 4, 6, 8]))
     assert d.diagonal() == [2, 4]
 
 
 def test_identity_and_zero():
     assert check_snf(IntMatrix.identity(4)).diagonal() == [1, 1, 1, 1]
-    assert check_snf(IntMatrix.from_rows([[0]])).diagonal() == [0]
+    assert check_snf(IntMatrix(1, 1, [0])).diagonal() == [0]
     assert check_snf(IntMatrix.zeros(3, 2)).diagonal() == [0, 0]
 
 
 def test_rectangular_shapes():
-    check_snf(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
-    check_snf(IntMatrix.from_rows([[3], [6], [9]]))
+    check_snf(IntMatrix(2, 3, [1, 2, 3, 4, 5, 6]))
+    check_snf(IntMatrix(3, 1, [3, 6, 9]))
     check_snf(IntMatrix.zeros(0, 3))
     check_snf(IntMatrix.zeros(3, 0))
 
@@ -96,7 +96,7 @@ def test_snf_property(m):
 
 
 def test_determinism():
-    m = IntMatrix.from_rows([[6, 4, 2], [2, 8, 4], [10, 2, 0]])
+    m = IntMatrix(3, 3, [6, 4, 2, 2, 8, 4, 10, 2, 0])
     first = smith_normal_form(m)
     second = smith_normal_form(m)
     assert first[0] == second[0] and first[1] == second[1] and first[2] == second[2]
