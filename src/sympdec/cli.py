@@ -179,9 +179,7 @@ def _parse_args(argv) -> argparse.Namespace:
     when argv starts with a command that its own parser parses in full."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = _parsers()[1].get(argv[0]) if argv else None
-    # the full parser refuses an argument that starts with "--=" itself, as
-    # ambiguous between its --help and --version, before any command sees it
-    if command is not None and not any(arg.startswith("--=") for arg in argv):
+    if command is not None:
         args, extras = command.parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]
@@ -190,19 +188,11 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _cmd_induced(args) -> dict:
-    op = args.op
-    formula = induced.FORMULAS[op]
-    missing = [f"--{q}" for q in induced.REQUIRED[op] if getattr(args, q) is None]
+    missing = [f"--{q}" for q in induced.REQUIRED[args.op] if getattr(args, q) is None]
     if missing:
         raise SympdecError(f"missing required flags: {', '.join(missing)}")
-    h = induced.hom(op, args.i, **{q: getattr(args, q) for q in formula.params})
-    body = {"op": op, "i": args.i}
-    if isinstance(h, induced.ZDependent):
-        body["z_dependent"] = True
-        body["candidates"] = {str(z): hom.to_json() for z, hom in h.candidates}
-    else:
-        body.update(h.to_json())
-    return body
+    return induced.describe(args.op, args.i,
+                            **{q: getattr(args, q) for q in induced.FORMULAS[args.op].params})
 
 
 def main(argv=None) -> int:

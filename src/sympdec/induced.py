@@ -3,9 +3,11 @@
 The formulas form one table, FORMULAS, keyed by CLI op; one builder,
 hom(op, i, **params), turns an entry into an AbHom: an integer matrix on
 the chosen generators of finitely generated abelian groups, with entries
-reduced modulo the target orders.  Formulas refuse degrees outside their
-validity windows instead of extrapolating; the windows are part of the
-mathematics.
+reduced modulo the target orders, and nothing else.  describe(op, i,
+**params) does the same work and adds the text the induced command
+prints: generator names, the rule's provenance and the window's bound.
+Formulas refuse degrees outside their validity windows instead of
+extrapolating; the windows are part of the mathematics.
 
 The AbHom constructor reduces the entries modulo the target orders and
 checks the shape and the well-definedness invariant (each generator of
@@ -42,15 +44,12 @@ from sympdec.intmatrix import IntMatrix, smith_normal_form
 
 @dataclass(frozen=True)
 class AbHom:
-    """matrix columns are indexed by source generators, rows by target generators."""
+    """matrix columns are indexed by source generators, rows by target
+    generators; equal maps compare and hash equal."""
 
     source: FgAbGroup
     target: FgAbGroup
     matrix: IntMatrix
-    source_names: tuple[str, ...] = ()
-    target_names: tuple[str, ...] = ()
-    provenance: str = ""
-    valid_range: str = ""
 
     def __post_init__(self):
         m, src, tgt = self.matrix, self.source.factors, self.target.factors
@@ -70,17 +69,6 @@ class AbHom:
                             f"incompatible order (entry {e} at row {r})"
                         )
         object.__setattr__(self, "matrix", IntMatrix._raw(m.rows, cols, data))
-
-    def to_json(self) -> dict:
-        return {
-            "source": list(self.source.factors),
-            "target": list(self.target.factors),
-            "source_names": list(self.source_names),
-            "target_names": list(self.target_names),
-            "matrix": self.matrix.row_lists(),
-            "provenance": self.provenance,
-            "valid_range": self.valid_range,
-        }
 
 
 @dataclass(frozen=True)
@@ -117,8 +105,7 @@ def diagonal_hom(g: FgAbGroup) -> AbHom:
 def compose(outer: AbHom, inner: AbHom) -> AbHom:
     if inner.target != outer.source:
         raise MalformedHomError("composition chain mismatch")
-    return AbHom(inner.source, outer.target, outer.matrix @ inner.matrix,
-                 inner.source_names, outer.target_names)
+    return AbHom(inner.source, outer.target, outer.matrix @ inner.matrix)
 
 
 def stack(top: AbHom, bottom: AbHom) -> AbHom:
@@ -130,8 +117,6 @@ def stack(top: AbHom, bottom: AbHom) -> AbHom:
         top.source,
         FgAbGroup.product(top.target, bottom.target),
         IntMatrix._raw(t.rows + b.rows, t.cols, t.data + b.data),
-        top.source_names,
-        top.target_names + bottom.target_names,
     )
 
 
@@ -331,13 +316,53 @@ REQUIRED = {op: tuple(q for q in f.params if q not in ("u", "v", "z"))
             for op, f in FORMULAS.items()}
 
 
-def _part(family: str, size: str, degree: int, label: str, p):
+def _part(family: str, size: str, degree: int, p):
+    """(group, family name, size) of one part at degree; refuses a degree
+    where the table answers no group."""
     table, name = _FAMILIES[family]
     k = _SIZES[size](p)
     answer = table(degree, k)
     if not answer.is_group():
         raise OutOfRangeError(f"pi_i {name}({size}): {answer.provenance}")
-    return answer.group, f"{label} {name}({k})"
+    return answer.group, name, k
+
+
+def _bound(limits) -> str:
+    return " and ".join(f"{text} = {limit}" for text, limit in limits if limit is not None)
+
+
+def _build(op: str, i: int, params: dict):
+    """The work hom and describe share, each step once.  Returns (window
+    limits, source parts, target parts, [(z, map, provenance) per z
+    candidate]); two candidates mean the map depends on z."""
+    f = FORMULAS[op]
+    if params.keys() - f.params or any(q not in params for q in REQUIRED[op]):
+        raise TypeError(f"{op} takes {', '.join(f.params)}; got {', '.join(params) or 'none'}")
+    p = SimpleNamespace(**params)
+    if "u" in f.params and (params.get("u") is None or params.get("v") is None):
+        from sympdec.lifting import bezout_uv   # lifting builds on this module
+        w = bezout_uv(p.m, p.n)
+        p.u, p.v = w.u, w.v
+    limits = [(text, limit(i, p)) for text, limit in f.window]
+    for check in f.checks:
+        if check is not _WINDOW:
+            check(p)
+        elif not (f.shift <= i and all(limit is None or i < limit for _, limit in limits)):
+            raise OutOfRangeError(f"violated bound: {_bound(limits)}")
+    sources = [_part(fam, size, i - f.shift, p) for fam, size in f.sources]
+    targets = [_part(fam, size, i - f.shift, p) for fam, size in f.targets]
+    source = FgAbGroup.product(*[g for g, _, _ in sources])
+    target = FgAbGroup.product(*[g for g, _, _ in targets])
+    pinned = getattr(p, "z", None)
+    maps = []
+    for z in (0, 1) if i == f.z_degree and pinned is None else (pinned and pinned % 2,):
+        p.z = z
+        rows, provenance = f.rule(i, p)
+        data = [c for (t, _, _), row in zip(targets, rows) for _ in t.factors
+                for (s, _, _), c in zip(sources, row) for _ in s.factors]
+        maps.append((z, AbHom(source, target, IntMatrix(target.ngens, source.ngens, data)),
+                     provenance))
+    return limits, sources, targets, maps
 
 
 def hom(op: str, i: int, **params):
@@ -350,38 +375,26 @@ def hom(op: str, i: int, **params):
     the entry's z-dependent degree; left unset there, the result is a
     ZDependent holding both candidates, and otherwise an AbHom.
     """
-    f = FORMULAS[op]
-    if params.keys() - f.params or any(q not in params for q in REQUIRED[op]):
-        raise TypeError(f"{op} takes {', '.join(f.params)}; got {', '.join(params) or 'none'}")
-    p = SimpleNamespace(**params)
-    if "u" in f.params and (params.get("u") is None or params.get("v") is None):
-        from sympdec.lifting import bezout_uv   # lifting builds on this module
-        w = bezout_uv(p.m, p.n)
-        p.u, p.v = w.u, w.v
-    limits = [(text, limit(i, p)) for text, limit in f.window]
-    bound = " and ".join(f"{text} = {limit}" for text, limit in limits if limit is not None)
-    for check in f.checks:
-        if check is not _WINDOW:
-            check(p)
-        elif not (f.shift <= i and all(limit is None or i < limit for _, limit in limits)):
-            raise OutOfRangeError(f"violated bound: {bound}")
-    label = f.label(i)
-    sources = [_part(fam, size, i - f.shift, label, p) for fam, size in f.sources]
-    targets = [_part(fam, size, i - f.shift, label, p) for fam, size in f.targets]
-    source = FgAbGroup.product(*[g for g, _ in sources])
-    target = FgAbGroup.product(*[g for g, _ in targets])
-    names = (tuple(nm for g, nm in sources for _ in g.factors),
-             tuple(nm for g, nm in targets for _ in g.factors))
+    maps = [h for _, h, _ in _build(op, i, params)[3]]
+    return ZDependent(*maps) if len(maps) == 2 else maps[0]
 
-    def emit(z):
-        p.z = z
-        rows, provenance = f.rule(i, p)
-        data = [c for (t, _), row in zip(targets, rows) for _ in t.factors
-                for (s, _), c in zip(sources, row) for _ in s.factors]
-        return AbHom(source, target, IntMatrix(target.ngens, source.ngens, data), *names,
-                     provenance=provenance, valid_range=bound)
 
-    z = getattr(p, "z", None)
-    if i == f.z_degree and z is None:
-        return ZDependent(emit(0), emit(1))
-    return emit(None if z is None else z % 2)
+def describe(op: str, i: int, **params) -> dict:
+    """What `sympdec induced` prints for hom(op, i, **params): each map with
+    its generator names (degree label and part, once per factor of the
+    part's group), the rule's provenance and the window's bound text."""
+    limits, sources, targets, maps = _build(op, i, params)
+    label = FORMULAS[op].label(i)
+    source_names, target_names = ([f"{label} {name}({k})" for g, name, k in parts
+                                   for _ in g.factors] for parts in (sources, targets))
+    bound = _bound(limits)
+
+    def text(h, provenance):
+        return {"source": list(h.source.factors), "target": list(h.target.factors),
+                "source_names": source_names, "target_names": target_names,
+                "matrix": h.matrix.row_lists(), "provenance": provenance, "valid_range": bound}
+
+    if len(maps) == 1:
+        return {"op": op, "i": i, **text(*maps[0][1:])}
+    return {"op": op, "i": i, "z_dependent": True,
+            "candidates": {str(z): text(h, provenance) for z, h, provenance in maps}}

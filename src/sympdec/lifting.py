@@ -16,7 +16,7 @@ from math import gcd
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
 from sympdec.homotopy import SO_TORSION_PAIRS
-from sympdec.induced import FORMULAS, ZDependent, hom, is_isomorphism
+from sympdec.induced import FORMULAS, AbHom, ZDependent, hom, is_isomorphism
 from sympdec.intmatrix import xgcd
 
 DECOMPOSABLE = "decomposable"
@@ -152,8 +152,7 @@ def connectivity_j(m: int, n: int) -> int:
     Each degree is built once with the mod-2 parameter z left unset: only
     degree 2 depends on it, and there both candidates are checked.  The
     maps repeat across degrees, so verdicts are memoised for this call on
-    (source, target, matrix); each distinct map still gets its own Smith
-    normal form.
+    the map; each distinct map still gets its own Smith normal form.
     """
     _check_domain(m, n)
     if n % 2 == 0:
@@ -173,16 +172,15 @@ def _certify_pairing(w: BezoutWitness) -> int:
     top = min(4 * m + 3, n)
     period = FORMULAS["J"].period_from + 8
     degrees = sorted({*range(1, min(period, top)), *range(max(1, top - 9), top)})
-    verdicts: dict[tuple, bool] = {}
+    verdicts: dict[AbHom, bool] = {}
     for i in degrees:
         if i % 8 == 0:
             continue
         h = hom("J", i, m=m, n=n, u=w.u, v=w.v)
         for z, hz in h.candidates if isinstance(h, ZDependent) else ((None, h),):
-            key = (hz.source, hz.target, hz.matrix)
-            iso = verdicts.get(key)
+            iso = verdicts.get(hz)
             if iso is None:
-                iso = verdicts[key] = is_isomorphism(hz)
+                iso = verdicts[hz] = is_isomorphism(hz)
             if not iso:
                 at = f"degree {i}" if z is None else f"degree {i} (z = {z})"
                 raise HypothesisFailureError(

@@ -173,10 +173,6 @@ def run_center(bounds: Bounds, samples: int, seed) -> VerifyReport:
     return rep
 
 
-def _same_map(a, b) -> bool:
-    return (a.source, a.target, a.matrix) == (b.source, b.target, b.matrix)
-
-
 def _tensor_decomposition_consistent(i: int, m: int, n: int) -> bool:
     """tensor formula is [left | right]: the n-fold sum on Sp(m) beside the
     m-fold sum of doubling on O(n), read off through the two factor inclusions."""
@@ -186,15 +182,15 @@ def _tensor_decomposition_consistent(i: int, m: int, n: int) -> bool:
     a, b = left.source, right.source
     if tensor.source != FgAbGroup.product(a, b):
         return False
-    return (_same_map(compose(tensor, stack(identity_hom(a), zero_hom(a, b))), left)
-            and _same_map(compose(tensor, stack(zero_hom(b, a), identity_hom(b))), right))
+    return (compose(tensor, stack(identity_hom(a), zero_hom(a, b))) == left
+            and compose(tensor, stack(zero_hom(b, a), identity_hom(b))) == right)
 
 
 def _square_tensor_consistent(i: int, m: int) -> bool:
     """square tensor formula equals the two-variable formula composed with the diagonal."""
     square = hom("square-tensor", i, m=m)
     both = hom("tensor-sp-sp", i, m=m, n=m)
-    return _same_map(square, compose(both, diagonal_hom(pi_sp(i, m).group)))
+    return square == compose(both, diagonal_hom(pi_sp(i, m).group))
 
 
 def run_formulas(bounds: Bounds, samples: int, seed) -> VerifyReport:

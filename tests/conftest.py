@@ -39,15 +39,13 @@ def over_q_zeta8(m: ExactMatrix) -> DomainMatrix:
 
 @pytest.fixture(scope="session")
 def golden_homs() -> list[AbHom]:
-    """Every distinct homomorphism (source, target, matrix) in the induced golden record."""
+    """Every distinct homomorphism in the induced golden record, in order of appearance."""
     homs = {}
     for _, body, _ in json.loads(GOLDEN.read_text())["outcomes"]:
         if body is None:
             continue
         for h in body["candidates"].values() if body.get("z_dependent") else [body]:
-            key = json.dumps([h["source"], h["target"], h["matrix"]])
-            if key not in homs:
-                data = [x for row in h["matrix"] for x in row]
-                homs[key] = AbHom(FgAbGroup(h["source"]), FgAbGroup(h["target"]),
-                                  IntMatrix(len(h["target"]), len(h["source"]), data))
-    return list(homs.values())
+            data = [x for row in h["matrix"] for x in row]
+            homs[AbHom(FgAbGroup(h["source"]), FgAbGroup(h["target"]),
+                       IntMatrix(len(h["target"]), len(h["source"]), data))] = None
+    return list(homs)

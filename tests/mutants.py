@@ -156,8 +156,10 @@ MUTANTS = [
            ("tests/test_lifting.py::test_certificate_reports_a_rejected_map_at_its_degree",)),
     Mutant("certificate memo keys on the groups only and hides a failing matrix",
            "src/sympdec/lifting.py",
-           "key = (hz.source, hz.target, hz.matrix)",
-           "key = (hz.source, hz.target)",
+           "            iso = verdicts.get(hz)\n            if iso is None:\n"
+           "                iso = verdicts[hz] = is_isomorphism(hz)\n",
+           "            iso = verdicts.get((hz.source, hz.target))\n            if iso is None:\n"
+           "                iso = verdicts[hz.source, hz.target] = is_isomorphism(hz)\n",
            ("tests/test_lifting.py::test_certificate_reports_a_rejected_map_at_its_degree",)),
     Mutant("no-section case one claims 1Z is proper for m = 1",
            "src/sympdec/lifting.py",
@@ -203,11 +205,12 @@ MUTANTS = [
            "        if not extras:\n",
            "        if True:\n",
            ("tests/test_cli.py::test_parse_path_matches_the_full_parser",)),
-    Mutant("the parse path hands a \"--=\" argument to the command's own parser",
-           "src/sympdec/cli.py",
-           "if command is not None and not any(arg.startswith(\"--=\") for arg in argv):",
-           "if command is not None:",
-           ("tests/test_cli.py::test_parse_path_matches_the_full_parser",)),
+    Mutant("the induced view names each part once, not once per generator",
+           "src/sympdec/induced.py",
+           "for g, name, k in parts\n                                   for _ in g.factors]",
+           "for g, name, k in parts]",
+           ("tests/test_induced.py::test_source_names_follow_generators",
+            "tests/test_induced_golden.py::test_induced_cli_matches_golden")),
     Mutant("interleaved sums swap the halves of each block's index list",
            "src/sympdec/groups.py",
            "idx = [*range(o, o + k), *range(total + o, total + o + k)]",

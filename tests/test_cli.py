@@ -260,8 +260,6 @@ _EDGE_ARGVS = (
     ["pi", "--family=sp", "--n", "2", "--i", "3"],
     ["pi", "--family", "sp", "--n", "two", "--i", "3"],
     [*_PI, "--"], ["pi", "--", *_PI[1:]], ["--", *_PI],
-    # the full parser refuses "--=x" itself, before the command's parser sees it
-    [*_PI, "--=x"], ["verify", "all", "--="],
     ["induced", "J", "--i", "3", "--m", "2", "--n", "9", "--u"],
     ["verify", "all", "--max", "2"], ["decide", "azumaya", "--m", "2"],
 )
@@ -284,6 +282,15 @@ def test_parse_path_matches_the_full_parser():
     wrong = [argv for argv in argvs
              if _parse_outcome(cli._parse_args, argv) != _parse_outcome(full, argv)]
     assert not wrong, f"{len(wrong)} argvs parse differently, first: {wrong[0]}"
+
+
+@pytest.mark.parametrize("argv", [[*_PI, "--=x"], ["verify", "all", "--="]])
+def test_ambiguous_option_is_refused_by_the_commands_own_parser(argv):
+    # the full parser would refuse "--=x" as ambiguous between --help and
+    # --version, options the command does not take
+    result, out, err = _parse_outcome(cli._parse_args, argv)
+    assert (result, out) == (("SystemExit", 2), "")
+    assert err.startswith(f"usage: sympdec {argv[0]} ") and "--version" not in err
 
 
 def test_parse_path_reads_sys_argv_by_default(monkeypatch):

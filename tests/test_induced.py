@@ -21,6 +21,7 @@ from sympdec.induced import (
     ZDependent,
     _presentation_matrix,
     compose,
+    describe,
     diagonal_hom,
     hom,
     identity_hom,
@@ -384,7 +385,7 @@ def _period_params(op):
 
 
 def _window_maps(op, params):
-    """(source, target, matrix) at each degree of the entry's window.
+    """The map at each degree of the entry's window.
 
     The window is the run of degrees from the entry's bottom degree up to
     its first refused one.  None when the parameters fail a precondition of
@@ -400,7 +401,7 @@ def _window_maps(op, params):
             raise
         except (SympdecError, ValueError):
             return None
-        maps[i] = (h.source, h.target, h.matrix)
+        maps[i] = h
         i += 1
 
 
@@ -423,8 +424,19 @@ def test_every_entry_is_eight_periodic_from_its_declared_degree(op):
 
 
 def test_source_names_follow_generators():
-    h = hom("tensor-sp-o", 4, m=2, n=9)
-    assert h.source_names == ("pi_4 Sp(2)",)
-    h = hom("tensor-sp-o", 3, m=2, n=9)
-    assert h.source_names == ("pi_3 Sp(2)", "pi_3 O(9)")
-    assert h.target_names == ("pi_3 Sp(18)",)
+    # pi_4 O(9) = 0 has no generator, so it names none
+    body = describe("tensor-sp-o", 4, m=2, n=9)
+    assert body["source_names"] == ["pi_4 Sp(2)"]
+    body = describe("tensor-sp-o", 3, m=2, n=9)
+    assert body["source_names"] == ["pi_3 Sp(2)", "pi_3 O(9)"]
+    assert body["target_names"] == ["pi_3 Sp(18)"]
+    # J at degree 2 is z-dependent; both candidates carry the names and the bound
+    body = describe("J", 2, m=2, n=9)
+    assert body["z_dependent"] and set(body["candidates"]) == {"0", "1"}
+    for z, h in hom("J", 2, m=2, n=9).candidates:
+        c = body["candidates"][str(z)]
+        assert c["source_names"] == ["pi_2 B PSp(2)", "pi_2 B SO(9)"]
+        assert c["target_names"] == ["pi_2 B PSp(18)", "pi_2 B SO(127)"]
+        assert c["valid_range"] == "0 < i < min(4m+3, n) = 9"
+        assert c["matrix"] == h.matrix.row_lists()
+        assert f"z = {z}" in c["provenance"]

@@ -70,10 +70,6 @@ def test_connectivity_hypothesis_failures():
         connectivity_j(3, 9)
 
 
-def _key(h):
-    return h.source, h.target, h.matrix
-
-
 def _window_degrees(m, n):
     return [i for i in range(1, min(4 * m + 3, n)) if i % 8]
 
@@ -96,10 +92,9 @@ def exhaustive_certificate(m, n, verdict):
     for i in _window_degrees(m, n):
         h = hom("J", i, m=m, n=n, u=w.u, v=w.v)
         for z, hz in h.candidates if isinstance(h, ZDependent) else ((None, h),):
-            key = _key(hz)
-            if key not in verdicts:
-                verdicts[key] = verdict(hz)
-            if not verdicts[key] and failure is None:
+            if hz not in verdicts:
+                verdicts[hz] = verdict(hz)
+            if not verdicts[hz] and failure is None:
                 at = f"degree {i}" if z is None else f"degree {i} (z = {z})"
                 failure = f"pairing map fails to be an isomorphism at {at}"
     return failure, set(verdicts)
@@ -117,7 +112,7 @@ def _spy_builds(monkeypatch):
 
 
 def _maps(built):
-    return {_key(c) for _, h in built
+    return {c for _, h in built
             for _, c in (h.candidates if isinstance(h, ZDependent) else [(0, h)])}
 
 
@@ -147,7 +142,7 @@ def test_certificate_reports_a_rejected_map_at_its_degree(monkeypatch, i, z):
     w = bezout_uv(2, 9)
     bad = hom("J", i, m=2, n=9, u=w.u, v=w.v, z=z)
     monkeypatch.setattr(lifting, "is_isomorphism",
-                        lambda h: _key(h) != _key(bad) and is_isomorphism(h))
+                        lambda h: h != bad and is_isomorphism(h))
     with pytest.raises(HypothesisFailureError) as exc:
         connectivity_j(2, 9)
     where = f"degree {i}" if z is None else f"degree {i} (z = {z})"
