@@ -17,7 +17,12 @@ Times the flat negacyclic matrix product on n x n inputs of four kinds:
   row + column, the shape of tensor_sp_sp outputs.
 The Python kernel pays up to 16 products per entry pair on small and big,
 and at most 4 (1 on checker) on the integer and Z[i] cases.
-Also times one end-to-end symplectic membership check per size.
+
+End to end, it times each membership predicate on its own, per call, with
+kernels.matmul_num pointed at each backend in turn: both symplectic routes
+(is_symplectic_gram, is_symplectic_blocks) on random_sp draws of Sp(1) to
+Sp(6), the sizes `sympdec verify` checks, and of Sp(16); and is_orthogonal
+on tensor_sp_sp outputs of size 4 x 4 to 24 x 24.
 
 The compiled kernel is the installed sympdec._speedups if it imports;
 otherwise the shipped _speedups.c is compiled with the system C compiler into
@@ -35,8 +40,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from sympdec import _kernels_py
-from sympdec.groups import is_symplectic, random_sp
+from sympdec import _kernels_py, kernels
+from sympdec.groups import (is_orthogonal, is_symplectic_blocks, is_symplectic_gram, random_sp,
+                            tensor_sp_sp)
 
 SPEEDUPS_C = Path(__file__).resolve().parents[1] / "src" / "sympdec" / "_speedups.c"
 
@@ -109,13 +115,45 @@ def _cases(n, rng):
     yield "checker", _gaussian(n, rng, checker=True), _gaussian(n, rng, checker=True)
 
 
-def _time(fn, reps):
+def _time(fn, reps, number=1):
+    """Best over reps of the mean time of number calls of fn."""
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - start) / number)
     return best
+
+
+def _membership_cases():
+    """(label, predicate, matrix) for each end-to-end membership timing."""
+    for m in (1, 2, 3, 4, 5, 6, 16):
+        a = random_sp(m, seed=1)
+        yield f"Sp({m}) {2 * m}x{2 * m}", is_symplectic_gram, a
+        yield f"Sp({m}) {2 * m}x{2 * m}", is_symplectic_blocks, a
+    for m, n in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3)):
+        b = tensor_sp_sp(random_sp(m, seed=1), random_sp(n, seed=2))
+        yield f"O {b.rows}x{b.rows}", is_orthogonal, b
+
+
+def _time_membership(backends, reps, number=50):
+    """Print the per-call time of each membership predicate on each backend."""
+    names = [name for name, _ in backends]
+    header = f"{'matrix':>14} {'predicate':>21}" + "".join(f" {n:>10}" for n in names)
+    print(header)
+    print("-" * len(header))
+    active = kernels.matmul_num
+    try:
+        for label, predicate, m in _membership_cases():
+            cells = []
+            for _, kernel in backends:
+                kernels.matmul_num = kernel
+                cells.append(_time(lambda: predicate(m), reps, number))
+            print(f"{label:>14} {predicate.__name__:>21}"
+                  + "".join(f" {t * 1e6:>8.1f}us" for t in cells))
+    finally:
+        kernels.matmul_num = active
 
 
 def main():
@@ -145,12 +183,12 @@ def main():
                 else:
                     print(f"{n:>5} {label:>9} {t_py * 1e3:>10.2f}ms {'-':>12} {'-':>8}")
 
-    print()
-    print("end-to-end: exact symplectic membership (uses the active backend)")
-    for m in (4, 8, 16):
-        a = random_sp(m, seed=1)
-        t = _time(lambda: is_symplectic(a), args.reps)
-        print(f"  Sp({m}) matrix {2 * m}x{2 * m}: {t * 1e3:.2f}ms")
+        print()
+        print("end-to-end: membership predicates, time per call on each backend")
+        backends = [("python", _kernels_py.matmul_num)]
+        if compiled is not None:
+            backends.append(("compiled", compiled))
+        _time_membership(backends, args.reps)
 
 
 if __name__ == "__main__":

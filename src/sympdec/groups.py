@@ -17,10 +17,14 @@ symmetry condition needs no scaling.  The Gram route never multiplies by J:
 J is a signed permutation, so for M = [X; Y] (row halves) J^T M = [-Y; X]
 is M's numerators with the row halves swapped and the new top half negated,
 and M^T J M = (J^T M)^T M is one dense product, compared with d^2 J for J
-built once per size.  The block route splits M's numerators into its blocks
-(symplectic_blocks), transposes A11, A21 and A12, and makes its own four
-k x k products, so the two routes share no product and stay independent
-checks of each other.
+built once per size.  The block route makes one product of its own,
+P = X^T Y of the row halves X = [A11 A12] and Y = [A21 A22], whose
+quadrants are the four block products: P11 = A11^T A21, P12 = A11^T A22,
+P21 = A12^T A21 and P22 = A12^T A22 (and A21^T A12 = P21^T).  It reads the
+conditions off those quadrants: P11 and P22 symmetric, P12 - P21^T = d^2 I.
+M^T J M equals P - P^T, but the Gram route does not take it from P: each
+route computes its own product from M, so a fault in one product or its
+reading cannot hide from the other check.
 
 The conjugation lemmas gather instead of multiplying by permutations:
 for the permutation matrix P whose column k is e_{cols[k]}, P X P^T is X
@@ -73,22 +77,17 @@ def symplectic_gram(k: int) -> ExactMatrix:
     return block_matrix([[z, i], [-i, z]])
 
 
-def symplectic_blocks(m: ExactMatrix) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The flat numerators, over m.den, of the four quadrants (A11, A12, A21, A22)
-    of an even-sized square matrix."""
-    if not m.is_square() or m.rows % 2:
-        raise ShapeMismatchError("symplectic blocks need an even square matrix")
-    k = m.rows // 2
-    num = m.num
-
-    def quad(r0, c0):
-        out = []
-        for i in range(k):
-            p = ((r0 + i) * m.cols + c0) * 4
-            out.extend(num[p:p + 4 * k])
-        return out
-
-    return quad(0, 0), quad(0, k), quad(k, 0), quad(k, k)
+def _quadrants(num: list[int], k: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The flat numerators of the four k x k quadrants (Q11, Q12, Q21, Q22) of
+    the 2k x 2k matrix with flat numerators num."""
+    w = 4 * k
+    left, right = [], []
+    for r in range(2 * k):
+        p = 2 * w * r
+        left += num[p:p + w]
+        right += num[p + w:p + 2 * w]
+    half = len(left) // 2
+    return left[:half], right[:half], left[half:], right[half:]
 
 
 @functools.lru_cache(maxsize=16)
@@ -115,24 +114,21 @@ def is_symplectic_gram(m: ExactMatrix) -> bool:
 def is_symplectic_blocks(m: ExactMatrix) -> bool:
     """Block route: A11^T A21, A12^T A22 symmetric and A11^T A22 - A21^T A12 = I.
 
-    Products of numerators are den^2 times the products of the blocks, so
-    the last condition compares with den^2 I.
+    For the row halves X = [A11 A12] and Y = [A21 A22] of M, the one product
+    P = X^T Y holds every block product in its quadrants: P11 = A11^T A21,
+    P12 = A11^T A22, P21 = A12^T A21 and P22 = A12^T A22, and A21^T A12 is
+    P21^T.  Products of numerators are den^2 times the products of the
+    blocks, so P12 - P21^T is compared with den^2 I.  M^T J M = P - P^T, but
+    the Gram route makes its own product, so the routes share none.
     """
-    a11, a12, a21, a22 = symplectic_blocks(m)
-    k = m.rows // 2
-    a11_t, a21_t, a12_t = (transposed_num(q, k, k) for q in (a11, a21, a12))
-
-    def product(x, y):
-        return kernels.matmul_num(x, y, k, k, k)
-
-    s1 = product(a11_t, a21)
-    if s1 != transposed_num(s1, k, k):
-        return False
-    s2 = product(a12_t, a22)
-    if s2 != transposed_num(s2, k, k):
-        return False
-    return is_scaled_identity(list(map(sub, product(a11_t, a22), product(a21_t, a12))), k,
-                              m.den * m.den)
+    if not m.is_square() or m.rows % 2:
+        raise ShapeMismatchError("symplectic blocks need an even square matrix")
+    k, half = m.rows // 2, len(m.num) // 2
+    p = kernels.matmul_num(transposed_num(m.num[:half], k, 2 * k), m.num[half:], 2 * k, k, 2 * k)
+    p11, p12, p21, p22 = _quadrants(p, k)
+    return (p11 == transposed_num(p11, k, k) and p22 == transposed_num(p22, k, k)
+            and is_scaled_identity(list(map(sub, p12, transposed_num(p21, k, k))), k,
+                                   m.den * m.den))
 
 
 def is_symplectic(m: ExactMatrix) -> bool:

@@ -24,8 +24,6 @@ GROUP = "group"
 TORSION_ONLY = "torsion-only"
 OUT_OF_RANGE = "out-of-range"
 
-FAMILIES = ("sp", "psp", "so", "o", "u", "gl")
-
 _TRIVIAL, _Z, _Z2 = FgAbGroup(()), FgAbGroup((0,)), FgAbGroup((2,))
 
 # stable tables, indexed by degree mod 8
@@ -42,18 +40,6 @@ class TableAnswer(NamedTuple):
     group: FgAbGroup | None
     provenance: str
 
-    @classmethod
-    def of(cls, group: FgAbGroup, provenance: str) -> "TableAnswer":
-        return cls(GROUP, group, provenance)
-
-    @classmethod
-    def torsion_only(cls, provenance: str) -> "TableAnswer":
-        return cls(TORSION_ONLY, None, provenance)
-
-    @classmethod
-    def out_of_range(cls, provenance: str) -> "TableAnswer":
-        return cls(OUT_OF_RANGE, None, provenance)
-
     def is_group(self) -> bool:
         return self.kind == GROUP
 
@@ -66,15 +52,12 @@ def pi_sp(i: int, n: int) -> TableAnswer:
     """Homotopy of the rank-n complex symplectic group (matrices of size 2n)."""
     _check(i, n)
     if i < 4 * n:
-        return TableAnswer.of(
-            _SP_STABLE[i % 8],
-            f"symplectic stable table (8-periodic), i = {i} < 4n = {4 * n}",
-        )
+        return TableAnswer(GROUP, _SP_STABLE[i % 8],
+                           f"symplectic stable table (8-periodic), i = {i} < 4n = {4 * n}")
     if i in (4 * n, 4 * n + 1):
-        return TableAnswer.of(
-            _Z2 if n % 2 else _TRIVIAL,
-            f"symplectic boundary degree {i}: Z/2 for odd n, trivial for even n (n = {n})",
-        )
+        return TableAnswer(
+            GROUP, _Z2 if n % 2 else _TRIVIAL,
+            f"symplectic boundary degree {i}: Z/2 for odd n, trivial for even n (n = {n})")
     if i == 4 * n + 2:
         digits = sys.get_int_max_str_digits() or 4300
         largest = _largest_printable_sp_n(digits)
@@ -84,14 +67,11 @@ def pi_sp(i: int, n: int) -> TableAnswer:
                 f"than {digits} digits, the integer string conversion limit; "
                 f"n <= {largest} prints")
         order = factorial(2 * n + 1) * (2 if n % 2 else 1)
-        return TableAnswer.of(
-            FgAbGroup((order,)),
-            f"first unstable symplectic degree 4n+2: cyclic of order (2n+1)!"
-            f"{' doubled for odd n' if n % 2 else ''}",
-        )
-    return TableAnswer.out_of_range(
-        f"degree {i} beyond tabulated symplectic range 4n+2 = {4 * n + 2}"
-    )
+        return TableAnswer(GROUP, FgAbGroup((order,)),
+                           f"first unstable symplectic degree 4n+2: cyclic of order (2n+1)!"
+                           f"{' doubled for odd n' if n % 2 else ''}")
+    return TableAnswer(OUT_OF_RANGE, None,
+                       f"degree {i} beyond tabulated symplectic range 4n+2 = {4 * n + 2}")
 
 
 @cache
@@ -114,9 +94,9 @@ def pi_psp(i: int, n: int) -> TableAnswer:
     """Homotopy of the projective symplectic group (quotient by the center)."""
     _check(i, n)
     if i == 0:
-        return TableAnswer.of(_TRIVIAL, "projective symplectic group is connected")
+        return TableAnswer(GROUP, _TRIVIAL, "projective symplectic group is connected")
     if i == 1:
-        return TableAnswer.of(_Z2, "fundamental group of the center quotient is Z/2")
+        return TableAnswer(GROUP, _Z2, "fundamental group of the center quotient is Z/2")
     inner = pi_sp(i, n)
     if inner.kind != GROUP:
         return inner
@@ -127,26 +107,22 @@ def pi_so(i: int, n: int) -> TableAnswer:
     """Homotopy of the complex special orthogonal group."""
     _check(i, n)
     if i == 0:
-        return TableAnswer.of(_TRIVIAL, "special orthogonal group is connected")
+        return TableAnswer(GROUP, _TRIVIAL, "special orthogonal group is connected")
     if 0 < i < n - 1:
-        return TableAnswer.of(
-            _SO_STABLE[i % 8],
-            f"orthogonal stable table (8-periodic), i = {i} < n-1 = {n - 1}",
-        )
+        return TableAnswer(GROUP, _SO_STABLE[i % 8],
+                           f"orthogonal stable table (8-periodic), i = {i} < n-1 = {n - 1}")
     if (i, n) in SO_TORSION_PAIRS:
-        return TableAnswer.torsion_only(
-            f"unstable degree ({i}, {n}) recorded as torsion-only"
-        )
-    return TableAnswer.out_of_range(
-        f"degree {i} beyond tabulated orthogonal range n-2 = {n - 2}"
-    )
+        return TableAnswer(TORSION_ONLY, None,
+                           f"unstable degree ({i}, {n}) recorded as torsion-only")
+    return TableAnswer(OUT_OF_RANGE, None,
+                       f"degree {i} beyond tabulated orthogonal range n-2 = {n - 2}")
 
 
 def pi_o(i: int, n: int) -> TableAnswer:
     """Homotopy of the full complex orthogonal group (two components)."""
     _check(i, n)
     if i == 0:
-        return TableAnswer.of(_Z2, "orthogonal group has two components")
+        return TableAnswer(GROUP, _Z2, "orthogonal group has two components")
     return pi_so(i, n)
 
 
@@ -154,14 +130,12 @@ def pi_u_gl(i: int, n: int) -> TableAnswer:
     """Homotopy of U(n) (equivalently GL(n, C)) in the stable range i < 2n."""
     _check(i, n)
     if i >= 2 * n:
-        return TableAnswer.out_of_range(
-            f"degree {i} beyond tabulated unitary range 2n-1 = {2 * n - 1}"
-        )
+        return TableAnswer(OUT_OF_RANGE, None,
+                           f"degree {i} beyond tabulated unitary range 2n-1 = {2 * n - 1}")
     if i == 0:
-        return TableAnswer.of(_TRIVIAL, "unitary group is connected")
-    return TableAnswer.of(
-        _Z if i % 2 else _TRIVIAL, f"unitary stable table (2-periodic), i = {i} < 2n = {2 * n}"
-    )
+        return TableAnswer(GROUP, _TRIVIAL, "unitary group is connected")
+    return TableAnswer(GROUP, _Z if i % 2 else _TRIVIAL,
+                       f"unitary stable table (2-periodic), i = {i} < 2n = {2 * n}")
 
 
 _GROUP_TABLES = {
@@ -172,6 +146,7 @@ _GROUP_TABLES = {
     "u": pi_u_gl,
     "gl": pi_u_gl,
 }
+FAMILIES = tuple(_GROUP_TABLES)
 
 
 def pi_classifying(family: str, i: int, n: int) -> TableAnswer:
@@ -187,11 +162,9 @@ def pi_classifying(family: str, i: int, n: int) -> TableAnswer:
     if i < 1:
         raise ValueError("classifying-space degrees start at 1")
     if family == "psp" and i == 4 * n + 4:
-        return TableAnswer.of(
-            _Z2,
-            "recorded constant: degree 4n+4 of the projective symplectic "
-            "classifying space is Z/2 (one past the shifted boundary pair)",
-        )
+        return TableAnswer(GROUP, _Z2,
+                           "recorded constant: degree 4n+4 of the projective symplectic "
+                           "classifying space is Z/2 (one past the shifted boundary pair)")
     inner = _GROUP_TABLES[family](i - 1, n)
     return TableAnswer(inner.kind, inner.group, f"classifying-space shift to degree {i - 1}; {inner.provenance}")
 

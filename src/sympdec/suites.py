@@ -22,9 +22,6 @@ from sympdec.induced import (compose, diagonal_hom, hom, identity_hom, is_isomor
 from sympdec.lifting import bezout_uv, connectivity_j
 from sympdec.matrix import ExactMatrix
 
-SUITES = ("closure", "lemmas", "mixed-product", "center", "formulas",
-          "bezout", "J-iso", "all")
-
 SIZE_GUARD = 64
 
 
@@ -255,6 +252,7 @@ _RUNNERS = {
     "bezout": run_bezout,
     "J-iso": run_j_iso,
 }
+SUITES = (*_RUNNERS, "all")
 
 
 def run_suite(name: str, bounds: Bounds, samples: int, seed) -> list[VerifyReport]:

@@ -85,9 +85,23 @@ MUTANTS = [
             "tests/test_groups.py::test_row_swap_gram_route_matches_the_dense_gram_product")),
     Mutant("block route accepts every input",
            "src/sympdec/groups.py",
-           "    a11, a12, a21, a22 = symplectic_blocks(m)\n",
+           "    p11, p12, p21, p22 = _quadrants(p, k)\n",
            "    return True\n",
            ("tests/test_groups.py::test_is_symplectic_agrees_with_sympy_property",
+            "tests/test_groups.py::test_block_route_refuses_each_broken_condition_alone")),
+    Mutant("block route compares P12 with P21, not its transpose",
+           "src/sympdec/groups.py",
+           "list(map(sub, p12, transposed_num(p21, k, k)))",
+           "list(map(sub, p12, p21))",
+           ("tests/test_groups.py::test_is_symplectic_agrees_with_sympy_property",
+            "tests/test_groups.py::test_gram_and_block_routes_form_a_biconditional",
+            "tests/test_groups.py::test_random_sp_passes_both_routes_property")),
+    Mutant("quadrant reader swaps the 12 and 21 quadrants",
+           "src/sympdec/groups.py",
+           "return left[:half], right[:half], left[half:], right[half:]",
+           "return left[:half], left[half:], right[:half], right[half:]",
+           ("tests/test_groups.py::test_quadrant_reader_matches_gather",
+            "tests/test_groups.py::test_is_symplectic_agrees_with_sympy_property",
             "tests/test_groups.py::test_block_route_refuses_each_broken_condition_alone")),
     Mutant("is_orthogonal accepts every input",
            "src/sympdec/groups.py",

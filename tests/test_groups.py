@@ -56,8 +56,12 @@ def test_rational_diagonal_example():
 
 
 def test_odd_size_raises():
-    with pytest.raises(ShapeMismatchError):
-        is_symplectic(ExactMatrix.identity(3))
+    # each route, and is_symplectic, refuses odd-sized and non-square input and takes 0 x 0
+    for route in (is_symplectic, is_symplectic_gram, is_symplectic_blocks):
+        assert route(ExactMatrix.zeros(0, 0))
+        for bad in (ExactMatrix.identity(3), ExactMatrix.zeros(2, 4), ExactMatrix.zeros(4, 2)):
+            with pytest.raises(ShapeMismatchError):
+                route(bad)
 
 
 def test_gram_and_block_routes_form_a_biconditional():
@@ -459,6 +463,40 @@ def test_block_route_refuses_each_broken_condition_alone():
         assert not is_symplectic_blocks(m) and not is_symplectic_gram(m)
     # diag(A, A^-T) with A = I/2: a member over den 2, whose products are over den^2
     assert is_symplectic(block_matrix([[half, z2], [z2, double]]))
+
+
+def test_each_route_makes_one_product_of_its_own(monkeypatch):
+    calls = []
+    real = groups.kernels.matmul_num
+
+    def logging(a, b, n, k, m):
+        calls.append((a, (n, k, m)))
+        return real(a, b, n, k, m)
+
+    monkeypatch.setattr(groups.kernels, "matmul_num", logging)
+    for k in range(1, 5):
+        member = random_sp(k, seed=f"one-product:{k}")
+        for m in (member, with_perturbed_entry(member)):
+            calls.clear()
+            blocks = is_symplectic_blocks(m)
+            assert [shape for _, shape in calls] == [(2 * k, k, 2 * k)]
+            block_left = calls.pop()[0]
+            assert is_symplectic_gram(m) == blocks
+            assert [shape for _, shape in calls] == [(2 * k, 2 * k, 2 * k)]
+            assert block_left != calls[0][0]
+
+
+def test_quadrant_reader_matches_gather():
+    rng = random.Random(17)
+    for k in range(5):
+        for _ in range(3):
+            n = 2 * k
+            m = ExactMatrix(n, n, [rng.randint(-9, 9) for _ in range(4 * n * n)],
+                            rng.randint(1, 6))
+            halves = (range(k), range(k, n))
+            expected = [m.gather(rows, cols) for rows in halves for cols in halves]
+            quads = groups._quadrants(m.num, k)
+            assert [ExactMatrix(k, k, q, m.den) for q in quads] == expected
 
 
 # -- membership carried by the element ----------------------------------------
