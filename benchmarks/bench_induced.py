@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Time the induced-map layer on the connectivity certificate's run of J.
+
+Usage: PYTHONPATH=src python benchmarks/bench_induced.py [--m 2000 40] [--reps 60]
+
+For each m, n is the smallest odd number above 4m+3 coprime to m, so the
+certificate reaches the top of the symplectic window, as in the
+decide-large workload of bench_e2e.  The run is the certificate's list of
+representative degrees (lifting._certificate_degrees), with the Bezout
+witness of (m, n).  Printed, in microseconds of thread time per map, best
+of --reps passes over the run:
+- hom: one induced.hom("J", i, ...) per degree, which binds the params
+  each time, as a single `induced` query does;
+- homs: one induced.homs("J", degrees, ...) run, which binds them once, as
+  the certificate does;
+- iso: induced.is_isomorphism on each distinct map of the run, counting
+  both z candidates of the z-dependent degree.
+Before timing, it checks that both paths give the same maps.  Nothing here
+multiplies an ExactMatrix, so the timings do not depend on the kernel
+backend.
+"""
+
+import argparse
+import time
+
+from sympdec.induced import ZDependent, hom, homs, is_isomorphism
+from sympdec.lifting import _certificate_degrees, bezout_uv
+
+
+def _coprime_odd_above(m: int, low: int) -> int:
+    n = low + 1 | 1
+    while any(n % p == 0 and m % p == 0 for p in range(2, m + 1)):
+        n += 2
+    return n
+
+
+def _best_us(fn, count: int, reps: int) -> float:
+    """Thread time per item of fn(), which handles count items; best of reps."""
+    best = float("inf")
+    for _ in range(reps):
+        start = time.thread_time()
+        fn()
+        best = min(best, time.thread_time() - start)
+    return best / count * 1e6
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--m", type=int, nargs="+", default=[2000, 40])
+    ap.add_argument("--reps", type=int, default=60)
+    args = ap.parse_args()
+
+    print(f"{'m':>6}{'n':>7}{'maps':>6}{'hom':>9}{'homs':>9}{'distinct':>10}{'iso':>9}"
+          f"   (us per map, thread time, best of {args.reps})")
+    for m in args.m:
+        n = _coprime_odd_above(m, 4 * m + 3)
+        w = bezout_uv(m, n)
+        params = {"m": m, "n": n, "u": w.u, "v": w.v}
+        degrees = _certificate_degrees(m, n)
+        run = list(homs("J", degrees, **params))
+        if run != [(i, hom("J", i, **params)) for i in degrees]:
+            raise SystemExit(f"hom and homs build different maps for (m, n) = ({m}, {n})")
+        distinct = list(dict.fromkeys(c for _, h in run for _, c in
+                                      (h.candidates if isinstance(h, ZDependent) else [(0, h)])))
+
+        def per_degree():
+            for i in degrees:
+                hom("J", i, **params)
+
+        def one_binding():
+            for _ in homs("J", degrees, **params):
+                pass
+
+        def isos():
+            for h in distinct:
+                is_isomorphism(h)
+
+        row = (_best_us(per_degree, len(degrees), args.reps),
+               _best_us(one_binding, len(degrees), args.reps),
+               _best_us(isos, len(distinct), args.reps))
+        print(f"{m:>6}{n:>7}{len(degrees):>6}{row[0]:>9.1f}{row[1]:>9.1f}"
+              f"{len(distinct):>10}{row[2]:>9.1f}")
+
+
+if __name__ == "__main__":
+    main()

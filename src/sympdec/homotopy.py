@@ -40,9 +40,6 @@ class TableAnswer(NamedTuple):
     group: FgAbGroup | None
     provenance: str
 
-    def is_group(self) -> bool:
-        return self.kind == GROUP
-
     def to_json(self) -> dict:
         body = list(self.group.factors) if self.kind == GROUP else self.kind
         return {"group": body, "provenance": self.provenance}

@@ -1,18 +1,24 @@
 """Homomorphisms induced on homotopy groups by the group operations.
 
-The formulas form one table, FORMULAS, keyed by CLI op; one builder,
-hom(op, i, **params), turns an entry into an AbHom: an integer matrix on
-the chosen generators of finitely generated abelian groups, with entries
-reduced modulo the target orders, and nothing else.  describe(op, i,
-**params) does the same work and adds the text the induced command
-prints: generator names, the rule's provenance and the window's bound.
-Formulas refuse degrees outside their validity windows instead of
+The formulas form one table, FORMULAS, keyed by CLI op.  One build path
+turns an entry into an AbHom: an integer matrix on the chosen generators of
+finitely generated abelian groups, with entries reduced modulo the target
+orders, and nothing else.  A build has two halves.  The binding does what
+does not depend on the degree, once: it checks the param names, takes the
+Bezout default, runs the checks listed before the window and resolves each
+part to its table and size.  The per-degree step checks the window and the
+checks listed after it, looks each part up in its table, applies the rule
+and checks the AbHom.  homs(op, degrees, **params) runs the per-degree
+step over a run of degrees from one binding; hom(op, i, **params) is its
+one-degree case, and describe(op, i, **params) adds the text the induced
+command prints: generator names, the rule's provenance and the window's
+bound.  Formulas refuse degrees outside their validity windows instead of
 extrapolating; the windows are part of the mathematics.
 
 The AbHom constructor reduces the entries modulo the target orders and
 checks the shape and the well-definedness invariant (each generator of
 finite order a maps to an element that a kills) in one pass.  Every AbHom
-goes through it: those hom() builds, those a caller builds, and the
+goes through it: those hom() and homs() build, those a caller builds, and the
 results of compose, stack, identity_hom, zero_hom and diagonal_hom.
 
 Generators are identified along the stabilization maps, so a formula's
@@ -36,7 +42,7 @@ from sympdec.errors import (
     NotCoprimeError,
     OutOfRangeError,
 )
-from sympdec.homotopy import pi_o, pi_psp, pi_so, pi_sp
+from sympdec.homotopy import GROUP, pi_o, pi_psp, pi_so, pi_sp
 from sympdec.intmatrix import IntMatrix, smith_normal_form
 
 
@@ -316,77 +322,122 @@ REQUIRED = {op: tuple(q for q in f.params if q not in ("u", "v", "z"))
             for op, f in FORMULAS.items()}
 
 
-def _part(family: str, size: str, degree: int, p):
-    """(group, family name, size) of one part at degree; refuses a degree
-    where the table answers no group."""
-    table, name = _FAMILIES[family]
-    k = _SIZES[size](p)
-    answer = table(degree, k)
-    if not answer.is_group():
-        raise OutOfRangeError(f"pi_i {name}({size}): {answer.provenance}")
-    return answer.group, name, k
-
-
 def _bound(limits) -> str:
     return " and ".join(f"{text} = {limit}" for text, limit in limits if limit is not None)
 
 
-def _build(op: str, i: int, params: dict):
-    """The work hom and describe share, each step once.  Returns (window
-    limits, source parts, target parts, [(z, map, provenance) per z
-    candidate]); two candidates mean the map depends on z."""
+# per op: the checks listed before _WINDOW, those listed after it, and the
+# source and target parts, each as (table, family name, size text, size rule)
+_PLANS = {op: (f.checks[:f.checks.index(_WINDOW)], f.checks[f.checks.index(_WINDOW) + 1:],
+               *(tuple((*_FAMILIES[family], size, _SIZES[size]) for family, size in parts)
+                 for parts in (f.sources, f.targets)))
+          for op, f in FORMULAS.items()}
+
+
+def _bind(op: str, params: dict) -> tuple:
+    """The degree-free half of a build: the param names, the Bezout default,
+    the checks listed before _WINDOW, and each part's size.
+
+    Returns the binding (formula, params namespace, z as given, checks
+    listed after _WINDOW, source parts, target parts), where a part is
+    (table, family name, size text, size).  A param passed as None counts as
+    left out, so a required one raises TypeError.
+    """
     f = FORMULAS[op]
-    if params.keys() - f.params or any(q not in params for q in REQUIRED[op]):
+    if params.keys() - f.params or None in map(params.get, REQUIRED[op]):
         raise TypeError(f"{op} takes {', '.join(f.params)}; got {', '.join(params) or 'none'}")
     p = SimpleNamespace(**params)
     if "u" in f.params and (params.get("u") is None or params.get("v") is None):
         from sympdec.lifting import bezout_uv   # lifting builds on this module
         w = bezout_uv(p.m, p.n)
         p.u, p.v = w.u, w.v
+    before, after, sources, targets = _PLANS[op]
+    for check in before:
+        check(p)
+    return (f, p, params.get("z"), after,
+            [(table, name, size, k(p)) for table, name, size, k in sources],
+            [(table, name, size, k(p)) for table, name, size, k in targets])
+
+
+def _group(part, degree: int) -> FgAbGroup:
+    """The group of one part at degree; refuses a degree where the table
+    answers no group."""
+    table, name, size, k = part
+    answer = table(degree, k)
+    if answer.kind != GROUP:
+        raise OutOfRangeError(f"pi_i {name}({size}): {answer.provenance}")
+    return answer.group
+
+
+def _build(b: tuple, i: int):
+    """The per-degree half of a build, on the binding b: the window, the
+    checks listed after it, one table lookup per part, the rule once per z
+    candidate and the checked AbHom.  Returns (window limits, source groups,
+    target groups, [(z, map, provenance) per z candidate]); two candidates
+    mean the map depends on z."""
+    f, p, pinned, after, source_parts, target_parts = b
     limits = [(text, limit(i, p)) for text, limit in f.window]
-    for check in f.checks:
-        if check is not _WINDOW:
-            check(p)
-        elif not (f.shift <= i and all(limit is None or i < limit for _, limit in limits)):
-            raise OutOfRangeError(f"violated bound: {_bound(limits)}")
-    sources = [_part(fam, size, i - f.shift, p) for fam, size in f.sources]
-    targets = [_part(fam, size, i - f.shift, p) for fam, size in f.targets]
-    source = FgAbGroup.product(*[g for g, _, _ in sources])
-    target = FgAbGroup.product(*[g for g, _, _ in targets])
-    pinned = getattr(p, "z", None)
+    if not (f.shift <= i and all(limit is None or i < limit for _, limit in limits)):
+        raise OutOfRangeError(f"violated bound: {_bound(limits)}")
+    for check in after:
+        check(p)
+    sources = [_group(part, i - f.shift) for part in source_parts]
+    targets = [_group(part, i - f.shift) for part in target_parts]
+    source, target = FgAbGroup.product(*sources), FgAbGroup.product(*targets)
     maps = []
     for z in (0, 1) if i == f.z_degree and pinned is None else (pinned and pinned % 2,):
         p.z = z
         rows, provenance = f.rule(i, p)
-        data = [c for (t, _, _), row in zip(targets, rows) for _ in t.factors
-                for (s, _, _), c in zip(sources, row) for _ in s.factors]
+        data = [c for t, row in zip(targets, rows) for _ in t.factors
+                for s, c in zip(sources, row) for _ in s.factors]
         maps.append((z, AbHom(source, target, IntMatrix(target.ngens, source.ngens, data)),
                      provenance))
     return limits, sources, targets, maps
+
+
+def _map(maps):
+    return ZDependent(maps[0][1], maps[1][1]) if len(maps) == 2 else maps[0][1]
 
 
 def hom(op: str, i: int, **params):
     """Build table entry op at degree i, e.g. hom("tensor-sp-o", 3, m=2, n=5).
 
     params are the entry's FORMULAS[op].params, passed by name; a name the
-    entry does not take, or a missing required one, raises TypeError.  u and
-    v default to the minimal Bezout witness of (m, n), which replaces both
-    when either is missing.  z pins the undetermined mod-2 coefficient of
-    the entry's z-dependent degree; left unset there, the result is a
-    ZDependent holding both candidates, and otherwise an AbHom.
+    entry does not take, or a missing required one (None counts as missing),
+    raises TypeError.  u and v default to the minimal Bezout witness of
+    (m, n), which replaces both when either is missing.  z pins the
+    undetermined mod-2 coefficient of the entry's z-dependent degree; left
+    unset there, the result is a ZDependent holding both candidates, and
+    otherwise an AbHom.  This is homs for the one degree i.
     """
-    maps = [h for _, h, _ in _build(op, i, params)[3]]
-    return ZDependent(*maps) if len(maps) == 2 else maps[0]
+    return _map(_build(_bind(op, params), i)[3])
+
+
+def homs(op: str, degrees, **params):
+    """Yield (i, hom(op, i, **params)) for each i of degrees, in order, from
+    one binding of the entry to params.
+
+    The params are checked once, when the first map is asked for, so an
+    empty run checks them too.  Each degree still gets its own window check,
+    table lookups and checked AbHom, and raises what hom would raise there.
+    """
+    b = _bind(op, params)
+    for i in degrees:
+        yield i, _map(_build(b, i)[3])
 
 
 def describe(op: str, i: int, **params) -> dict:
     """What `sympdec induced` prints for hom(op, i, **params): each map with
     its generator names (degree label and part, once per factor of the
     part's group), the rule's provenance and the window's bound text."""
-    limits, sources, targets, maps = _build(op, i, params)
+    b = _bind(op, params)
+    limits, sources, targets, maps = _build(b, i)
+    source_parts, target_parts = b[4:]
     label = FORMULAS[op].label(i)
-    source_names, target_names = ([f"{label} {name}({k})" for g, name, k in parts
-                                   for _ in g.factors] for parts in (sources, targets))
+    source_names, target_names = ([f"{label} {name}({k})" for (_, name, _, k), g in sides
+                                   for _ in g.factors]
+                                  for sides in (zip(source_parts, sources),
+                                                zip(target_parts, targets)))
     bound = _bound(limits)
 
     def text(h, provenance):

@@ -16,7 +16,7 @@ from math import gcd
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
 from sympdec.homotopy import SO_TORSION_PAIRS
-from sympdec.induced import FORMULAS, AbHom, ZDependent, hom, is_isomorphism
+from sympdec.induced import FORMULAS, AbHom, ZDependent, homs, is_isomorphism
 from sympdec.intmatrix import xgcd
 
 DECOMPOSABLE = "decomposable"
@@ -149,10 +149,14 @@ def connectivity_j(m: int, n: int) -> int:
     at most 17 maps, whatever m and n are, visited in ascending order so
     that a failure names the smallest failing degree of the whole window.
 
-    Each degree is built once with the mod-2 parameter z left unset: only
-    degree 2 depends on it, and there both candidates are checked.  The
-    maps repeat across degrees, so verdicts are memoised for this call on
-    the map; each distinct map still gets its own Smith normal form.
+    The degrees are built as one run of induced.homs, from one binding of
+    the J formula to (m, n, u, v): the params are checked and each part is
+    resolved to its table and size once, while each degree still gets its
+    own window check, table lookups and checked map.  Each degree is built
+    once with the mod-2 parameter z left unset: only degree 2 depends on
+    it, and there both candidates are checked.  The maps repeat across
+    degrees, so verdicts are memoised for this call on the map; each
+    distinct map still gets its own Smith normal form.
     """
     _check_domain(m, n)
     if n % 2 == 0:
@@ -165,18 +169,20 @@ def connectivity_j(m: int, n: int) -> int:
     return _certify_pairing(w)
 
 
+def _certificate_degrees(m: int, n: int) -> list[int]:
+    """The degrees connectivity_j builds, ascending: those of the window below
+    period_from + 8 and the nine below its top, skipping multiples of 8."""
+    top = min(4 * m + 3, n)
+    period = FORMULAS["J"].period_from + 8
+    return [i for i in sorted({*range(1, min(period, top)), *range(max(1, top - 9), top)})
+            if i % 8]
+
+
 def _certify_pairing(w: BezoutWitness) -> int:
     """The certificate of connectivity_j for the witness w of (w.m, w.n), whose
     hypotheses the caller has checked; returns 7 or raises HypothesisFailureError."""
-    m, n = w.m, w.n
-    top = min(4 * m + 3, n)
-    period = FORMULAS["J"].period_from + 8
-    degrees = sorted({*range(1, min(period, top)), *range(max(1, top - 9), top)})
     verdicts: dict[AbHom, bool] = {}
-    for i in degrees:
-        if i % 8 == 0:
-            continue
-        h = hom("J", i, m=m, n=n, u=w.u, v=w.v)
+    for i, h in homs("J", _certificate_degrees(w.m, w.n), m=w.m, n=w.n, u=w.u, v=w.v):
         for z, hz in h.candidates if isinstance(h, ZDependent) else ((None, h),):
             iso = verdicts.get(hz)
             if iso is None:

@@ -17,7 +17,7 @@ from sympdec import groups
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import BoundsTooLargeError
 from sympdec.homotopy import pi_sp
-from sympdec.induced import (compose, diagonal_hom, hom, identity_hom, is_isomorphism,
+from sympdec.induced import (compose, diagonal_hom, hom, homs, identity_hom, is_isomorphism,
                              stack, zero_hom)
 from sympdec.lifting import bezout_uv, connectivity_j
 from sympdec.matrix import ExactMatrix
@@ -233,11 +233,11 @@ def run_j_iso(bounds: Bounds, samples: int, seed) -> VerifyReport:
             if gcd(m, n) != 1:
                 continue
             w = bezout_uv(m, n)
-            for i in range(1, min(4 * m + 3, n)):
-                if i % 8 == 0:
-                    continue
-                for z in (0, 1):
-                    h = hom("J", i, m=m, n=n, u=w.u, v=w.v, z=z)
+            degrees = [i for i in range(1, min(4 * m + 3, n)) if i % 8]
+            # one binding per z value, read in step so that cases keep their (i, z) order
+            runs = [homs("J", degrees, m=m, n=n, u=w.u, v=w.v, z=z) for z in (0, 1)]
+            for pair in zip(*runs):
+                for z, (i, h) in enumerate(pair):
                     rep.record(is_isomorphism(h), op="J-iso", m=m, n=n, i=i, z=z)
             rep.record(connectivity_j(m, n) == 7, op="J-connectivity", m=m, n=n)
     return rep

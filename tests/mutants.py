@@ -186,6 +186,20 @@ MUTANTS = [
            "SMALL_ODD_CASES[n], n, \"n\",",
            "SMALL_ODD_CASES[n], m, \"n\",",
            ("tests/test_lifting.py::test_no_section_witness_small_n_case",)),
+    Mutant("a binding carries the first degree's table answers to later degrees",
+           "src/sympdec/induced.py",
+           "    sources = [_group(part, i - f.shift) for part in source_parts]\n"
+           "    targets = [_group(part, i - f.shift) for part in target_parts]\n",
+           "    sources = p.__dict__.setdefault(\"sources\", [_group(part, i - f.shift)\n"
+           "                                                 for part in source_parts])\n"
+           "    targets = p.__dict__.setdefault(\"targets\", [_group(part, i - f.shift)\n"
+           "                                                 for part in target_parts])\n",
+           ("tests/test_induced.py::test_a_run_builds_what_each_degree_builds_alone",)),
+    Mutant("a binding runs the checks listed after the window before it",
+           "src/sympdec/induced.py",
+           "    for check in before:\n",
+           "    for check in before + after:\n",
+           ("tests/test_induced.py::test_the_window_is_checked_before_the_checks_listed_after_it",)),
     Mutant("is_isomorphism counts torsion in the kernel as zero",
            "src/sympdec/induced.py",
            "injective = all((vr[r][j] % order if order else vr[r][j]) == 0",
@@ -221,8 +235,8 @@ MUTANTS = [
            ("tests/test_cli.py::test_parse_path_matches_the_full_parser",)),
     Mutant("the induced view names each part once, not once per generator",
            "src/sympdec/induced.py",
-           "for g, name, k in parts\n                                   for _ in g.factors]",
-           "for g, name, k in parts]",
+           "for (_, name, _, k), g in sides\n                                   for _ in g.factors]",
+           "for (_, name, _, k), g in sides]",
            ("tests/test_induced.py::test_source_names_follow_generators",
             "tests/test_induced_golden.py::test_induced_cli_matches_golden")),
     Mutant("interleaved sums swap the halves of each block's index list",

@@ -24,6 +24,7 @@ from sympdec.induced import (
     describe,
     diagonal_hom,
     hom,
+    homs,
     identity_hom,
     _verdicts,
     is_isomorphism,
@@ -31,6 +32,7 @@ from sympdec.induced import (
     zero_hom,
 )
 from sympdec.intmatrix import IntMatrix
+from sympdec.lifting import bezout_uv
 
 from oracles import isomorphic
 
@@ -349,8 +351,13 @@ def test_hom_takes_exactly_the_entry_params():
         hom("r-fold", 3, n=2)                   # a required name missing
     with pytest.raises(TypeError):
         hom("J", 4, n=9)
-    # optional names may be left out or passed as None
+    # optional names may be left out or passed as None; a required one passed
+    # as None counts as left out
     assert hom("J", 4, m=2, n=9, u=None, v=None, z=None) == hom("J", 4, m=2, n=9)
+    with pytest.raises(TypeError, match="doubling takes n"):
+        hom("doubling", 3, n=None)
+    with pytest.raises(TypeError, match="J takes m, n, u, v, z"):
+        hom("J", 3, m=0, n=None)
 
 
 def test_lone_u_or_v_is_replaced_by_the_witness():
@@ -440,3 +447,86 @@ def test_source_names_follow_generators():
         assert c["valid_range"] == "0 < i < min(4m+3, n) = 9"
         assert c["matrix"] == h.matrix.row_lists()
         assert f"z = {z}" in c["provenance"]
+
+
+# -- runs of degrees from one binding -------------------------------------------
+
+def _run_params(op):
+    """Parameter sets of an entry over a small grid: m <= 4, 3 <= n <= 17,
+    r <= 3; u and v defaulted, given as the witness, and given as another
+    solution (u + n, v + 4m^2); z unset and pinned to each value."""
+    names = FORMULAS[op].params
+    values = {"m": range(1, 5), "n": range(3, 18), "r": range(0, 4)}
+    for combo in product(*(values[q] for q in names if q in values)):
+        p = dict(zip((q for q in names if q in values), combo))
+        if "u" not in names:
+            yield p
+            continue
+        try:
+            w = bezout_uv(p["m"], p["n"])
+        except (SympdecError, ValueError):
+            yield p
+            continue
+        for uv in ({}, {"u": w.u, "v": w.v}, {"u": w.u + w.n, "v": w.v + 4 * w.m * w.m}):
+            for z in ({}, {"z": 0}, {"z": 1}):
+                yield {**p, **uv, **z}
+
+
+def _error(build):
+    with pytest.raises((SympdecError, ValueError, TypeError)) as exc:
+        build()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("op", tuple(FORMULAS))
+def test_a_run_builds_what_each_degree_builds_alone(op):
+    runs = 0
+    for params in _run_params(op):
+        maps = _window_maps(op, params)
+        if not maps:
+            continue
+        # the window up, then down again: no degree may see another's groups
+        degrees = [*maps, *reversed(maps)]
+        assert list(homs(op, degrees, **params)) == [(i, maps[i]) for i in degrees], params
+        runs += 1
+    assert runs >= 4, (op, runs)
+
+
+@pytest.mark.parametrize("op", tuple(FORMULAS))
+def test_a_run_raises_what_the_single_build_raises(op):
+    raised, bottom = 0, FORMULAS[op].shift
+    for params in _run_params(op):
+        maps = _window_maps(op, params)
+        if not maps:
+            # a precondition fails: the run refuses as its first degree does
+            want = _error(lambda: hom(op, bottom, **params))
+            assert _error(lambda: list(homs(op, [bottom, bottom + 1], **params))) == want
+            raised += 1
+            continue
+        # the run yields the window, then refuses the first degree past it
+        top = bottom + len(maps)
+        run = homs(op, [*maps, top, bottom], **params)
+        assert [next(run) for _ in maps] == list(maps.items())
+        assert _error(lambda: next(run)) == _error(lambda: hom(op, top, **params))
+    assert raised or op in ("direct-sum", "doubling", "square-tensor", "tensor-sp-o"), op
+    # a name the entry does not take, or a required one left out
+    for bad in ({"q": 1}, {q: None for q in FORMULAS[op].params}):
+        want = _error(lambda: hom(op, bottom, **bad))
+        assert want[0] is TypeError
+        assert _error(lambda: list(homs(op, [bottom], **bad))) == want
+
+
+def test_the_window_is_checked_before_the_checks_listed_after_it():
+    # J lists its Bezout check after the window, r-fold its r >= 1 check before
+    for build in (lambda: hom("J", 99, m=2, n=9, u=1, v=1),
+                  lambda: list(homs("J", [99], m=2, n=9, u=1, v=1))):
+        with pytest.raises(OutOfRangeError, match=r"^violated bound: 0 < i < min\(4m\+3, n\) = 9$"):
+            build()
+    for build in (lambda: hom("J", 3, m=2, n=9, u=1, v=1),
+                  lambda: list(homs("J", [3], m=2, n=9, u=1, v=1))):
+        with pytest.raises(BadBezoutError):
+            build()
+    for build in (lambda: hom("r-fold", 99, n=2, r=0),
+                  lambda: list(homs("r-fold", [99], n=2, r=0))):
+        with pytest.raises(OutOfRangeError, match=r"^violated bound: r >= 1$"):
+            build()

@@ -5,7 +5,7 @@ import pytest
 
 from sympdec import induced, lifting, suites
 from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
-from sympdec.induced import ZDependent, hom, is_isomorphism
+from sympdec.induced import ZDependent, hom, homs, is_isomorphism
 from sympdec.intmatrix import smith_normal_form
 from sympdec.lifting import (
     KIND_HIGH_N,
@@ -101,13 +101,16 @@ def exhaustive_certificate(m, n, verdict):
 
 
 def _spy_builds(monkeypatch):
+    """Record (degree, map) for each map the certificate's run of J builds."""
     built = []
 
-    def spy_hom(op, i, **params):
-        built.append((i, hom(op, i, **params)))
-        return built[-1][1]
+    def spy_homs(op, degrees, **params):
+        assert op == "J"
+        for i, h in homs(op, degrees, **params):
+            built.append((i, h))
+            yield i, h
 
-    monkeypatch.setattr(lifting, "hom", spy_hom)
+    monkeypatch.setattr(lifting, "homs", spy_homs)
     return built
 
 
