@@ -377,7 +377,10 @@ def _build(b: tuple, i: int):
     mean the map depends on z."""
     f, p, pinned, after, source_parts, target_parts = b
     limits = [(text, limit(i, p)) for text, limit in f.window]
-    if not (f.shift <= i and all(limit is None or i < limit for _, limit in limits)):
+    if i < f.shift:
+        # J's window text states its lower bound (0 < i); the other texts state none
+        raise OutOfRangeError(f"violated bound: {_bound(limits) if f.shift else 'i >= 0'}")
+    if not all(limit is None or i < limit for _, limit in limits):
         raise OutOfRangeError(f"violated bound: {_bound(limits)}")
     for check in after:
         check(p)

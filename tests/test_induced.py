@@ -1,3 +1,5 @@
+import operator
+import re
 from itertools import product
 
 import pytest
@@ -17,6 +19,7 @@ from sympdec.errors import (
 from sympdec.homotopy import pi_sp
 from sympdec.induced import (
     FORMULAS,
+    REQUIRED,
     AbHom,
     ZDependent,
     _presentation_matrix,
@@ -530,3 +533,32 @@ def test_the_window_is_checked_before_the_checks_listed_after_it():
                   lambda: list(homs("r-fold", [99], n=2, r=0))):
         with pytest.raises(OutOfRangeError, match=r"^violated bound: r >= 1$"):
             build()
+
+
+_RELATIONS = {"<": operator.lt, ">=": operator.ge}
+
+
+def _holds(i, clause):
+    """Whether degree i meets one clause of a window bound, as the errors print
+    it: "i >= 0", "i < n-1 = 8" or "0 < i < min(4m+3, n) = 9"; a named limit
+    takes the value after "=", a numeral its own."""
+    text, _, limit = clause.partition(" = ")
+    terms = re.split(r" (<|>=) ", text)
+    values = [i if t == "i" else int(t) if t.isdigit() else int(limit) for t in terms[::2]]
+    return all(_RELATIONS[rel](a, b) for a, rel, b in zip(values, terms[1::2], values[1:]))
+
+
+def test_a_negative_degree_is_refused_by_a_bound_it_violates():
+    # the reader itself: -1 meets an upper bound, and only the stated lower ones refuse it
+    assert _holds(-1, "i < n-1 = 8") and _holds(-1, "i < min(4m+2, n-1) = 8")
+    assert not _holds(-1, "i >= 0") and not _holds(-1, "0 < i < min(4m+3, n) = 9")
+    sizes = {"m": 2, "n": 9, "r": 3}
+    for op in FORMULAS:
+        params = {q: sizes[q] for q in REQUIRED[op]}
+        for build in (lambda: hom(op, -1, **params), lambda: list(homs(op, [-1], **params))):
+            with pytest.raises(OutOfRangeError) as exc:
+                build()
+            text = str(exc.value)
+            assert text.startswith("violated bound: "), (op, text)
+            clauses = text.removeprefix("violated bound: ").split(" and ")
+            assert not all(_holds(-1, c) for c in clauses), (op, text)
