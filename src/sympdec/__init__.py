@@ -4,7 +4,7 @@ tensor-decomposability decision reports, with a JSON CLI."""
 
 __version__ = "0.1.0"
 
-from sympdec.matrix import ExactMatrix, block_diag, block_matrix
+from sympdec.matrix import ExactMatrix, block_diag
 from sympdec.intmatrix import IntMatrix, smith_normal_form
 from sympdec.abgroup import FgAbGroup
 
@@ -14,6 +14,5 @@ __all__ = [
     "FgAbGroup",
     "smith_normal_form",
     "block_diag",
-    "block_matrix",
     "__version__",
 ]

@@ -12,12 +12,15 @@ routes must agree.
 The predicates (both routes and is_orthogonal) compute on M's flat
 numerators over its denominator d and build no intermediate ExactMatrix.
 A product of numerator lists (kernels.matmul_num) is d^2 times the product
-of the matrices, so it is compared with d^2 times the target, J or I; a
-symmetry condition needs no scaling.  The Gram route never multiplies by J:
-J is a signed permutation, so for M = [X; Y] (row halves) J^T M = [-Y; X]
-is M's numerators with the row halves swapped and the new top half negated,
-and M^T J M = (J^T M)^T M is one dense product, compared with d^2 J for J
-built once per size.  The block route makes one product of its own,
+of the matrices, so it is read against d^2 times the target, J or I; a
+symmetry condition needs no scaling.  Neither J nor I is ever built: the
+reader checks the target's nonzero components and counts the zeros.  The
+Gram route never multiplies by J: J is a signed permutation, so for
+M = [X; Y] (row halves) J^T M = [-Y; X] is M's numerators with the row
+halves swapped and the new top half negated, and M^T J M = (J^T M)^T M is
+one dense product.  For M of size 2k, d^2 J has component 0 of entry
+(r, k + r) equal to d^2, that of entry (k + r, r) equal to -d^2, and no
+other nonzero.  The block route makes one product of its own,
 P = X^T Y of the row halves X = [A11 A12] and Y = [A21 A22], whose
 quadrants are the four block products: P11 = A11^T A21, P12 = A11^T A22,
 P21 = A12^T A21 and P22 = A12^T A22 (and A21^T A12 = P21^T).  It reads the
@@ -58,24 +61,15 @@ output, as the verify suites make, always runs them in full.
 
 from __future__ import annotations
 
-import functools
 import random
 from operator import add, itemgetter, mul, neg, sub
 
 from sympdec import kernels
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
-from sympdec.matrix import (ExactMatrix, block_diag, block_matrix, is_scaled_identity,
-                            place_blocks, transposed_num)
+from sympdec.matrix import ExactMatrix, block_diag, is_scaled_identity, place_blocks, transposed_num
 
 
 # -- forms and predicates ----------------------------------------------------
-
-def symplectic_gram(k: int) -> ExactMatrix:
-    """The standard skew form J of size 2k: [[0, I], [-I, 0]]."""
-    i = ExactMatrix.identity(k)
-    z = ExactMatrix.zeros(k, k)
-    return block_matrix([[z, i], [-i, z]])
-
 
 def _quadrants(num: list[int], k: int) -> tuple[list[int], list[int], list[int], list[int]]:
     """The flat numerators of the four k x k quadrants (Q11, Q12, Q21, Q22) of
@@ -90,25 +84,27 @@ def _quadrants(num: list[int], k: int) -> tuple[list[int], list[int], list[int],
     return left[:half], right[:half], left[half:], right[half:]
 
 
-@functools.lru_cache(maxsize=16)
-def _gram_once(k: int) -> ExactMatrix:
-    """symplectic_gram(k), built once per size; only ever compared against."""
-    return symplectic_gram(k)
-
-
 def is_symplectic_gram(m: ExactMatrix) -> bool:
     """Gram route: M^T J M == J.
 
     J^T = [[0, -I], [I, 0]] is a signed permutation, so for M = [X; Y] (row
     halves) J^T M = [-Y; X] is read off M's numerators, and M^T J M =
-    (J^T M)^T M costs one dense product of numerators, compared with den^2 J.
+    (J^T M)^T M costs one dense product of numerators.  The product is read
+    against den^2 J by structure, as is_scaled_identity reads den^2 I, with
+    a reader of its own: for k = n/2 and each r < k, component 0 of entry
+    (r, k + r) is den^2 and that of entry (k + r, r) is -den^2, and those 2k
+    components are the only nonzeros.
     """
     if not m.is_square() or m.rows % 2:
         raise ShapeMismatchError("symplectic matrices have even size")
     n, half = m.rows, len(m.num) // 2
+    k, d2 = n // 2, m.den * m.den
     mt_j = transposed_num([-x for x in m.num[half:]] + m.num[:half], n, n)
-    d2 = m.den * m.den
-    return kernels.matmul_num(mt_j, m.num, n, n, n) == [d2 * x for x in _gram_once(n // 2).num]
+    p = kernels.matmul_num(mt_j, m.num, n, n, n)
+    step = 4 * (n + 1)      # from entry (r, c) to entry (r + 1, c + 1)
+    return (all(x == d2 for x in p[4 * k:4 * n * k:step])
+            and all(x == -d2 for x in p[4 * n * k::step])
+            and p.count(0) == len(p) - n)
 
 
 def is_symplectic_blocks(m: ExactMatrix) -> bool:

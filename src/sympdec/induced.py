@@ -19,7 +19,7 @@ The AbHom constructor reduces the entries modulo the target orders and
 checks the shape and the well-definedness invariant (each generator of
 finite order a maps to an element that a kills) in one pass.  Every AbHom
 goes through it: those hom() and homs() build, those a caller builds, and the
-results of compose, stack, identity_hom, zero_hom and diagonal_hom.
+results of compose and diagonal_hom.
 
 Generators are identified along the stabilization maps, so a formula's
 matrix is stated relative to that identification.  Trivial factors carry
@@ -93,14 +93,6 @@ class ZDependent:
         return ((0, self.z0), (1, self.z1))
 
 
-def identity_hom(g: FgAbGroup) -> AbHom:
-    return AbHom(g, g, IntMatrix.identity(g.ngens))
-
-
-def zero_hom(source: FgAbGroup, target: FgAbGroup) -> AbHom:
-    return AbHom(source, target, IntMatrix.zeros(target.ngens, source.ngens))
-
-
 def diagonal_hom(g: FgAbGroup) -> AbHom:
     """x -> (x, x) into the doubled group."""
     n = g.ngens
@@ -112,18 +104,6 @@ def compose(outer: AbHom, inner: AbHom) -> AbHom:
     if inner.target != outer.source:
         raise MalformedHomError("composition chain mismatch")
     return AbHom(inner.source, outer.target, outer.matrix @ inner.matrix)
-
-
-def stack(top: AbHom, bottom: AbHom) -> AbHom:
-    """Pair two homomorphisms with the same source: x -> (top(x), bottom(x))."""
-    if top.source != bottom.source:
-        raise MalformedHomError("stacked homomorphisms need a common source")
-    t, b = top.matrix, bottom.matrix
-    return AbHom(
-        top.source,
-        FgAbGroup.product(top.target, bottom.target),
-        IntMatrix._raw(t.rows + b.rows, t.cols, t.data + b.data),
-    )
 
 
 def _presentation_matrix(h: AbHom) -> IntMatrix:

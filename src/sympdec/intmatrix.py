@@ -8,8 +8,8 @@ block, scanned row-major, which keeps the reduction deterministic.
 The public constructor accepts integers only (operator.index, so a float
 raises TypeError) and checks the shape.  The private IntMatrix._raw takes a
 row-major list of ints of the right length unchecked, for results that are
-valid whenever their inputs are: products, the identity and zero matrices,
-and the D, U and V of smith_normal_form.
+valid whenever their inputs are: products, the identity matrix, and the
+D, U and V of smith_normal_form.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class IntMatrix:
         data = [0] * (n * n)
         data[::n + 1] = [1] * n
         return cls._raw(n, n, data)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._raw(rows, cols, [0] * (rows * cols))
 
     def row_lists(self) -> list[list[int]]:
         c = self.cols

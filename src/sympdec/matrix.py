@@ -30,17 +30,6 @@ class ExactMatrix:
         self.cols = cols
         self.num, self.den = _reduce_content(num, den)
 
-    @classmethod
-    def _raw(cls, rows: int, cols: int, num: list[int], den: int) -> "ExactMatrix":
-        """A matrix from numerators already in canonical form (content 1, den > 0).
-
-        For results whose content cannot differ from an input's: flipping
-        signs leaves the joint gcd unchanged.
-        """
-        self = object.__new__(cls)
-        self.rows, self.cols, self.num, self.den = rows, cols, num, den
-        return self
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -49,10 +38,6 @@ class ExactMatrix:
         for i in range(n):
             num[(i * n + i) * 4] = 1
         return cls(n, n, num, 1)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [0] * (rows * cols * 4), 1)
 
     # -- element access ----------------------------------------------------
 
@@ -82,7 +67,7 @@ class ExactMatrix:
 
     def __neg__(self):
         # type(self): -A lies in Sp or O exactly when A does, so a membership mark stays
-        return type(self)._raw(self.rows, self.cols, [-x for x in self.num], self.den)
+        return type(self)(self.rows, self.cols, [-x for x in self.num], self.den)
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -211,24 +196,6 @@ def _spans(sizes) -> list[range]:
     """Consecutive index ranges of the given lengths, starting at 0."""
     ends = list(accumulate(sizes, initial=0))
     return [range(a, b) for a, b in zip(ends, ends[1:])]
-
-
-def block_matrix(grid) -> ExactMatrix:
-    """Assemble a matrix from a 2-D grid of conforming blocks."""
-    if not grid or not grid[0]:
-        return ExactMatrix.zeros(0, 0)
-    row_heights = [row[0].rows for row in grid]
-    col_widths = [b.cols for b in grid[0]]
-    for row in grid:
-        if len(row) != len(col_widths):
-            raise ShapeMismatchError("ragged block grid")
-        for b, w in zip(row, col_widths):
-            if b.cols != w or b.rows != row[0].rows:
-                raise ShapeMismatchError("inconsistent block sizes")
-    col_spans = _spans(col_widths)
-    return place_blocks(sum(row_heights), sum(col_widths), [
-        (b, rs, cs) for row, rs in zip(grid, _spans(row_heights)) for b, cs in zip(row, col_spans)
-    ])
 
 
 def block_diag(*blocks: ExactMatrix) -> ExactMatrix:

@@ -17,8 +17,7 @@ from sympdec import groups
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import BoundsTooLargeError
 from sympdec.homotopy import pi_sp
-from sympdec.induced import (compose, diagonal_hom, hom, homs, identity_hom, is_isomorphism,
-                             stack, zero_hom)
+from sympdec.induced import AbHom, compose, diagonal_hom, hom, homs, is_isomorphism
 from sympdec.lifting import bezout_uv, connectivity_j
 from sympdec.matrix import ExactMatrix
 
@@ -170,17 +169,14 @@ def run_center(bounds: Bounds, samples: int, seed) -> VerifyReport:
     return rep
 
 
-def _tensor_decomposition_consistent(i: int, m: int, n: int) -> bool:
-    """tensor formula is [left | right]: the n-fold sum on Sp(m) beside the
-    m-fold sum of doubling on O(n), read off through the two factor inclusions."""
-    tensor = hom("tensor-sp-o", i, m=m, n=n)
-    left = hom("r-fold", i, n=m, r=n)
-    right = compose(hom("r-fold", i, n=n, r=m), hom("doubling", i, n=n))
-    a, b = left.source, right.source
-    if tensor.source != FgAbGroup.product(a, b):
-        return False
-    return (compose(tensor, stack(identity_hom(a), zero_hom(a, b))) == left
-            and compose(tensor, stack(zero_hom(b, a), identity_hom(b))) == right)
+def _tensor_decomposition_consistent(tensor: AbHom, left: AbHom, right: AbHom) -> bool:
+    """tensor is [left | right]: its source is left's beside right's, the
+    three share a target, and each row of its matrix is left's row followed
+    by right's."""
+    rows = zip(left.matrix.row_lists(), right.matrix.row_lists())
+    return (tensor.source == FgAbGroup.product(left.source, right.source)
+            and tensor.target == left.target == right.target
+            and tensor.matrix.row_lists() == [a + b for a, b in rows])
 
 
 def _square_tensor_consistent(i: int, m: int) -> bool:
@@ -198,7 +194,11 @@ def run_formulas(bounds: Bounds, samples: int, seed) -> VerifyReport:
     for m in range(1, top + 1):
         for n in range(1, top + 1):
             for i in range(0, min(4 * m + 2, n - 1)):
-                rep.record(_tensor_decomposition_consistent(i, m, n),
+                # the n-fold sum on Sp(m) beside the m-fold sum of doubling on O(n)
+                tensor = hom("tensor-sp-o", i, m=m, n=n)
+                left = hom("r-fold", i, n=m, r=n)
+                right = compose(hom("r-fold", i, n=n, r=m), hom("doubling", i, n=n))
+                rep.record(_tensor_decomposition_consistent(tensor, left, right),
                            op="tensor-left-right", i=i, m=m, n=n)
         for i in range(0, min(4 * m + 2, 4 * m * m - 1)):
             rep.record(_square_tensor_consistent(i, m),

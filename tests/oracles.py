@@ -65,6 +65,12 @@ def scale(m: ExactMatrix, a) -> ExactMatrix:
                       for i in range(m.rows)], m.cols)
 
 
+def dense_gram(k: int) -> ExactMatrix:
+    """The standard skew form J = [[0, I_k], [-I_k, 0]] of size 2k."""
+    return from_rows([[1 if c == r + k else -1 if r == c + k else 0
+                       for c in range(2 * k)] for r in range(2 * k)], 2 * k)
+
+
 def with_perturbed_entry(m: ExactMatrix, delta: int = 1) -> ExactMatrix:
     """Copy of m with delta added to the top-left entry: a non-member of m's group."""
     num = list(m.num)

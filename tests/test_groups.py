@@ -24,18 +24,17 @@ from sympdec.groups import (
     random_so,
     random_sp,
     stabilization_sj,
-    symplectic_gram,
     tensor_sp_o,
     tensor_sp_sp,
     verify_l_conjugation,
     verify_mixed_product,
     verify_sj_conjugation,
 )
-from sympdec.matrix import ExactMatrix, block_diag, block_matrix
+from sympdec.matrix import ExactMatrix, block_diag
 
 from conftest import Q_ZETA8, over_q_zeta8
-from oracles import (I, change_of_basis_p, entry, from_rows, perm_matrix, perm_pj, perm_pmn,
-                     scale, transpose, with_perturbed_entry)
+from oracles import (I, change_of_basis_p, dense_gram, entry, from_rows, perm_matrix, perm_pj,
+                     perm_pmn, scale, transpose, with_perturbed_entry)
 
 
 # -- membership predicates ---------------------------------------------------
@@ -48,7 +47,7 @@ def test_identity_is_symplectic():
 def test_gram_matrix_is_symplectic():
     # J^T J J = J because J^2 = -I
     for m in (1, 2):
-        assert is_symplectic(symplectic_gram(m))
+        assert is_symplectic(dense_gram(m))
 
 
 def test_rational_diagonal_example():
@@ -58,10 +57,19 @@ def test_rational_diagonal_example():
 def test_odd_size_raises():
     # each route, and is_symplectic, refuses odd-sized and non-square input and takes 0 x 0
     for route in (is_symplectic, is_symplectic_gram, is_symplectic_blocks):
-        assert route(ExactMatrix.zeros(0, 0))
-        for bad in (ExactMatrix.identity(3), ExactMatrix.zeros(2, 4), ExactMatrix.zeros(4, 2)):
+        assert route(ExactMatrix(0, 0, []))
+        for bad in (ExactMatrix.identity(3), ExactMatrix(2, 4, [0] * 32), ExactMatrix(4, 2, [0] * 32)):
             with pytest.raises(ShapeMismatchError):
                 route(bad)
+
+
+def off_target(a):
+    """a diag(1 + i, 1, ..., 1).  Its Gram product is D^T (a^T J a) D, so for a in Sp
+    it matches J in component 0 of every entry but has an i part at (0, k) and
+    (k, 0): only the zeros off J's entries refuse it."""
+    n = a.rows
+    return a @ from_rows([[(1, 0, 1, 0) if r == c == 0 else int(r == c) for c in range(n)]
+                          for r in range(n)])
 
 
 def test_gram_and_block_routes_form_a_biconditional():
@@ -69,7 +77,7 @@ def test_gram_and_block_routes_form_a_biconditional():
     for k in range(30):
         m = rng.randint(1, 3)
         member = random_sp(m, seed=f"bicond:{k}")
-        candidates = [member, with_perturbed_entry(member)]
+        candidates = [member, with_perturbed_entry(member), off_target(member)]
         for cand in candidates:
             assert is_symplectic_gram(cand) == is_symplectic_blocks(cand)
     assert not is_symplectic(with_perturbed_entry(ExactMatrix.identity(4)))
@@ -102,7 +110,8 @@ def sympy_is_orthogonal(m):
 
 @st.composite
 def symplectic_candidates(draw):
-    """A random_sp, direct_sum_sp or tensor_sp_o output, kept, perturbed or made anti-symplectic."""
+    """A random_sp, direct_sum_sp or tensor_sp_o output, kept, perturbed, made
+    anti-symplectic or given an i part off J's entries."""
     seed, m = draw(st.integers(0, 10 ** 6)), draw(st.integers(1, 2))
     kind = draw(st.sampled_from(["random_sp", "direct_sum_sp", "tensor_sp_o"]))
     a = random_sp(m, seed)
@@ -110,13 +119,15 @@ def symplectic_candidates(draw):
         a = direct_sum_sp(a, random_sp(draw(st.integers(1, 2)), seed + 1))
     elif kind == "tensor_sp_o":
         a = tensor_sp_o(a, random_so(draw(st.integers(1, 3)), seed))
-    change = draw(st.sampled_from(["none", "perturbed", "anti"]))
+    change = draw(st.sampled_from(["none", "perturbed", "anti", "off-target"]))
     if change == "perturbed":
         a = with_perturbed_entry(a, draw(st.sampled_from([-2, -1, 1, 2])))
     elif change == "anti":
         # (M D)^T J (M D) = D^T J D = -J for D = diag(I, -I)
         k = a.rows // 2
         a = a @ block_diag(ExactMatrix.identity(k), -ExactMatrix.identity(k))
+    elif change == "off-target":
+        a = off_target(a)
     return a
 
 
@@ -256,7 +267,7 @@ def test_tensor_sp_o_closure_randomized():
 def test_tensor_gram_compatibility():
     # the basis ordering makes J kron I literally the bigger J
     for m, n in [(1, 2), (2, 3)]:
-        assert symplectic_gram(m).kron(ExactMatrix.identity(n)) == symplectic_gram(m * n)
+        assert dense_gram(m).kron(ExactMatrix.identity(n)) == dense_gram(m * n)
 
 
 def test_l_and_r_restrictions_fit_together():
@@ -270,7 +281,7 @@ def test_l_and_r_restrictions_fit_together():
 def test_orthonormal_change_of_basis():
     for m, n in [(1, 1), (1, 2), (2, 2)]:
         p = change_of_basis_p(m, n)
-        g = symplectic_gram(m).kron(symplectic_gram(n))
+        g = dense_gram(m).kron(dense_gram(n))
         assert transpose(p) @ g @ p == ExactMatrix.identity(4 * m * n)
 
 
@@ -330,11 +341,6 @@ def interleaved_oracle(*blocks):
     return transpose(s) @ dense_block_diag(*blocks) @ s
 
 
-def dense_gram(k):
-    return from_rows([[1 if c == r + k else -1 if r == c + k else 0
-                       for c in range(2 * k)] for r in range(2 * k)], 2 * k)
-
-
 def g_scan_change_of_basis(m, n):
     """P over sympy's Q(z), from a scan of G = J kron J: each column of G holds one
     nonzero, eps at the partner, and gives the columns (e_a + eps e_a')/sqrt2 and
@@ -374,7 +380,6 @@ def test_interleaved_sums_match_the_conjugated_block_diagonal(m):
 
 def test_change_of_basis_matches_the_gram_scan():
     for m in (1, 2, 3):
-        assert dense_gram(m) == symplectic_gram(m)
         for n in (1, 2, 3):
             assert over_q_zeta8(change_of_basis_p(m, n)) == g_scan_change_of_basis(m, n)
 
@@ -440,29 +445,32 @@ def test_row_swap_gram_route_matches_the_dense_gram_product():
         for seed in range(4):
             member = random_sp(k, seed=f"gram:{k}:{seed}")
             cases = [member, with_perturbed_entry(member), with_perturbed_entry(member, -2),
-                     anti_symplectic(member), scale(member, I), -member,
+                     anti_symplectic(member), off_target(member), scale(member, I), -member,
                      ExactMatrix(2 * k, 2 * k, [x for x in member.num], 3)]
             for m in cases:
                 assert is_symplectic_gram(m) == (transpose(m) @ j @ m == j)
                 assert is_symplectic_gram(m) == is_symplectic_blocks(m)
             assert is_symplectic_gram(member) and is_symplectic_gram(-member)
             assert not is_symplectic_gram(anti_symplectic(member))
-    assert is_symplectic_gram(ExactMatrix.zeros(0, 0))
+    assert is_symplectic_gram(ExactMatrix(0, 0, []))
 
 
 def test_block_route_refuses_each_broken_condition_alone():
     """Each matrix breaks exactly one block condition; both routes must refuse it."""
-    i2, z2 = ExactMatrix.identity(2), ExactMatrix.zeros(2, 2)
-    c = from_rows([[0, 1], [0, 0]])
-    half, double = scale(i2, Fraction(1, 2)), scale(i2, 2)
-    broken = [block_matrix([[i2, z2], [c, i2]]),            # A11^T A21 = C
-              block_matrix([[i2, c], [z2, i2]]),            # A12^T A22 = C
-              block_matrix([[double, z2], [z2, i2]]),       # A11^T A22 - A21^T A12 = 2I
-              block_matrix([[half, z2], [z2, half]])]       # ... = I/4, over den 2
+    h = Fraction(1, 2)
+
+    def diag(*d):
+        return from_rows([[x if r == c else 0 for c in range(4)] for r, x in enumerate(d)])
+
+    # C = [[0, 1], [0, 0]] in the A21 block, then in the A12 block
+    broken = [from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]),  # A11^T A21 = C
+              from_rows([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),  # A12^T A22 = C
+              diag(2, 2, 1, 1),         # A11^T A22 - A21^T A12 = 2I
+              diag(h, h, h, h)]         # ... = I/4, over den 2
     for m in broken:
         assert not is_symplectic_blocks(m) and not is_symplectic_gram(m)
     # diag(A, A^-T) with A = I/2: a member over den 2, whose products are over den^2
-    assert is_symplectic(block_matrix([[half, z2], [z2, double]]))
+    assert is_symplectic(diag(h, h, 2, 2))
 
 
 def test_each_route_makes_one_product_of_its_own(monkeypatch):
@@ -658,18 +666,24 @@ def test_random_unimodular_carries_its_inverse_transpose():
             assert transpose(a) @ a_inv_t == ExactMatrix.identity(k)
 
 
+def dense_shear(s, upper):
+    """[[I, S], [0, I]] if upper, else [[I, 0], [S, I]], from the integer rows of S."""
+    m = len(s)
+    eye = [[int(r == c) for c in range(m)] for r in range(m)]
+    top, bottom = (s, [[0] * m] * m) if upper else ([[0] * m] * m, s)
+    return from_rows([a + b for a, b in zip(eye, top)] + [a + b for a, b in zip(bottom, eye)])
+
+
 def dense_random_sp(m, seed):
-    """random_sp's generator product, every generator a block matrix and every step a dense product."""
+    """random_sp's generator product, every generator a dense matrix and every step a dense product."""
     rng = _rng(f"sp:{m}", seed)
-    ident, zero = ExactMatrix.identity(m), ExactMatrix.zeros(m, m)
     out = ExactMatrix.identity(2 * m)
     for _ in range(rng.randint(2, 4)):
         kind = rng.randrange(3)
         if kind == 0:
-            f = block_diag(*(from_rows(r) for r in _random_unimodular(m, rng)))
+            f = dense_block_diag(*(from_rows(r) for r in _random_unimodular(m, rng)))
         else:
-            s = from_rows(_random_symmetric(m, rng))
-            f = block_matrix([[ident, s], [zero, ident]] if kind == 1 else [[ident, zero], [s, ident]])
+            f = dense_shear(_random_symmetric(m, rng), upper=kind == 1)
         out = out @ f
     return out
 

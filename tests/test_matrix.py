@@ -5,8 +5,7 @@ import pytest
 from sympy import I as I_, QQ, exp, pi, sqrt
 
 from sympdec.errors import ShapeMismatchError
-from sympdec.matrix import (ExactMatrix, block_diag, block_matrix, is_scaled_identity,
-                            place_blocks, transposed_num)
+from sympdec.matrix import ExactMatrix, block_diag, is_scaled_identity, place_blocks, transposed_num
 
 from conftest import Q_ZETA8, over_q_zeta8
 from oracles import HALF_SQRT2, I, entry, from_rows, perm_matrix, product, scale, transpose
@@ -55,11 +54,7 @@ def test_transpose_involution_and_product_rule():
 
 def test_block_assembly():
     i2, i3 = ExactMatrix.identity(2), ExactMatrix.identity(3)
-    m = block_matrix([[i2, ExactMatrix.zeros(2, 3)], [ExactMatrix.zeros(3, 2), i3]])
-    assert m == ExactMatrix.identity(5)
     assert block_diag(i2, i3) == ExactMatrix.identity(5)
-    with pytest.raises(ShapeMismatchError):
-        block_matrix([[i2, i3]])
 
 
 def entrywise(rows, cols, cells):
@@ -74,13 +69,6 @@ def rand_block(r, c, rng):
 def test_block_assembly_matches_entrywise_reference():
     rng = random.Random(8)
     for _ in range(40):
-        hs = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
-        ws = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
-        grid = [[rand_block(h, w, rng) for w in ws] for h in hs]
-        cells = {(sum(hs[:p]) + i, sum(ws[:q]) + j): entry(b, i, j)
-                 for p, row in enumerate(grid) for q, b in enumerate(row)
-                 for i in range(b.rows) for j in range(b.cols)}
-        assert block_matrix(grid) == entrywise(sum(hs), sum(ws), cells)
         blocks = [rand_block(rng.randint(0, 3), rng.randint(0, 3), rng)
                   for _ in range(rng.randint(0, 4))]
         cells, r0, c0 = {}, 0, 0
@@ -156,7 +144,7 @@ def test_gather_rejects_bad_indices():
     for rows, cols in (([3], [0]), ([-1], [0]), ([0], [3]), ([0], [-1]), ([0, 1, 5], [0, 1])):
         with pytest.raises(ShapeMismatchError):
             m.gather(rows, cols)
-    assert m.gather([], [0, 1]) == ExactMatrix.zeros(0, 2)
+    assert m.gather([], [0, 1]) == ExactMatrix(0, 2, [])
 
 
 def test_gather_reduces_content_and_transpose_and_negation_keep_it():

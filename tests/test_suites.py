@@ -4,6 +4,7 @@ import pytest
 
 from sympdec import suites
 from sympdec.errors import BoundsTooLargeError
+from sympdec.induced import compose, hom
 from sympdec.suites import Bounds, run_suite
 
 
@@ -29,6 +30,17 @@ def test_all_runs_every_suite():
     reports = run_suite("all", Bounds(2, 2, 2), 2, 5)
     assert [r.suite for r in reports] == list(suites._RUNNERS)
     assert all(r.ok for r in reports)
+
+
+def test_tensor_left_right_check_reads_each_block():
+    # at (i, m, n) = (3, 2, 9) both factor sources are Z, so swapped blocks keep every shape:
+    # the tensor map is [9 4], the 9-fold sum [9] and the doubled 2-fold sum [4]
+    tensor = hom("tensor-sp-o", 3, m=2, n=9)
+    left = hom("r-fold", 3, n=2, r=9)
+    right = compose(hom("r-fold", 3, n=9, r=2), hom("doubling", 3, n=9))
+    assert suites._tensor_decomposition_consistent(tensor, left, right)
+    for a, b in ((right, left), (left, left), (right, right)):
+        assert not suites._tensor_decomposition_consistent(tensor, a, b)
 
 
 def test_unknown_suite():
