@@ -30,7 +30,7 @@ no generators: a map written (x, y) -> v*y on 0 x Z/2 is emitted as the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -117,29 +117,21 @@ def _presentation_matrix(h: AbHom) -> IntMatrix:
     return IntMatrix._raw(m.rows, c + len(rel), data)
 
 
-def _verdicts(h: AbHom) -> tuple[bool, bool]:
-    """(surjective, injective), both read off one Smith normal form U*P*V = D
-    of the presentation P = [matrix | target relations].
-
-    h is onto when every invariant factor of P is 1.  The columns of V past
-    the nonzero diagonal span the source vectors that P sends into the
-    relations; h is injective when each is zero in the source.
-    """
-    if not h.source.ngens and not h.target.ngens:
-        return True, True
-    ext = _presentation_matrix(h)
-    d, _, v = smith_normal_form(ext)
-    diag = d.diagonal()
-    surjective = len(diag) == h.target.ngens and all(x == 1 for x in diag)
-    vr = v.row_lists()
-    kernel = [j for j in range(ext.cols) if j >= len(diag) or diag[j] == 0]
-    injective = all((vr[r][j] % order if order else vr[r][j]) == 0
-                    for j in kernel for r, order in enumerate(h.source.factors))
-    return surjective, injective
-
-
 def is_isomorphism(h: AbHom) -> bool:
-    return all(_verdicts(h))
+    """h: A -> B is an isomorphism exactly when it is onto and A and B have
+    the same rank and the same torsion order.
+
+    Onto between equal ranks leaves a finite kernel, so every preimage of a
+    torsion element is torsion: h maps the torsion of A onto that of B with
+    the whole kernel, and equal orders make it trivial.  h is onto when the
+    presentation [matrix | target relations] has target.ngens invariant
+    factors, all 1; its Smith normal form runs only when both counts agree.
+    """
+    a, b = h.source.factors, h.target.factors
+    if a.count(0) != b.count(0) or prod(filter(None, a)) != prod(filter(None, b)):
+        return False
+    factors = smith_normal_form(_presentation_matrix(h))
+    return len(factors) == len(b) and all(x == 1 for x in factors)
 
 
 # -- the formula table ---------------------------------------------------------

@@ -1,15 +1,15 @@
 """Arbitrary-precision integer matrices and Smith normal form.
 
-smith_normal_form(M) returns (D, U, V) with U*M*V = D, U and V unimodular,
-D diagonal with d1 | d2 | ... and every diagonal entry nonnegative.  Pivots
-are always the entry of smallest nonzero absolute value in the remaining
-block, scanned row-major, which keeps the reduction deterministic.
+smith_normal_form(M) returns the invariant factors of M: the diagonal
+d1 | d2 | ... of its Smith normal form, min(rows, cols) entries, each
+nonnegative.  Pivots are always the entry of smallest nonzero absolute value
+in the remaining block, scanned row-major, which keeps the reduction
+deterministic.
 
 The public constructor accepts integers only (operator.index, so a float
 raises TypeError) and checks the shape.  The private IntMatrix._raw takes a
 row-major list of ints of the right length unchecked, for results that are
-valid whenever their inputs are: products, the identity matrix, and the
-D, U and V of smith_normal_form.
+valid whenever their inputs are: products and the identity matrix.
 """
 
 from __future__ import annotations
@@ -74,37 +74,25 @@ class IntMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self.data)))
 
-    def diagonal(self) -> list[int]:
-        return self.data[::self.cols + 1][:min(self.rows, self.cols)]
 
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize m by unimodular row/column operations: U @ m @ V = D."""
+def smith_normal_form(m: IntMatrix) -> list[int]:
+    """The invariant factors d1 | d2 | ... of m, min(rows, cols) of them:
+    the diagonal left by unimodular row and column operations, made
+    nonnegative."""
     r, c = m.rows, m.cols
     a = m.row_lists()
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def row_sub(i, k, q):
         # row i -= q * row k
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
     def col_sub(j, k, q):
         # col j -= q * col k
         for row in a:
             row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
 
     def swap_cols(j, k):
         for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
             row[j], row[k] = row[k], row[j]
 
     t = 0
@@ -119,7 +107,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if best is None:
             break
         if best[0] != t:
-            swap_rows(t, best[0])
+            a[t], a[best[0]] = a[best[0]], a[t]
         if best[1] != t:
             swap_cols(t, best[1])
 
@@ -133,7 +121,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         row_sub(i, t, q)
                     if a[i][t]:
                         # remainder is strictly smaller: promote it to the pivot
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         moved = True
                         break
             if moved:
@@ -164,14 +152,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
         t += 1
 
-    for i in range(min(r, c)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
-    flat = lambda g: [x for row in g for x in row]
-    return (IntMatrix._raw(r, c, flat(a)), IntMatrix._raw(r, r, flat(u)),
-            IntMatrix._raw(c, c, flat(v)))
+    return [abs(a[i][i]) for i in range(min(r, c))]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

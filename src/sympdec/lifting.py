@@ -156,7 +156,7 @@ def connectivity_j(m: int, n: int) -> int:
     once with the mod-2 parameter z left unset: only degree 2 depends on
     it, and there both candidates are checked.  The maps repeat across
     degrees, so verdicts are memoised for this call on the map; each
-    distinct map still gets its own Smith normal form.
+    distinct map still gets at most one Smith normal form.
     """
     _check_domain(m, n)
     if n % 2 == 0:

@@ -17,7 +17,6 @@ from math import gcd, lcm
 
 from sympdec.abgroup import FgAbGroup
 from sympdec.groups import _basis_pairs
-from sympdec.intmatrix import IntMatrix
 from sympdec.matrix import ExactMatrix
 
 I = (0, 0, 1, 0)
@@ -123,11 +122,7 @@ def change_of_basis_p(m: int, n: int) -> ExactMatrix:
     return from_rows(rows, size)
 
 
-# -- integer matrices and abelian groups ----------------------------------------
-
-def is_diagonal(m: IntMatrix) -> bool:
-    return all(x == 0 for i, row in enumerate(m.row_lists()) for j, x in enumerate(row) if i != j)
-
+# -- abelian groups ----------------------------------------------------------
 
 def canonical(g: FgAbGroup) -> FgAbGroup:
     """The isomorphism class of g: free factors first, torsion as an ascending

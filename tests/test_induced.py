@@ -1,6 +1,7 @@
 import operator
 import re
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,10 +29,9 @@ from sympdec.induced import (
     diagonal_hom,
     hom,
     homs,
-    _verdicts,
     is_isomorphism,
 )
-from sympdec.intmatrix import IntMatrix
+from sympdec.intmatrix import IntMatrix, smith_normal_form
 from sympdec.lifting import bezout_uv
 
 from oracles import isomorphic
@@ -95,20 +95,37 @@ def test_entries_reduced_mod_target_orders():
     assert h.matrix.row_lists() == [[2]]
 
 
+def onto(h: AbHom) -> bool:
+    """Every invariant factor of the presentation is 1, one per target generator."""
+    factors = smith_normal_form(_presentation_matrix(h))
+    return len(factors) == h.target.ngens and all(x == 1 for x in factors)
+
+
+def sympy_iso(h: AbHom) -> bool:
+    """The reference verdict: h is onto when sympy finds only unit invariant
+    factors in its presentation, and an epimorphism between isomorphic
+    finitely generated abelian groups is an isomorphism (they are Hopfian)."""
+    p = _presentation_matrix(h)
+    factors = invariant_factors(Matrix(p.rows, p.cols, p.data), domain=ZZ)
+    return (len(factors) == h.target.ngens and all(x == 1 for x in factors)
+            and isomorphic(h.source, h.target))
+
+
 def test_zero_dimensional_homs():
     h = AbHom(T, T, IntMatrix(0, 0, []))
-    assert is_isomorphism(h)
-    # _verdicts(h) is (surjective, injective)
-    assert _verdicts(AbHom(Z2, T, IntMatrix(0, 1, []))) == (True, False)
-    assert _verdicts(AbHom(T, Z2, IntMatrix(1, 0, []))) == (False, True)
+    assert is_isomorphism(h) and onto(h)
+    kill = AbHom(Z2, T, IntMatrix(0, 1, []))
+    assert onto(kill) and not is_isomorphism(kill)
+    miss = AbHom(T, Z2, IntMatrix(1, 0, []))
+    assert not onto(miss) and not is_isomorphism(miss)
 
 
 def test_iso_predicates_on_knowns():
     assert is_isomorphism(abhom((0, 2, 4), (0, 2, 4), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     doubling = abhom((0,), (0,), [[2]])
-    assert _verdicts(doubling) == (False, True) and not is_isomorphism(doubling)
+    assert not onto(doubling) and not is_isomorphism(doubling)
     project = abhom((0,), (2,), [[1]])
-    assert _verdicts(project) == (True, False) and not is_isomorphism(project)
+    assert onto(project) and not is_isomorphism(project)
     # invertible integer 2x2 with unit determinant
     unit = abhom((0, 0), (0, 0), [[9, 4], [16, 7]])
     assert is_isomorphism(unit)
@@ -121,28 +138,57 @@ def test_iso_predicates_on_knowns():
     assert not is_isomorphism(collapse)
     # mixed free and torsion: (x, y) -> (3x, x + y) is injective, misses (1, 0)
     mixed = abhom((0, 2), (0, 2), [[3, 0], [1, 1]])
-    assert _verdicts(mixed) == (False, True)
-    # torsion into Z: the Z/2 summand dies, so (x, y) -> y is onto but not injective
-    kill = abhom((2, 0), (0,), [[0, 1]])
-    assert _verdicts(kill) == (True, False) and not is_isomorphism(kill)
+    assert not onto(mixed) and not is_isomorphism(mixed)
+
+
+def test_each_count_decides_alone():
+    # Z -> 0 is onto with equal torsion orders, but the ranks differ
+    rank = AbHom(Z, T, IntMatrix(0, 1, []))
+    assert onto(rank) and not is_isomorphism(rank)
+    # Z/2 x Z -> Z by (0, 1): the Z/2 summand dies, so it is onto with equal
+    # ranks, but the torsion orders differ
+    torsion = abhom((2, 0), (0,), [[0, 1]])
+    assert onto(torsion) and not is_isomorphism(torsion)
+    # Z/2 x Z/3 -> Z/6: an isomorphism whose factor lists differ
+    crt = abhom((2, 3), (6,), [[3, 2]])
+    assert crt.source != crt.target and onto(crt) and is_isomorphism(crt)
+    # Z/4 -> Z/2 x Z/2: both counts agree, but the image is the diagonal
+    diagonal = abhom((4,), (2, 2), [[1], [1]])
+    assert not onto(diagonal) and not is_isomorphism(diagonal)
+    for h in (rank, torsion, crt, diagonal):
+        assert is_isomorphism(h) == sympy_iso(h), h
 
 
 def test_isomorphism_agrees_with_its_two_halves(golden_homs):
-    # independent reference: h is onto when sympy finds only unit invariant
-    # factors in its presentation, and an epimorphism between isomorphic
-    # finitely generated abelian groups is an isomorphism (they are Hopfian)
     isos = 0
     for h in golden_homs:
         iso = is_isomorphism(h)
-        surjective, injective = _verdicts(h)
-        assert iso == (surjective and injective), h
-        p = _presentation_matrix(h)
-        factors = invariant_factors(Matrix(p.rows, p.cols, p.data), domain=ZZ)
-        onto = len(factors) == h.target.ngens and all(x == 1 for x in factors)
-        assert surjective == onto, h
-        assert iso == (onto and isomorphic(h.source, h.target)), h
+        assert iso == sympy_iso(h), h
         isos += iso
     assert 0 < isos < len(golden_homs)
+
+
+ORDERS = st.sampled_from([0, 2, 3, 4, 6])
+
+
+@st.composite
+def well_defined_homs(draw):
+    """Maps between products of up to three cyclic groups of order 0, 2, 3, 4
+    or 6: entry (r, c) is a multiple of t / gcd(a, t) for source order a and
+    target order t, and 0 when a is finite and t is not."""
+    src, tgt = draw(st.lists(ORDERS, max_size=3)), draw(st.lists(ORDERS, max_size=3))
+    data = []
+    for t in tgt:
+        for a in src:
+            k = draw(st.integers(-3, 3))
+            data.append(k * (t // gcd(a, t)) if a and t else 0 if a else k)
+    return AbHom(FgAbGroup(src), FgAbGroup(tgt), IntMatrix(len(tgt), len(src), data))
+
+
+@settings(max_examples=400, deadline=None)
+@given(well_defined_homs())
+def test_isomorphism_agrees_with_sympy_on_composite_torsion(h):
+    assert is_isomorphism(h) == sympy_iso(h), h
 
 
 def test_compose_and_stack():
@@ -292,7 +338,7 @@ def test_ttilde_degree_one_threads_z():
     assert both.z0.matrix.row_lists() == [[0, 1]]
     assert both.z1.matrix.row_lists() == [[1, 1]]
     for _, h in both.candidates:
-        assert _verdicts(h)[0]
+        assert onto(h)
 
 
 def test_j_degree_two_is_invertible_for_both_z():
