@@ -701,6 +701,17 @@ def test_random_sp_and_gl_draws_are_pinned():
     assert digest.hexdigest().startswith("65ed077310d1842b")
 
 
+def test_random_so_draws_are_pinned():
+    # as for random_sp and random_gl: the closure and center samples derive
+    # from these draws
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for seed in range(40):
+            a = random_so(n, seed)
+            digest.update(repr((a.num, a.den)).encode())
+    assert digest.hexdigest().startswith("7229b49969c8a7d3")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 7), st.integers(0, 10 ** 6))
 def test_random_so_lies_in_so_property(n, seed):
