@@ -41,10 +41,18 @@ The Kronecker basis is ordered left-factor-major, which makes
 J_{2m} kron I_n literally equal to J_{2mn}, so the symplectic-times-
 orthogonal tensor product is the plain Kronecker product.
 
-Random elements are built by exact constructions (products of complex
-plane rotations for SO, generator products for Sp, each generator with its
-inverse known), never by numerical orthogonalization or elimination, so
-membership holds on the nose and every draw is reproducible from its seed.
+Random elements are exact products of seeded generators, never the result
+of numerical orthogonalization or elimination, so membership holds on the
+nose and every draw is reproducible from its seed.  No generator is built
+as a matrix or multiplied in: each is applied as the few row, column or
+plane operations it makes.  random_so applies one complex plane rotation
+per coordinate plane to the rows of its product, kept as real and
+imaginary integer parts over a power of 4.  random_sp applies
+diag(A, A^{-T}), for A a product of integer row operations E, as column
+operations on its left and right halves (E on the left, E^{-T} on the
+right), and a shear [[I, S], [0, I]] or [[I, 0], [S, I]] as S-weighted
+sums of one half's columns added to the other.  random_gl applies the row
+operations of A to the identity.
 
 Membership travels with the element.  random_sp and random_so return
 their draws marked as members (the private no-slot ExactMatrix subclasses
@@ -62,7 +70,7 @@ output, as the verify suites make, always runs them in full.
 from __future__ import annotations
 
 import random
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, itemgetter, neg, sub
 
 from sympdec import kernels
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
@@ -354,109 +362,110 @@ def _rng(label: str, seed) -> random.Random:
     return random.Random(f"sympdec:{label}:{seed}")
 
 
-def _times_i(row: list[int]) -> list[int]:
-    """Flat numerators times i = z^2: (a0, a1, a2, a3) -> (-a2, -a3, a0, a1) per entry."""
-    out = [0] * len(row)
-    out[0::4] = [-x for x in row[2::4]]
-    out[1::4] = [-x for x in row[3::4]]
-    out[2::4] = row[0::4]
-    out[3::4] = row[1::4]
-    return out
-
-
 def random_so(n: int, seed=0) -> ExactMatrix:
     """Product of complex rotations, one per coordinate plane, in a seeded order.
 
     The rotation in plane (p, q) is [[c, -s], [s, c]] with c = 5/4 and
     s = +-3i/4 (seeded sign), so c^2 + s^2 = 1: every factor, and hence the
     product, is orthogonal with determinant 1 by construction.
+
+    Each rotation multiplies the product so far on the left, a plane
+    operation on its rows: row p becomes c row_p - s row_q and row q becomes
+    s row_p + c row_q.  Every entry lies in Z[i] over a power of 4, so row r
+    is kept as the integer lists re[r] and im[r] of its real and imaginary
+    parts over 4^exp[r].  Both rows are brought over 4^max(exp[p], exp[q])
+    by the factors fp and fq, and since i(x + iy) = -y + ix, the rotation is
+    one list comprehension per part of each row.
     """
     rng = _rng(f"so:{n}", seed)
     planes = [(p, q) for p in range(n) for q in range(p + 1, n)]
     rng.shuffle(planes)
-    num = list(ExactMatrix.identity(n).num)
-    w = 4 * n
-    exp = [0] * n           # row r of the product so far is its numerators / 4^exp[r]
-
-    def row(r: int, e: int) -> list[int]:
-        """Numerators of row r over the denominator 4^e (e >= exp[r])."""
-        f = 4 ** (e - exp[r])
-        return [x * f for x in num[r * w:(r + 1) * w]]
-
+    re = [[int(r == c) for c in range(n)] for r in range(n)]
+    im = [[0] * n for _ in range(n)]
+    exp = [0] * n
     for p, q in planes:
         s = 3 * rng.choice((1, -1))
         e = max(exp[p], exp[q])
-        row_p, row_q = row(p, e), row(q, e)
-        num[p * w:(p + 1) * w] = [5 * x - s * y for x, y in zip(row_p, _times_i(row_q))]
-        num[q * w:(q + 1) * w] = [s * x + 5 * y for x, y in zip(_times_i(row_p), row_q)]
+        fp, fq = 4 ** (e - exp[p]), 4 ** (e - exp[q])
+        cp, sp, cq, sq = 5 * fp, s * fp, 5 * fq, s * fq
+        re_p, im_p, re_q, im_q = re[p], im[p], re[q], im[q]
+        re[p] = [cp * x + sq * y for x, y in zip(re_p, im_q)]
+        im[p] = [cp * x - sq * y for x, y in zip(im_p, re_q)]
+        re[q] = [cq * x - sp * y for x, y in zip(re_q, im_p)]
+        im[q] = [cq * x + sp * y for x, y in zip(im_q, re_p)]
         exp[p] = exp[q] = e + 1
     top = max(exp, default=0)
-    return _O(n, n, [x for r in range(n) for x in row(r, top)], 4 ** top)
+    num = [0] * (4 * n * n)
+    for r, e in enumerate(exp):
+        f, o = 4 ** (top - e), 4 * n * r
+        num[o:o + 4 * n:4] = [f * x for x in re[r]]
+        num[o + 2:o + 4 * n:4] = [f * x for x in im[r]]
+    return _O(n, n, num, 4 ** top)
 
 
-def _random_unimodular(k: int, rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer rows of (A, A^{-T}) for a random product A of integer row operations.
+def _row_ops(k: int, rng: random.Random) -> list[tuple[int, int, int]]:
+    """The row operations (i, j, c) of a random unimodular k x k matrix A, in drawing order.
 
-    On A the operation is row j += c * row i, i.e. A <- E A with
-    E = I + c e_j e_i^T; then A^{-T} <- E^{-T} A^{-T}, which is row i -= c * row j.
+    Operation (i, j, c) is row j += c * row i, i.e. E = I + c e_j e_i^T, and
+    A = E_N ... E_1 is their product applied to I in this order.  Draws with
+    i = j are skipped and draws with c = 0 are dropped, since E = I there.
     """
-    a = [[int(r == c) for c in range(k)] for r in range(k)]
-    a_inv_t = [row[:] for row in a]
+    ops = []
     for _ in range(2 * k + 2):
         i, j = rng.randrange(k), rng.randrange(k)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        a[j] = [x + c * y for x, y in zip(a[j], a[i])]
-        a_inv_t[i] = [x - c * y for x, y in zip(a_inv_t[i], a_inv_t[j])]
-    return a, a_inv_t
+        if i != j:
+            c = rng.randint(-2, 2)
+            if c:
+                ops.append((i, j, c))
+    return ops
 
 
-def _random_symmetric(k: int, rng: random.Random) -> list[list[int]]:
-    rows = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            rows[i][j] = rows[j][i] = rng.randint(-2, 2)
-    return rows
-
-
-def _int_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
-
-
-def _int_add(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
-    return [list(map(add, p, q)) for p, q in zip(x, y)]
-
-
-def _int_matrix(rows: list[list[int]]) -> ExactMatrix:
-    return ExactMatrix(len(rows), len(rows[0]) if rows else 0,
-                       [c for row in rows for x in row for c in (x, 0, 0, 0)])
+def _int_matrix(rows) -> ExactMatrix:
+    """The integer matrix with the given rows."""
+    k, cols = len(rows), len(rows[0]) if rows else 0
+    num = [0] * (4 * k * cols)
+    num[0::4] = [x for row in rows for x in row]
+    return ExactMatrix(k, cols, num)
 
 
 def random_sp(m: int, seed=0) -> ExactMatrix:
     """Product of exact symplectic generators: diag(A, A^{-T}) and shear blocks.
 
-    The product is kept as integer rows split into left and right halves
-    L | R.  Multiplying on the right by diag(A, A^{-T}) gives L A | R A^{-T},
-    by [[I, S], [0, I]] gives L | R + L S, and by [[I, 0], [S, I]] gives
-    L + R S | R.
+    The product is kept as the integer columns of its left and right halves
+    L | R, and each generator multiplies it on the right, as column
+    operations.  diag(A, A^{-T}) gives L A | R A^{-T}: for A = E_N ... E_1
+    with E = I + c e_j e_i^T (_row_ops), L E adds c * column j to column i
+    and R E^{-T} = R (I - c e_i e_j^T) subtracts c * column i from column j,
+    so the operations are applied last drawn first.  [[I, S], [0, I]] gives
+    L | R + L S and [[I, 0], [S, I]] gives L + R S | R, for S symmetric with
+    entries drawn row by row on and above the diagonal: each entry
+    S[i][j] = S[j][i] adds its multiple of column i of one half to column j
+    of the other, and of column j to column i, as it is drawn.
     """
     rng = _rng(f"sp:{m}", seed)
-    left = [[int(r == c) for c in range(m)] for r in range(2 * m)]
-    right = [[int(r == c + m) for c in range(m)] for r in range(2 * m)]
+    left = [[int(r == c) for r in range(2 * m)] for c in range(m)]
+    right = [[int(r == c + m) for r in range(2 * m)] for c in range(m)]
     for _ in range(rng.randint(2, 4)):
         kind = rng.randrange(3)
         if kind == 0:
-            a, a_inv_t = _random_unimodular(m, rng)
-            left, right = _int_matmul(left, a), _int_matmul(right, a_inv_t)
-        elif kind == 1:
-            right = _int_add(right, _int_matmul(left, _random_symmetric(m, rng)))
+            for i, j, c in reversed(_row_ops(m, rng)):
+                left[i] = [x + c * y for x, y in zip(left[i], left[j])]
+                right[j] = [x - c * y for x, y in zip(right[j], right[i])]
         else:
-            left = _int_add(left, _int_matmul(right, _random_symmetric(m, rng)))
-    return _marked(_Sp, _int_matrix([x + y for x, y in zip(left, right)]))
+            src, dst = (left, right) if kind == 1 else (right, left)
+            for i in range(m):
+                for j in range(i, m):
+                    c = rng.randint(-2, 2)      # S[i][j] = S[j][i]
+                    if c:
+                        dst[j] = [x + c * y for x, y in zip(dst[j], src[i])]
+                        if i != j:
+                            dst[i] = [x + c * y for x, y in zip(dst[i], src[j])]
+    return _marked(_Sp, _int_matrix(list(zip(*left, *right))))
 
 
 def random_gl(k: int, seed=0) -> ExactMatrix:
-    """Random unimodular integer matrix (invertible by construction)."""
-    return _int_matrix(_random_unimodular(k, _rng(f"gl:{k}", seed))[0])
+    """Random unimodular integer matrix: the row operations of _row_ops applied to I."""
+    rows = [[int(r == c) for c in range(k)] for r in range(k)]
+    for i, j, c in _row_ops(k, _rng(f"gl:{k}", seed)):
+        rows[j] = [x + c * y for x, y in zip(rows[j], rows[i])]
+    return _int_matrix(rows)

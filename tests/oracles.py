@@ -77,6 +77,35 @@ def with_perturbed_entry(m: ExactMatrix, delta: int = 1) -> ExactMatrix:
     return ExactMatrix(m.rows, m.cols, num, m.den)
 
 
+def random_unimodular(k: int, rng) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer rows of (A, A^{-T}) for a random product A of integer row operations.
+
+    It draws from rng as random_sp and random_gl do.  On A the operation is
+    row j += c * row i, i.e. A <- E A with E = I + c e_j e_i^T; then
+    A^{-T} <- E^{-T} A^{-T}, which is row i -= c * row j.
+    """
+    a = [[int(r == c) for c in range(k)] for r in range(k)]
+    a_inv_t = [row[:] for row in a]
+    for _ in range(2 * k + 2):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i == j:
+            continue
+        c = rng.randint(-2, 2)
+        a[j] = [x + c * y for x, y in zip(a[j], a[i])]
+        a_inv_t[i] = [x - c * y for x, y in zip(a_inv_t[i], a_inv_t[j])]
+    return a, a_inv_t
+
+
+def random_symmetric(k: int, rng) -> list[list[int]]:
+    """Integer rows of a random symmetric k x k matrix S, drawn from rng as random_sp
+    draws its shears: row by row, on and above the diagonal."""
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+    return rows
+
+
 # -- permutations and the orthonormal basis of J kron J -----------------------
 
 def perm_matrix(cols) -> ExactMatrix:

@@ -10,8 +10,6 @@ from sympy.polys.matrices import DomainMatrix
 from sympdec import groups, suites
 from sympdec.errors import IndexOutOfRangeError, NotInGroupError, ShapeMismatchError
 from sympdec.groups import (
-    _random_symmetric,
-    _random_unimodular,
     _rng,
     direct_sum_sp,
     doubling,
@@ -34,7 +32,8 @@ from sympdec.matrix import ExactMatrix, block_diag
 
 from conftest import Q_ZETA8, over_q_zeta8
 from oracles import (I, change_of_basis_p, dense_gram, entry, from_rows, perm_matrix, perm_pj,
-                     perm_pmn, scale, transpose, with_perturbed_entry)
+                     perm_pmn, random_symmetric, random_unimodular, scale, transpose,
+                     with_perturbed_entry)
 
 
 # -- membership predicates ---------------------------------------------------
@@ -657,7 +656,7 @@ def test_random_so_membership_and_determinism():
 def test_random_unimodular_carries_its_inverse_transpose():
     for k in range(1, 7):
         for seed in range(40):
-            rows = _random_unimodular(k, random.Random(f"unimodular:{k}:{seed}"))
+            rows = random_unimodular(k, random.Random(f"unimodular:{k}:{seed}"))
             a, a_inv_t = (from_rows(r) for r in rows)
             assert transpose(a) @ a_inv_t == ExactMatrix.identity(k)
 
@@ -677,17 +676,60 @@ def dense_random_sp(m, seed):
     for _ in range(rng.randint(2, 4)):
         kind = rng.randrange(3)
         if kind == 0:
-            f = dense_block_diag(*(from_rows(r) for r in _random_unimodular(m, rng)))
+            f = dense_block_diag(*(from_rows(r) for r in random_unimodular(m, rng)))
         else:
-            f = dense_shear(_random_symmetric(m, rng), upper=kind == 1)
+            f = dense_shear(random_symmetric(m, rng), upper=kind == 1)
         out = out @ f
     return out
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_random_sp_is_the_product_of_its_generators(m):
     for seed in range(20):
         assert random_sp(m, seed) == dense_random_sp(m, seed)
+
+
+def dense_random_gl(k, seed):
+    """random_gl's row operations, each a dense elementary matrix E = I + c e_j e_i^T
+    multiplied on the left."""
+    rng = _rng(f"gl:{k}", seed)
+    out = ExactMatrix.identity(k)
+    for _ in range(2 * k + 2):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i == j:
+            continue
+        rows = [[int(r == c) for c in range(k)] for r in range(k)]
+        rows[j][i] = rng.randint(-2, 2)
+        out = from_rows(rows) @ out
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_random_gl_is_the_product_of_its_row_operations(k):
+    for seed in range(20):
+        assert random_gl(k, seed) == dense_random_gl(k, seed)
+
+
+def dense_random_so(n, seed):
+    """random_so's rotations, each a dense n x n matrix [[c, -s], [s, c]] on its
+    plane (c = 5/4, s = +-3i/4), multiplied on the left in drawing order."""
+    rng = _rng(f"so:{n}", seed)
+    planes = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    rng.shuffle(planes)
+    out = ExactMatrix.identity(n)
+    for p, q in planes:
+        s = Fraction(3, 4) * rng.choice((1, -1))
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[p][p] = rows[q][q] = Fraction(5, 4)
+        rows[p][q], rows[q][p] = (0, 0, -s, 0), (0, 0, s, 0)
+        out = from_rows(rows) @ out
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_random_so_is_the_product_of_its_rotations(n):
+    for seed in range(20):
+        assert random_so(n, seed) == dense_random_so(n, seed)
 
 
 def test_random_sp_and_gl_draws_are_pinned():
