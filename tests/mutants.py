@@ -10,13 +10,16 @@ must fail.  The text must occur exactly once in the file: a mutant whose
 text is gone is an error, never a skip, so a rewrite of the checked code
 shows here until the entry is brought up to date.  Before any mutant runs,
 the named tests must pass on an unchanged copy, so that a failure is the
-mutant's doing.
+mutant's doing.  Each pytest run is stopped after TIMEOUT_S seconds; a
+mutant whose run is stopped is reported as timed out, neither caught nor
+missed, since a mutant that makes a test loop forever shows nothing about
+whether the test would catch it.
 
 This is mutation analysis in the sense of DeMillo, Lipton and Sayward,
 "Hints on test data selection: help for the practicing programmer" (IEEE
 Computer 11(4), 1978).  It uses the standard library only; pytest does not
 collect it.  Two mutants run at a time.  Exit status 0 when every mutant
-is caught, 1 otherwise.
+is caught, 1 when any is missed or timed out.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300         # per pytest run; the slowest mutant run takes under 40 s on 2 cores
 
 
 class Mutant(NamedTuple):
@@ -280,6 +284,21 @@ MUTANTS = [
            "        for c, a in enumerate(()):\n            if a:",
            ("tests/test_induced.py::test_well_definedness_enforced",
             "tests/test_induced.py::test_well_definedness_property")),
+    Mutant("random_sp adds to the A^{-T} column where it should subtract",
+           "src/sympdec/groups.py",
+           "right[j] = [x - c * y for x, y in zip(right[j], right[i])]",
+           "right[j] = [x + c * y for x, y in zip(right[j], right[i])]",
+           ("tests/test_groups.py::test_random_sp_is_the_product_of_its_generators",
+            "tests/test_groups.py::test_random_sp_and_gl_draws_are_pinned",
+            "tests/test_groups.py::test_random_sp_passes_both_routes_property")),
+    Mutant("random_so drops the sign of s in the imaginary part of row q",
+           "src/sympdec/groups.py",
+           "im[q] = [cq * x + sp * y for x, y in zip(im_q, re_p)]",
+           "im[q] = [cq * x + abs(sp) * y for x, y in zip(im_q, re_p)]",
+           ("tests/test_groups.py::test_random_so_is_the_product_of_its_rotations",
+            "tests/test_groups.py::test_random_so_draws_are_pinned",
+            "tests/test_groups.py::test_random_so_membership_and_determinism",
+            "tests/test_groups.py::test_random_so_lies_in_so_property")),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+?)(?:\[[^\]]*\])?(?: - |$)", re.M)
@@ -292,13 +311,17 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _pytest(tree: Path, tests) -> subprocess.CompletedProcess:
+def _pytest(tree: Path, tests) -> subprocess.CompletedProcess | None:
+    """The finished pytest run of tests in tree, or None if it ran past TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     # a fixed hypothesis seed makes each verdict repeatable
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rf",
-         "--hypothesis-seed=0", *tests],
-        cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rf",
+             "--hypothesis-seed=0", *tests],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def _apply(tree: Path, m: Mutant) -> str | None:
@@ -312,23 +335,26 @@ def _apply(tree: Path, m: Mutant) -> str | None:
     return None
 
 
-def run_mutant(m: Mutant) -> tuple[bool, str]:
-    """(caught, detail) for one mutant, in a fresh copy of the tree."""
+def run_mutant(m: Mutant) -> tuple[str, str]:
+    """(outcome, detail) for one mutant, in a fresh copy of the tree; the
+    outcome is "caught", "MISSED" or "TIMED OUT"."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="sympdec-mutant-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
         error = _apply(tree, m)
         if error:
-            return False, error
+            return "MISSED", error
         proc = _pytest(tree, m.tests)
+    if proc is None:
+        return "TIMED OUT", f"pytest stopped after {TIMEOUT_S} s"
     failed = set(_FAILED.findall(proc.stdout))
     survivors = [t for t in m.tests if t not in failed]
     if proc.returncode != 1 or survivors:
         tail = proc.stdout.strip().splitlines()[-1:] or [proc.stderr.strip()]
-        return False, (f"not failed: {', '.join(survivors) or '-'} "
-                       f"(pytest exit {proc.returncode}: {tail[0]})")
-    return True, f"{len(m.tests)} tests failed, {time.perf_counter() - start:.0f} s"
+        return "MISSED", (f"not failed: {', '.join(survivors) or '-'} "
+                          f"(pytest exit {proc.returncode}: {tail[0]})")
+    return "caught", f"{len(m.tests)} tests failed, {time.perf_counter() - start:.0f} s"
 
 
 def main() -> int:
@@ -339,6 +365,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="sympdec-mutant-") as tmp:
         _copy_tree(Path(tmp))
         clean = _pytest(Path(tmp), tests)
+    if clean is None:
+        print(f"the named tests on the unchanged tree ran past {TIMEOUT_S} s")
+        return 1
     if clean.returncode != 0:
         print(clean.stdout[-2000:] + clean.stderr[-2000:])
         print(f"the named tests do not pass on the unchanged tree (pytest exit {clean.returncode})")
@@ -346,12 +375,14 @@ def main() -> int:
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(run_mutant, MUTANTS))
-    for m, (caught, detail) in zip(MUTANTS, results):
-        print(f"{'caught' if caught else 'MISSED'}: {m.name} ({detail})")
-    missed = sum(not caught for caught, _ in results)
-    print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught by {len(tests)} tests, "
+    for m, (outcome, detail) in zip(MUTANTS, results):
+        print(f"{outcome}: {m.name} ({detail})")
+    outcomes = [outcome for outcome, _ in results]
+    caught, timed_out = outcomes.count("caught"), outcomes.count("TIMED OUT")
+    print(f"{caught} of {len(MUTANTS)} mutants caught by {len(tests)} tests, "
+          f"{len(MUTANTS) - caught - timed_out} missed, {timed_out} timed out, "
           f"{time.perf_counter() - start:.0f} s")
-    return 1 if missed else 0
+    return 0 if caught == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
