@@ -43,7 +43,9 @@ orthogonal tensor product is the plain Kronecker product.
 
 Random elements are exact products of seeded generators, never the result
 of numerical orthogonalization or elimination, so membership holds on the
-nose and every draw is reproducible from its seed.  No generator is built
+nose and every draw is reproducible from its seed.  The draws come from
+SHAKE-256 (FIPS 202) of the case label, by rejection sampling (_Stream), so
+they rest on no Python version's random module.  No generator is built
 as a matrix or multiplied in: each is applied as the few row, column or
 plane operations it makes.  random_so applies one complex plane rotation
 per coordinate plane to the rows of its product, kept as real and
@@ -69,7 +71,7 @@ output, as the verify suites make, always runs them in full.
 
 from __future__ import annotations
 
-import random
+import hashlib
 from operator import add, itemgetter, neg, sub
 
 from sympdec import kernels
@@ -358,8 +360,55 @@ def verify_mixed_product(a: ExactMatrix, b: ExactMatrix) -> bool:
 
 # -- seeded exact random elements ----------------------------------------------
 
-def _rng(label: str, seed) -> random.Random:
-    return random.Random(f"sympdec:{label}:{seed}")
+class _Stream:
+    """Seeded uniform draws from the bytes of SHAKE-256(label), by rejection sampling.
+
+    A draw from range(k) reads the next n bytes, n the fewest that hold
+    k - 1 (none for k = 1), as a big-endian integer v.  It returns v mod k
+    when v is below the largest multiple of k not above 256^n, and otherwise
+    reads the next n bytes, so every value is equally likely.  The bytes are
+    a digest of the label; when they run out the stream takes a longer one,
+    which starts with the shorter, as an XOF's output does.  randint, choice
+    and shuffle have random.Random's names and signatures and draw through
+    randrange.
+    """
+    __slots__ = ("_xof", "_buf", "_pos")
+
+    def __init__(self, label: str):
+        self._xof = hashlib.shake_256(label.encode())
+        self._buf = self._xof.digest(136)       # one block of SHAKE-256's output
+        self._pos = 0
+
+    def randrange(self, k: int) -> int:
+        if k < 1:
+            raise ValueError(f"empty range({k})")
+        n = (k - 1).bit_length() + 7 >> 3
+        limit = (1 << 8 * n) // k * k
+        while True:
+            pos = self._pos
+            end = pos + n
+            if end > len(self._buf):
+                self._buf = self._xof.digest(2 * end)
+            self._pos = end
+            v = self._buf[pos] if n == 1 else int.from_bytes(self._buf[pos:end], "big")
+            if v < limit:
+                return v % k
+
+    def randint(self, a: int, b: int) -> int:
+        return a + self.randrange(b - a + 1)
+
+    def choice(self, seq):
+        return seq[self.randrange(len(seq))]
+
+    def shuffle(self, x: list) -> None:
+        """Fisher-Yates, from the last position down, as random.Random.shuffle."""
+        for i in reversed(range(1, len(x))):
+            j = self.randrange(i + 1)
+            x[i], x[j] = x[j], x[i]
+
+
+def _rng(label: str, seed) -> _Stream:
+    return _Stream(f"sympdec:{label}:{seed}")
 
 
 def random_so(n: int, seed=0) -> ExactMatrix:
@@ -403,13 +452,16 @@ def random_so(n: int, seed=0) -> ExactMatrix:
     return _O(n, n, num, 4 ** top)
 
 
-def _row_ops(k: int, rng: random.Random) -> list[tuple[int, int, int]]:
+def _row_ops(k: int, rng: _Stream) -> list[tuple[int, int, int]]:
     """The row operations (i, j, c) of a random unimodular k x k matrix A, in drawing order.
 
     Operation (i, j, c) is row j += c * row i, i.e. E = I + c e_j e_i^T, and
     A = E_N ... E_1 is their product applied to I in this order.  Draws with
-    i = j are skipped and draws with c = 0 are dropped, since E = I there.
+    i = j are skipped and draws with c = 0 are dropped, since E = I there;
+    for k < 2 no pair can have i != j, so none is drawn.
     """
+    if k < 2:
+        return []
     ops = []
     for _ in range(2 * k + 2):
         i, j = rng.randrange(k), rng.randrange(k)

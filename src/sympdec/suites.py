@@ -1,14 +1,15 @@
 """Batch verification suites behind the CLI verify command.
 
-Every sample derives its randomness from (seed, suite, case label, index),
-so reruns and parallel execution produce identical reports and every
-failure record replays from its recorded inputs.  run_suite holds matrix
-sizes to the exact-arithmetic guard 2 * max_m * max_n * max_r <= 64.
+Every sample derives its randomness from (seed, suite, case label, index):
+its draws come from SHAKE-256 of that case label, by rejection sampling
+(groups._Stream), so reruns and parallel execution produce identical
+reports and every failure record replays from its recorded inputs.
+run_suite holds matrix sizes to the exact-arithmetic guard
+2 * max_m * max_n * max_r <= 64.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from math import gcd
@@ -76,7 +77,7 @@ def run_closure(bounds: Bounds, samples: int, seed) -> VerifyReport:
     rep = VerifyReport("closure")
 
     def pick(label, k, lo, hi):
-        return random.Random(_case_seed(seed, "closure", label, k)).randint(lo, hi)
+        return groups._Stream(_case_seed(seed, "closure", label, k)).randint(lo, hi)
 
     for k in range(samples):
         m = pick("ds:m", k, 1, bounds.max_m)
@@ -143,7 +144,7 @@ def run_mixed_product(bounds: Bounds, samples: int, seed) -> VerifyReport:
     """Kronecker mixed-product identity on random invertible matrices."""
     rep = VerifyReport("mixed-product")
     for k in range(samples):
-        rng = random.Random(_case_seed(seed, "mixed-product", "pq", k))
+        rng = groups._Stream(_case_seed(seed, "mixed-product", "pq", k))
         p = rng.randint(1, 2 * bounds.max_m)
         q = rng.randint(1, 2 * bounds.max_n)
         a = groups.random_gl(p, _case_seed(seed, "mixed-product", "A", k))

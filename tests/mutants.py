@@ -299,6 +299,18 @@ MUTANTS = [
             "tests/test_groups.py::test_random_so_draws_are_pinned",
             "tests/test_groups.py::test_random_so_membership_and_determinism",
             "tests/test_groups.py::test_random_so_lies_in_so_property")),
+    Mutant("the stream's refill repeats its old bytes instead of extending the digest",
+           "src/sympdec/groups.py",
+           "self._buf = self._xof.digest(2 * end)",
+           "self._buf = self._buf * 2",
+           ("tests/test_groups.py::test_stream_matches_the_shake_reference",)),
+    Mutant("the stream's shuffle stops one index early",
+           "src/sympdec/groups.py",
+           "for i in reversed(range(1, len(x))):",
+           "for i in reversed(range(2, len(x))):",
+           ("tests/test_groups.py::test_stream_matches_the_shake_reference",
+            "tests/test_groups.py::test_stream_reaches_every_order_and_value",
+            "tests/test_groups.py::test_random_so_draws_are_pinned")),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+?)(?:\[[^\]]*\])?(?: - |$)", re.M)

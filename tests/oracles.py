@@ -12,6 +12,7 @@ as an int or Fraction, or as the 4-tuple of rational coefficients of
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -82,11 +83,12 @@ def random_unimodular(k: int, rng) -> tuple[list[list[int]], list[list[int]]]:
 
     It draws from rng as random_sp and random_gl do.  On A the operation is
     row j += c * row i, i.e. A <- E A with E = I + c e_j e_i^T; then
-    A^{-T} <- E^{-T} A^{-T}, which is row i -= c * row j.
+    A^{-T} <- E^{-T} A^{-T}, which is row i -= c * row j.  For k < 2 no
+    pair can have i != j, so none is drawn.
     """
     a = [[int(r == c) for c in range(k)] for r in range(k)]
     a_inv_t = [row[:] for row in a]
-    for _ in range(2 * k + 2):
+    for _ in range(2 * k + 2 if k > 1 else 0):
         i, j = rng.randrange(k), rng.randrange(k)
         if i == j:
             continue
@@ -104,6 +106,32 @@ def random_symmetric(k: int, rng) -> list[list[int]]:
         for j in range(i, k):
             rows[i][j] = rows[j][i] = rng.randint(-2, 2)
     return rows
+
+
+def shake_draws(label: str, bounds) -> list[int]:
+    """One draw from range(k) for each k in bounds, in turn, read from SHAKE-256(label).
+
+    A draw takes the next width bytes of the digest, width the fewest that
+    hold k - 1, as a base-256 number v, most significant byte first.  It is
+    v mod k when v < 256^width - (256^width mod k); otherwise the next width
+    bytes are taken instead.  The digest is taken once, long enough for
+    every draw to be rejected three times.
+    """
+    bounds = list(bounds)
+    widths = [((k - 1).bit_length() + 7) // 8 for k in bounds]
+    data = hashlib.shake_256(label.encode()).digest(4 * sum(widths) + 1)
+    out, pos = [], 0
+    for k, width in zip(bounds, widths):
+        limit = 256 ** width - 256 ** width % k
+        while True:
+            v = 0
+            for _ in range(width):
+                v = 256 * v + data[pos]
+                pos += 1
+            if v < limit:
+                out.append(v % k)
+                break
+    return out
 
 
 # -- permutations and the orthonormal basis of J kron J -----------------------
