@@ -71,7 +71,6 @@ output, as the verify suites make, always runs them in full.
 
 from __future__ import annotations
 
-import hashlib
 from operator import add, itemgetter, neg, sub
 
 from sympdec import kernels
@@ -375,6 +374,8 @@ class _Stream:
     __slots__ = ("_xof", "_buf", "_pos")
 
     def __init__(self, label: str):
+        # imported here, not at the top: OpenSSL's start-up is paid only by commands that draw
+        import hashlib
         self._xof = hashlib.shake_256(label.encode())
         self._buf = self._xof.digest(136)       # one block of SHAKE-256's output
         self._pos = 0

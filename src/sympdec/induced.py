@@ -15,6 +15,11 @@ command prints: generator names, the rule's provenance and the window's
 bound.  Formulas refuse degrees outside their validity windows instead of
 extrapolating; the windows are part of the mathematics.
 
+The entries ttilde and J take a Bezout witness (u, v) with
+|v*n - 4*u*m^2| = 1.  It is made here too: bezout_uv(m, n) makes the
+minimal one, which is their default, and their checks refuse a given
+(u, v) that is not a witness.
+
 The AbHom constructor reduces the entries modulo the target orders and
 checks the shape and the well-definedness invariant (each generator of
 finite order a maps to an element that a kills) in one pass.  Every AbHom
@@ -134,6 +139,61 @@ def is_isomorphism(h: AbHom) -> bool:
     return len(factors) == len(b) and all(x == 1 for x in factors)
 
 
+# -- the Bezout witness --------------------------------------------------------
+
+@dataclass(frozen=True)
+class BezoutWitness:
+    m: int
+    n: int
+    u: int
+    v: int
+    sign: int
+    N: int
+
+    def to_json(self) -> dict:
+        return {"m": self.m, "n": self.n, "u": self.u, "v": self.v,
+                "sign": self.sign, "N": self.N}
+
+
+def _check_domain(m: int, n: int, dim: int = 0) -> None:
+    """Sizes are positive and dimensions nonnegative; ValueError otherwise."""
+    if m < 1 or n < 1:
+        raise ValueError(f"m and n must be positive; got m = {m}, n = {n}")
+    if dim < 0:
+        raise ValueError(f"dim must be nonnegative; got dim = {dim}")
+
+
+def _coprime(m, n):
+    if gcd(m, n) != 1:
+        raise NotCoprimeError(f"need gcd(m, n) = 1; got gcd({m}, {n}) = {gcd(m, n)}")
+
+
+def bezout_uv(m: int, n: int) -> BezoutWitness:
+    """Minimal positive witness with |v*n - 4*u*m^2| = 1 and N = 4*u*m^2 + v*n.
+
+    Requires gcd(m, n) = 1 and odd n, so gcd(4m^2, n) = 1.  Among the two
+    solution families (one per sign) the witness takes the smallest u > 0,
+    breaking ties by the smaller v.
+    """
+    _check_domain(m, n)
+    if n % 2 == 0:
+        raise EvenNError("witness requires odd n")
+    _coprime(m, n)
+    mm4 = 4 * m * m
+    b = pow(mm4, -1, n)   # b*4m^2 = 1 (mod n)
+    candidates = []
+    for sign in (1, -1):
+        # v*n - 4*u*m^2 = sign, so u = -sign*b (mod n)
+        u = (-sign * b) % n
+        if u == 0:
+            u = n
+        v = (sign + mm4 * u) // n
+        assert v * n - mm4 * u == sign and v > 0
+        candidates.append((u, v, sign))
+    u, v, sign = min(candidates, key=lambda t: (t[0], t[1]))
+    return BezoutWitness(m, n, u, v, sign, mm4 * u + v * n)
+
+
 # -- the formula table ---------------------------------------------------------
 
 _FAMILIES = {"sp": (pi_sp, "Sp"), "psp": (pi_psp, "PSp"), "so": (pi_so, "SO"), "o": (pi_o, "O")}
@@ -194,11 +254,6 @@ def _odd_n(message):
         if p.n % 2 == 0:
             raise EvenNError(message)
     return check
-
-
-def _coprime(p):
-    if gcd(p.m, p.n) != 1:
-        raise NotCoprimeError(f"need gcd(m, n) = 1; got gcd({p.m}, {p.n}) = {gcd(p.m, p.n)}")
 
 
 def _bezout(p):
@@ -284,7 +339,8 @@ FORMULAS = {
         ("m", "n", "u", "v", "z"), (("psp", "m"), ("so", "n")), (("psp", "mn"), ("so", "N")),
         (("0 < i < min(4m+3, n)", lambda i, p: min(4 * p.m + 3, p.n)),),
         _pairing_rule,
-        checks=(_odd_n("pairing map needs odd n"), _coprime, _WINDOW, _bezout),
+        checks=(_odd_n("pairing map needs odd n"), lambda p: _coprime(p.m, p.n), _WINDOW,
+                _bezout),
         # degree 2 is stated on the classifying spaces, higher degrees on the groups
         shift=1, z_degree=2, label=lambda i: "pi_2 B" if i == 2 else f"pi_{i - 1}",
         period_from=3),
@@ -320,7 +376,6 @@ def _bind(op: str, params: dict) -> tuple:
         raise TypeError(f"{op} takes {', '.join(f.params)}; got {', '.join(params) or 'none'}")
     p = SimpleNamespace(**params)
     if "u" in f.params and (params.get("u") is None or params.get("v") is None):
-        from sympdec.lifting import bezout_uv   # lifting builds on this module
         w = bezout_uv(p.m, p.n)
         p.u, p.v = w.u, w.v
     before, after, sources, targets = _PLANS[op]

@@ -154,17 +154,3 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
 
     return [abs(a[i][i]) for i in range(min(r, c))]
 
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, rr = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while rr:
-        q = old_r // rr
-        old_r, rr = rr, old_r - q * rr
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t

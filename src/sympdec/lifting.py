@@ -1,5 +1,5 @@
-"""Decision layer: Bezout witnesses, pairing-map connectivity, decomposability
-verdicts, no-section obstructions, and obstruction-degree bookkeeping.
+"""Decision layer: pairing-map connectivity, decomposability verdicts,
+no-section obstructions, and obstruction-degree bookkeeping.
 
 A report never claims more than its rule proves: failing the hypotheses of
 a decomposition rule yields a not-covered verdict, possibly with obstruction
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from sympdec.abgroup import FgAbGroup
-from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
+from sympdec.errors import EvenNError, HypothesisFailureError
 from sympdec.homotopy import SO_TORSION_PAIRS
-from sympdec.induced import FORMULAS, AbHom, ZDependent, homs, is_isomorphism
-from sympdec.intmatrix import xgcd
+from sympdec.induced import (FORMULAS, AbHom, BezoutWitness, ZDependent, _check_domain,
+                             bezout_uv, homs, is_isomorphism)
 
 DECOMPOSABLE = "decomposable"
 NOT_COVERED = "not-covered"
@@ -28,20 +28,6 @@ SMALL_ODD_CASES = {n: i + 1 for i, n in SO_TORSION_PAIRS}
 
 KIND_HIGH_N = "sphere_4m+4"
 KIND_SMALL_N = "sphere_C"
-
-
-@dataclass(frozen=True)
-class BezoutWitness:
-    m: int
-    n: int
-    u: int
-    v: int
-    sign: int
-    N: int
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "n": self.n, "u": self.u, "v": self.v,
-                "sign": self.sign, "N": self.N}
 
 
 @dataclass(frozen=True)
@@ -90,42 +76,6 @@ class DecisionReport:
             "notes": list(self.notes),
             "evidence": self.evidence,
         }
-
-
-def _check_domain(m: int, n: int, dim: int = 0) -> None:
-    """Sizes are positive and dimensions nonnegative; ValueError otherwise."""
-    if m < 1 or n < 1:
-        raise ValueError(f"m and n must be positive; got m = {m}, n = {n}")
-    if dim < 0:
-        raise ValueError(f"dim must be nonnegative; got dim = {dim}")
-
-
-def bezout_uv(m: int, n: int) -> BezoutWitness:
-    """Minimal positive witness with |v*n - 4*u*m^2| = 1 and N = 4*u*m^2 + v*n.
-
-    Requires gcd(m, n) = 1 and odd n, so gcd(4m^2, n) = 1.  Among the two
-    solution families (one per sign) the witness takes the smallest u > 0,
-    breaking ties by the smaller v.
-    """
-    _check_domain(m, n)
-    if n % 2 == 0:
-        raise EvenNError("witness requires odd n")
-    if gcd(m, n) != 1:
-        raise NotCoprimeError(f"need gcd(m, n) = 1; got gcd({m}, {n}) = {gcd(m, n)}")
-    mm4 = 4 * m * m
-    g, a, b = xgcd(n, mm4)   # a*n + b*4m^2 = 1
-    assert g == 1
-    candidates = []
-    for sign in (1, -1):
-        # v*n - 4*u*m^2 = sign, so u = -sign*b (mod n)
-        u = (-sign * b) % n
-        if u == 0:
-            u = n
-        v = (sign + mm4 * u) // n
-        assert v * n - mm4 * u == sign and v > 0
-        candidates.append((u, v, sign))
-    u, v, sign = min(candidates, key=lambda t: (t[0], t[1]))
-    return BezoutWitness(m, n, u, v, sign, mm4 * u + v * n)
 
 
 def connectivity_j(m: int, n: int) -> int:
@@ -284,15 +234,12 @@ def decide_bundle(m: int, n: int, dim: int) -> DecisionReport:
     """Decomposability verdict for rank-2mn symplectic bundles: odd n, dim <= n."""
     _check_domain(m, n, dim)
     rule = "bundle-decomposition (odd n; dim <= n)"
-    if n % 2 == 0:
+    failing = (f"n = {n} is even" if n % 2 == 0
+               else f"dim = {dim} exceeds n = {n}" if dim > n else None)
+    if failing is not None:
         return DecisionReport(
             verdict=NOT_COVERED, rule=rule, m=m, n=n, dim=dim,
-            notes=(f"hypothesis failed: n = {n} is even",),
-        )
-    if dim > n:
-        return DecisionReport(
-            verdict=NOT_COVERED, rule=rule, m=m, n=n, dim=dim,
-            notes=(f"hypothesis failed: dim = {dim} exceeds n = {n}",),
+            notes=(f"hypothesis failed: {failing}",),
         )
     evidence = postnikov_degree_check(m, n)
     return DecisionReport(

@@ -4,6 +4,8 @@ Storage is a flat tuple of integer numerators (four components per entry,
 row-major) over a single positive denominator shared by the whole matrix,
 with the joint content reduced to 1.  That form is canonical, so equality
 is structural, and it feeds the multiplication kernel integer-only work.
+kron scales each block by its left entry: a rational integer times each
+numerator, any other scalar through the kernel as a 1 x 1 by 1 x pq product.
 """
 
 from __future__ import annotations
@@ -148,17 +150,11 @@ def _reduce_content(num: list[int], den: int) -> tuple[list[int], int]:
 
 
 def _times(a, num: list[int]) -> list[int]:
-    """Flat numerators of the scalar with components a times each entry of num (z^4 = -1)."""
+    """Flat numerators of the scalar with components a times each entry of num."""
     a0, a1, a2, a3 = a
     if not (a1 or a2 or a3):
         return [a0 * x for x in num]
-    b0, b1, b2, b3 = num[0::4], num[1::4], num[2::4], num[3::4]
-    out = [0] * len(num)
-    out[0::4] = [a0 * x0 - a1 * x3 - a2 * x2 - a3 * x1 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
-    out[1::4] = [a0 * x1 + a1 * x0 - a2 * x3 - a3 * x2 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
-    out[2::4] = [a0 * x2 + a1 * x1 + a2 * x0 - a3 * x3 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
-    out[3::4] = [a0 * x3 + a1 * x2 + a2 * x1 + a3 * x0 for x0, x1, x2, x3 in zip(b0, b1, b2, b3)]
-    return out
+    return kernels.matmul_num(a, num, 1, 1, len(num) // 4)
 
 
 def place_blocks(rows: int, cols: int, placements) -> ExactMatrix:

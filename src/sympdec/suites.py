@@ -18,8 +18,9 @@ from sympdec import groups
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import BoundsTooLargeError
 from sympdec.homotopy import pi_sp
-from sympdec.induced import AbHom, compose, diagonal_hom, hom, homs, is_isomorphism
-from sympdec.lifting import bezout_uv, connectivity_j
+from sympdec.induced import (AbHom, ZDependent, bezout_uv, compose, diagonal_hom, hom, homs,
+                             is_isomorphism)
+from sympdec.lifting import connectivity_j
 from sympdec.matrix import ExactMatrix
 
 SIZE_GUARD = 64
@@ -235,11 +236,12 @@ def run_j_iso(bounds: Bounds, samples: int, seed) -> VerifyReport:
                 continue
             w = bezout_uv(m, n)
             degrees = [i for i in range(1, min(4 * m + 3, n)) if i % 8]
-            # one binding per z value, read in step so that cases keep their (i, z) order
-            runs = [homs("J", degrees, m=m, n=n, u=w.u, v=w.v, z=z) for z in (0, 1)]
-            for pair in zip(*runs):
-                for z, (i, h) in enumerate(pair):
-                    rep.record(is_isomorphism(h), op="J-iso", m=m, n=n, i=i, z=z)
+            for i, h in homs("J", degrees, m=m, n=n, u=w.u, v=w.v):
+                # only degree 2 depends on z; elsewhere the one map's verdict holds for both
+                verdicts = ([is_isomorphism(hz) for _, hz in h.candidates]
+                            if isinstance(h, ZDependent) else [is_isomorphism(h)] * 2)
+                for z, iso in enumerate(verdicts):
+                    rep.record(iso, op="J-iso", m=m, n=n, i=i, z=z)
             rep.record(connectivity_j(m, n) == 7, op="J-connectivity", m=m, n=n)
     return rep
 

@@ -60,7 +60,11 @@ MUTANTS = [
            "(o + j - 4, -v)",
            "(o + j - 4, v)",
            ("tests/test_kernels.py::test_backend_matches_scalar_reference",
-            "tests/test_kernels.py::test_python_kernel_on_sparse_and_rational_structure")),
+            "tests/test_kernels.py::test_python_kernel_on_sparse_and_rational_structure",
+            # kron multiplies a non-integer scalar through the kernel
+            "tests/test_matrix.py::test_kron_and_transpose_match_entrywise_references",
+            "tests/test_matrix.py::test_scale_and_negate",
+            "tests/test_cyclotomic.py::test_i_squared_is_minus_one")),
     Mutant("slot swap of P_j misses the last column of each slot",
            "src/sympdec/groups.py",
            "    for t in range(n):\n        cols[lo + t]",
@@ -152,13 +156,6 @@ MUTANTS = [
            "3: ((2, -1), (3, -1), (0, 1), (1, 1))}",
            ("tests/test_groups.py::test_tensor_sp_sp_inverse_and_gram_oracle",
             "tests/test_groups.py::test_tensor_sp_sp")),
-    Mutant("kron misses the sign of z^2 * z^2 = -1",
-           "src/sympdec/matrix.py",
-           "a0 * x0 - a1 * x3 - a2 * x2 - a3 * x1",
-           "a0 * x0 - a1 * x3 + a2 * x2 - a3 * x1",
-           ("tests/test_matrix.py::test_kron_and_transpose_match_entrywise_references",
-            "tests/test_matrix.py::test_scale_and_negate",
-            "tests/test_cyclotomic.py::test_i_squared_is_minus_one")),
     Mutant("content reduction leaves a common factor 2",
            "src/sympdec/matrix.py",
            "    if g > 1:\n        num = [x // g for x in num]",
@@ -188,6 +185,16 @@ MUTANTS = [
            "            iso = verdicts.get((hz.source, hz.target))\n            if iso is None:\n"
            "                iso = verdicts[hz.source, hz.target] = is_isomorphism(hz)\n",
            ("tests/test_lifting.py::test_certificate_reports_a_rejected_map_at_its_degree",)),
+    Mutant("J-iso records degree 2's z = 0 map for both z",
+           "src/sympdec/suites.py",
+           "[is_isomorphism(hz) for _, hz in h.candidates]",
+           "[is_isomorphism(h.z0)] * 2",
+           ("tests/test_lifting.py::test_certificate_agrees_with_the_j_iso_suite",)),
+    Mutant("the witness keeps the larger u of the two sign families",
+           "src/sympdec/induced.py",
+           "u, v, sign = min(candidates, key=lambda t: (t[0], t[1]))",
+           "u, v, sign = max(candidates, key=lambda t: (t[0], t[1]))",
+           ("tests/test_lifting.py::test_bezout_matches_brute_force_minimum",)),
     Mutant("no-section case one claims 1Z is proper for m = 1",
            "src/sympdec/lifting.py",
            "    if 1 < m and 4 * m + 4 < n:\n",

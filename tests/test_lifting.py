@@ -160,7 +160,15 @@ def _reject_some(h):
     return is_isomorphism(h)
 
 
-@pytest.mark.parametrize("verdict", [is_isomorphism, _reject_some])
+def _reject_z1(h):
+    """A stand-in verdict that fails only degree 2's z = 1 map, (x, y) -> (x, x + y)
+    on Z/2 x Z/2; its z = 0 map is the identity there."""
+    if h.source.factors == (2, 2) and h.matrix.row_lists() == [[1, 0], [1, 1]]:
+        return False
+    return is_isomorphism(h)
+
+
+@pytest.mark.parametrize("verdict", [is_isomorphism, _reject_some, _reject_z1])
 def test_certificate_agrees_with_the_j_iso_suite(monkeypatch, verdict):
     records = defaultdict(list)
 
@@ -186,6 +194,8 @@ def test_certificate_agrees_with_the_j_iso_suite(monkeypatch, verdict):
         assert [(i, z) for i, z, _ in records[m, n]] == [
             (i, z) for i in _window_degrees(m, n) for z in (0, 1)]
         failed = [(i, z) for i, z, passed in records[m, n] if not passed]
+        if verdict is _reject_z1:
+            assert failed == [(2, 1)], (m, n)
         if not failed:
             assert connectivity_j(m, n) == 7
             continue
@@ -195,7 +205,8 @@ def test_certificate_agrees_with_the_j_iso_suite(monkeypatch, verdict):
         with pytest.raises(HypothesisFailureError) as exc:
             connectivity_j(m, n)
         assert str(exc.value).endswith(f"at {where}"), (m, n)
-    assert first_failures == (set() if verdict is is_isomorphism else {4, 5})
+    expected = {is_isomorphism: set(), _reject_some: {4, 5}, _reject_z1: {2}}
+    assert first_failures == expected[verdict]
 
 
 @pytest.mark.parametrize("verdict", [is_isomorphism, _reject_some])

@@ -8,7 +8,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from sympdec.errors import ShapeMismatchError
 from sympdec.induced import _presentation_matrix
-from sympdec.intmatrix import IntMatrix, smith_normal_form, xgcd
+from sympdec.intmatrix import IntMatrix, smith_normal_form
 
 
 def _nonzero(factors) -> list[int]:
@@ -99,15 +99,6 @@ def test_snf_property(m):
 def test_determinism():
     m = IntMatrix(3, 3, [6, 4, 2, 2, 8, 4, 10, 2, 0])
     assert smith_normal_form(m) == smith_normal_form(m) == [2, 2, 10]
-
-
-def test_xgcd():
-    for a, b in [(9, 16), (16, 9), (-5, 3), (0, 7), (7, 0), (12, 18)]:
-        g, x, y = xgcd(a, b)
-        assert a * x + b * y == g
-        assert g >= 0
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 def test_diagonal_matches_sympy_on_random_matrices():
