@@ -7,14 +7,16 @@ For each m, n is the smallest odd number above 4m+3 coprime to m, so the
 certificate reaches the top of the symplectic window, as in the
 decide-large workload of bench_e2e.  The run is the certificate's list of
 representative degrees (lifting._certificate_degrees), with the Bezout
-witness of (m, n).  Printed, in microseconds of thread time per map, best
-of --reps passes over the run:
+witness of (m, n).  Printed, in microseconds of thread time per map
+except where noted, best of --reps passes over the run:
 - hom: one induced.hom("J", i, ...) per degree, which binds the params
   each time, as a single `induced` query does;
 - homs: one induced.homs("J", degrees, ...) run, which binds them once, as
   the certificate does;
 - iso: induced.is_isomorphism on each distinct map of the run, counting
-  both z candidates of the z-dependent degree.
+  both z candidates of the z-dependent degree;
+- lookup: per build-path table lookup (induced._group), one for each part
+  of J at each degree of the run; the lookups column counts them.
 Before timing, it checks that both paths give the same maps.  Nothing here
 multiplies an ExactMatrix, so the timings do not depend on the kernel
 backend.
@@ -23,7 +25,7 @@ backend.
 import argparse
 import time
 
-from sympdec.induced import ZDependent, hom, homs, is_isomorphism
+from sympdec.induced import FORMULAS, ZDependent, _bind, _group, hom, homs, is_isomorphism
 from sympdec.lifting import _certificate_degrees, bezout_uv
 
 
@@ -51,7 +53,7 @@ def main() -> None:
     args = ap.parse_args()
 
     print(f"{'m':>6}{'n':>7}{'maps':>6}{'hom':>9}{'homs':>9}{'distinct':>10}{'iso':>9}"
-          f"   (us per map, thread time, best of {args.reps})")
+          f"{'lookups':>9}{'lookup':>9}   (us each, thread time, best of {args.reps})")
     for m in args.m:
         n = _coprime_odd_above(m, 4 * m + 3)
         w = bezout_uv(m, n)
@@ -75,11 +77,21 @@ def main() -> None:
             for h in distinct:
                 is_isomorphism(h)
 
+        # the (part, degree) pairs the run's builds look up, source parts
+        # before target parts, as _build reads them
+        binding, shift = _bind("J", params), FORMULAS["J"].shift
+        lookups = [(part, i - shift) for i in degrees for part in binding[4] + binding[5]]
+
+        def table_lookups():
+            for part, degree in lookups:
+                _group(part, degree)
+
         row = (_best_us(per_degree, len(degrees), args.reps),
                _best_us(one_binding, len(degrees), args.reps),
-               _best_us(isos, len(distinct), args.reps))
+               _best_us(isos, len(distinct), args.reps),
+               _best_us(table_lookups, len(lookups), args.reps))
         print(f"{m:>6}{n:>7}{len(degrees):>6}{row[0]:>9.1f}{row[1]:>9.1f}"
-              f"{len(distinct):>10}{row[2]:>9.1f}")
+              f"{len(distinct):>10}{row[2]:>9.1f}{len(lookups):>9}{row[3]:>9.2f}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ class FgAbGroup:
         return self
 
     def __setattr__(self, name, value):
-        raise AttributeError("FgAbGroup is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def product(cls, *groups: "FgAbGroup") -> "FgAbGroup":

@@ -1,10 +1,12 @@
 """Homotopy groups of the classical complex groups in their tabulated ranges.
 
-Answers are exact group descriptions with a provenance string naming the
-table rule used.  Degrees outside a family's tabulated range come back as
-an explicit out-of-range marker, never as a guess; three unstable special
-orthogonal degrees are recorded as torsion-only markers because only that
-much is tabulated.
+Answers are exact group descriptions with a provenance naming the table
+rule used.  An answer keeps its provenance as a template and its arguments
+and formats it when it is read, so a lookup whose text nobody reads formats
+none.  Degrees outside a family's tabulated range come back as an explicit
+out-of-range marker, never as a guess; three unstable special orthogonal
+degrees are recorded as torsion-only markers because only that much is
+tabulated.
 
 Every group an answer names is the trivial group, Z or Z/2, built once and
 shared (FgAbGroup is immutable), except the cyclic group of the first
@@ -36,25 +38,38 @@ SO_TORSION_PAIRS = {(7, 3), (11, 5), (15, 7)}
 
 
 class TableAnswer(NamedTuple):
-    kind: str                      # GROUP, TORSION_ONLY or OUT_OF_RANGE
+    """A table's answer: the kind (GROUP, TORSION_ONLY or OUT_OF_RANGE), the
+    group (None unless the kind is GROUP), and the provenance, kept as a
+    str.format template and its arguments and formatted when read."""
+
+    kind: str
     group: FgAbGroup | None
-    provenance: str
+    template: str
+    args: tuple = ()
+
+    @property
+    def provenance(self) -> str:
+        return self.template.format(*self.args)
 
     def to_json(self) -> dict:
         body = list(self.group.factors) if self.kind == GROUP else self.kind
         return {"group": body, "provenance": self.provenance}
 
 
-def pi_sp(i: int, n: int) -> TableAnswer:
-    """Homotopy of the rank-n complex symplectic group (matrices of size 2n)."""
+# The sp, psp, so and o tables each state their cases once, in a private case
+# function that returns the plain tuple (kind, group, template, args); the
+# public pi_* wraps that tuple in a TableAnswer.  induced builds its maps from
+# the case functions.
+
+def _sp(i: int, n: int) -> tuple:
     _check(i, n)
     if i < 4 * n:
-        return TableAnswer(GROUP, _SP_STABLE[i % 8],
-                           f"symplectic stable table (8-periodic), i = {i} < 4n = {4 * n}")
+        return (GROUP, _SP_STABLE[i % 8],
+                "symplectic stable table (8-periodic), i = {} < 4n = {}", (i, 4 * n))
     if i in (4 * n, 4 * n + 1):
-        return TableAnswer(
-            GROUP, _Z2 if n % 2 else _TRIVIAL,
-            f"symplectic boundary degree {i}: Z/2 for odd n, trivial for even n (n = {n})")
+        return (GROUP, _Z2 if n % 2 else _TRIVIAL,
+                "symplectic boundary degree {}: Z/2 for odd n, trivial for even n (n = {})",
+                (i, n))
     if i == 4 * n + 2:
         digits = sys.get_int_max_str_digits() or 4300
         largest = _largest_printable_sp_n(digits)
@@ -64,11 +79,16 @@ def pi_sp(i: int, n: int) -> TableAnswer:
                 f"than {digits} digits, the integer string conversion limit; "
                 f"n <= {largest} prints")
         order = factorial(2 * n + 1) * (2 if n % 2 else 1)
-        return TableAnswer(GROUP, FgAbGroup((order,)),
-                           f"first unstable symplectic degree 4n+2: cyclic of order (2n+1)!"
-                           f"{' doubled for odd n' if n % 2 else ''}")
-    return TableAnswer(OUT_OF_RANGE, None,
-                       f"degree {i} beyond tabulated symplectic range 4n+2 = {4 * n + 2}")
+        return (GROUP, FgAbGroup((order,)),
+                "first unstable symplectic degree 4n+2: cyclic of order (2n+1)!{}",
+                (" doubled for odd n" if n % 2 else "",))
+    return (OUT_OF_RANGE, None,
+            "degree {} beyond tabulated symplectic range 4n+2 = {}", (i, 4 * n + 2))
+
+
+def pi_sp(i: int, n: int) -> TableAnswer:
+    """Homotopy of the rank-n complex symplectic group (matrices of size 2n)."""
+    return TableAnswer(*_sp(i, n))
 
 
 @cache
@@ -87,40 +107,52 @@ def _largest_printable_sp_n(digits: int) -> int:
         n += 1
 
 
-def pi_psp(i: int, n: int) -> TableAnswer:
-    """Homotopy of the projective symplectic group (quotient by the center)."""
+def _psp(i: int, n: int) -> tuple:
+    if i > 1:
+        kind, group, template, args = _sp(i, n)
+        if kind == GROUP:
+            template = "center quotient agrees above degree 1; " + template
+        return kind, group, template, args
     _check(i, n)
     if i == 0:
-        return TableAnswer(GROUP, _TRIVIAL, "projective symplectic group is connected")
-    if i == 1:
-        return TableAnswer(GROUP, _Z2, "fundamental group of the center quotient is Z/2")
-    inner = pi_sp(i, n)
-    if inner.kind != GROUP:
-        return inner
-    return TableAnswer(GROUP, inner.group, f"center quotient agrees above degree 1; {inner.provenance}")
+        return GROUP, _TRIVIAL, "projective symplectic group is connected", ()
+    return GROUP, _Z2, "fundamental group of the center quotient is Z/2", ()
+
+
+def pi_psp(i: int, n: int) -> TableAnswer:
+    """Homotopy of the projective symplectic group (quotient by the center)."""
+    return TableAnswer(*_psp(i, n))
+
+
+def _so(i: int, n: int) -> tuple:
+    _check(i, n)
+    if i == 0:
+        return GROUP, _TRIVIAL, "special orthogonal group is connected", ()
+    if i < n - 1:
+        return (GROUP, _SO_STABLE[i % 8],
+                "orthogonal stable table (8-periodic), i = {} < n-1 = {}", (i, n - 1))
+    if (i, n) in SO_TORSION_PAIRS:
+        return (TORSION_ONLY, None,
+                "unstable degree ({}, {}) recorded as torsion-only", (i, n))
+    return (OUT_OF_RANGE, None,
+            "degree {} beyond tabulated orthogonal range n-2 = {}", (i, n - 2))
 
 
 def pi_so(i: int, n: int) -> TableAnswer:
     """Homotopy of the complex special orthogonal group."""
+    return TableAnswer(*_so(i, n))
+
+
+def _o(i: int, n: int) -> tuple:
+    if i != 0:
+        return _so(i, n)
     _check(i, n)
-    if i == 0:
-        return TableAnswer(GROUP, _TRIVIAL, "special orthogonal group is connected")
-    if 0 < i < n - 1:
-        return TableAnswer(GROUP, _SO_STABLE[i % 8],
-                           f"orthogonal stable table (8-periodic), i = {i} < n-1 = {n - 1}")
-    if (i, n) in SO_TORSION_PAIRS:
-        return TableAnswer(TORSION_ONLY, None,
-                           f"unstable degree ({i}, {n}) recorded as torsion-only")
-    return TableAnswer(OUT_OF_RANGE, None,
-                       f"degree {i} beyond tabulated orthogonal range n-2 = {n - 2}")
+    return GROUP, _Z2, "orthogonal group has two components", ()
 
 
 def pi_o(i: int, n: int) -> TableAnswer:
     """Homotopy of the full complex orthogonal group (two components)."""
-    _check(i, n)
-    if i == 0:
-        return TableAnswer(GROUP, _Z2, "orthogonal group has two components")
-    return pi_so(i, n)
+    return TableAnswer(*_o(i, n))
 
 
 def pi_u_gl(i: int, n: int) -> TableAnswer:
@@ -128,11 +160,11 @@ def pi_u_gl(i: int, n: int) -> TableAnswer:
     _check(i, n)
     if i >= 2 * n:
         return TableAnswer(OUT_OF_RANGE, None,
-                           f"degree {i} beyond tabulated unitary range 2n-1 = {2 * n - 1}")
+                           "degree {} beyond tabulated unitary range 2n-1 = {}", (i, 2 * n - 1))
     if i == 0:
         return TableAnswer(GROUP, _TRIVIAL, "unitary group is connected")
     return TableAnswer(GROUP, _Z if i % 2 else _TRIVIAL,
-                       f"unitary stable table (2-periodic), i = {i} < 2n = {2 * n}")
+                       "unitary stable table (2-periodic), i = {} < 2n = {}", (i, 2 * n))
 
 
 _GROUP_TABLES = {
@@ -163,7 +195,9 @@ def pi_classifying(family: str, i: int, n: int) -> TableAnswer:
                            "recorded constant: degree 4n+4 of the projective symplectic "
                            "classifying space is Z/2 (one past the shifted boundary pair)")
     inner = _GROUP_TABLES[family](i - 1, n)
-    return TableAnswer(inner.kind, inner.group, f"classifying-space shift to degree {i - 1}; {inner.provenance}")
+    return TableAnswer(inner.kind, inner.group,
+                       "classifying-space shift to degree {}; " + inner.template,
+                       (i - 1, *inner.args))
 
 
 def pi_table(family: str, i: int, n: int, space: str = "group") -> TableAnswer:

@@ -22,9 +22,15 @@ minimal one, which is their default, and their checks refuse a given
 
 The AbHom constructor reduces the entries modulo the target orders and
 checks the shape and the well-definedness invariant (each generator of
-finite order a maps to an element that a kills) in one pass.  Every AbHom
-goes through it: those hom() and homs() build, those a caller builds, and the
+finite order a maps to an element that a kills) in one pass, which also
+makes the map's key: (source factors, target factors, reduced entries).  An
+AbHom's equality and hash use that key.  Every AbHom goes through the
+constructor: those hom() and homs() build, those a caller builds, and the
 results of compose and diagonal_hom.
+
+A build looks its parts up through the homotopy tables' private case
+functions, which hand it the group and keep the provenance unformatted; it
+formats a table's provenance only for the error that refuses a part.
 
 Generators are identified along the stabilization maps, so a formula's
 matrix is stated relative to that identification.  Trivial factors carry
@@ -34,7 +40,6 @@ no generators: a map written (x, y) -> v*y on 0 x Z/2 is emitted as the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -47,29 +52,34 @@ from sympdec.errors import (
     NotCoprimeError,
     OutOfRangeError,
 )
-from sympdec.homotopy import GROUP, pi_o, pi_psp, pi_so, pi_sp
+from sympdec.homotopy import GROUP, TableAnswer, _o, _psp, _so, _sp
 from sympdec.intmatrix import IntMatrix, smith_normal_form
 
 
 # -- homomorphisms of finitely generated abelian groups -----------------------
 
-@dataclass(frozen=True)
 class AbHom:
-    """matrix columns are indexed by source generators, rows by target
-    generators; equal maps compare and hash equal."""
+    """A homomorphism source -> target: matrix columns are indexed by source
+    generators, rows by target generators.
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix
+    The constructor reduces the entries and checks the map in one pass, and
+    keeps the key (source factors, target factors, reduced entries); equality
+    and hash use the key, so equal maps compare and hash equal.  Assignment
+    raises AttributeError.
+    """
 
-    def __post_init__(self):
-        m, src, tgt = self.matrix, self.source.factors, self.target.factors
+    __slots__ = ("source", "target", "matrix", "_key")
+    __setattr__ = FgAbGroup.__setattr__
+
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
+        src, tgt = source.factors, target.factors
         cols = len(src)
-        if m.rows != len(tgt) or m.cols != cols:
-            raise MalformedHomError(f"matrix is {m.rows}x{m.cols}, need {len(tgt)}x{cols}")
+        if matrix.rows != len(tgt) or matrix.cols != cols:
+            raise MalformedHomError(
+                f"matrix is {matrix.rows}x{matrix.cols}, need {len(tgt)}x{cols}")
         # each row reduced modulo its finite target order
         data = [x % t if t else x
-                for r, t in enumerate(tgt) for x in m.data[r * cols:(r + 1) * cols]]
+                for r, t in enumerate(tgt) for x in matrix.data[r * cols:(r + 1) * cols]]
         for c, a in enumerate(src):
             if a:
                 for r, t in enumerate(tgt):
@@ -79,11 +89,22 @@ class AbHom:
                             f"generator of order {a} maps to an element of infinite or "
                             f"incompatible order (entry {e} at row {r})"
                         )
-        object.__setattr__(self, "matrix", IntMatrix._raw(m.rows, cols, data))
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "matrix", IntMatrix._raw(matrix.rows, cols, data))
+        init(self, "_key", (src, tgt, tuple(data)))
+
+    def __eq__(self, other):
+        if not isinstance(other, AbHom):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
 
-@dataclass(frozen=True)
-class ZDependent:
+class ZDependent(NamedTuple):
     """A homomorphism that depends on an undetermined mod-2 parameter z.
 
     Decisions must be evaluated for both candidates and agree; otherwise
@@ -141,8 +162,7 @@ def is_isomorphism(h: AbHom) -> bool:
 
 # -- the Bezout witness --------------------------------------------------------
 
-@dataclass(frozen=True)
-class BezoutWitness:
+class BezoutWitness(NamedTuple):
     m: int
     n: int
     u: int
@@ -196,7 +216,7 @@ def bezout_uv(m: int, n: int) -> BezoutWitness:
 
 # -- the formula table ---------------------------------------------------------
 
-_FAMILIES = {"sp": (pi_sp, "Sp"), "psp": (pi_psp, "PSp"), "so": (pi_so, "SO"), "o": (pi_o, "O")}
+_FAMILIES = {"sp": (_sp, "Sp"), "psp": (_psp, "PSp"), "so": (_so, "SO"), "o": (_o, "O")}
 
 _SIZES = {
     "m": lambda p: p.m,
@@ -355,7 +375,8 @@ def _bound(limits) -> str:
 
 
 # per op: the checks listed before _WINDOW, those listed after it, and the
-# source and target parts, each as (table, family name, size text, size rule)
+# source and target parts, each as (table case, family name, size text, size
+# rule), where a table case is a homotopy case function such as _sp
 _PLANS = {op: (f.checks[:f.checks.index(_WINDOW)], f.checks[f.checks.index(_WINDOW) + 1:],
                *(tuple((*_FAMILIES[family], size, _SIZES[size]) for family, size in parts)
                  for parts in (f.sources, f.targets)))
@@ -368,8 +389,8 @@ def _bind(op: str, params: dict) -> tuple:
 
     Returns the binding (formula, params namespace, z as given, checks
     listed after _WINDOW, source parts, target parts), where a part is
-    (table, family name, size text, size).  A param passed as None counts as
-    left out, so a required one raises TypeError.
+    (table case, family name, size text, size).  A param passed as None
+    counts as left out, so a required one raises TypeError.
     """
     f = FORMULAS[op]
     if params.keys() - f.params or None in map(params.get, REQUIRED[op]):
@@ -382,18 +403,20 @@ def _bind(op: str, params: dict) -> tuple:
     for check in before:
         check(p)
     return (f, p, params.get("z"), after,
-            [(table, name, size, k(p)) for table, name, size, k in sources],
-            [(table, name, size, k(p)) for table, name, size, k in targets])
+            [(case, name, size, k(p)) for case, name, size, k in sources],
+            [(case, name, size, k(p)) for case, name, size, k in targets])
 
 
 def _group(part, degree: int) -> FgAbGroup:
-    """The group of one part at degree; refuses a degree where the table
-    answers no group."""
-    table, name, size, k = part
-    answer = table(degree, k)
-    if answer.kind != GROUP:
-        raise OutOfRangeError(f"pi_i {name}({size}): {answer.provenance}")
-    return answer.group
+    """The group of one part at degree, read off its table's case function;
+    refuses a degree where the table answers no group, and only then formats
+    the table's provenance."""
+    case, name, size, k = part
+    kind, group, template, args = case(degree, k)
+    if kind != GROUP:
+        provenance = TableAnswer(kind, group, template, args).provenance
+        raise OutOfRangeError(f"pi_i {name}({size}): {provenance}")
+    return group
 
 
 def _build(b: tuple, i: int):

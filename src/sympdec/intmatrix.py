@@ -66,14 +66,6 @@ class IntMatrix:
             out += row
         return IntMatrix._raw(self.rows, c, out)
 
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.data)))
-
 
 def smith_normal_form(m: IntMatrix) -> list[int]:
     """The invariant factors d1 | d2 | ... of m, min(rows, cols) of them:

@@ -10,8 +10,8 @@ becomes the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import EvenNError, HypothesisFailureError
@@ -30,8 +30,7 @@ KIND_HIGH_N = "sphere_4m+4"
 KIND_SMALL_N = "sphere_C"
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     degree: int
     image: str
     case: str
@@ -50,8 +49,7 @@ class Obstruction:
         }
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     verdict: str
     rule: str
     m: int

@@ -11,8 +11,8 @@ run_suite holds matrix sizes to the exact-arithmetic guard
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from sympdec import groups
 from sympdec.abgroup import FgAbGroup
@@ -26,8 +26,7 @@ from sympdec.matrix import ExactMatrix
 SIZE_GUARD = 64
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     max_m: int = 2
     max_n: int = 3
     max_r: int = 2
@@ -42,12 +41,17 @@ class Bounds:
             )
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
+    """One suite's record: its case count, the inputs of each failing case,
+    and the wall time run_suite took for it."""
+
+    __slots__ = ("suite", "cases", "failures", "elapsed")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.cases = 0
+        self.failures: list[dict] = []
+        self.elapsed = 0.0
 
     @property
     def ok(self) -> bool:

@@ -291,6 +291,17 @@ MUTANTS = [
            "        for c, a in enumerate(()):\n            if a:",
            ("tests/test_induced.py::test_well_definedness_enforced",
             "tests/test_induced.py::test_well_definedness_property")),
+    Mutant("AbHom's key drops the matrix entries",
+           "src/sympdec/induced.py",
+           'init(self, "_key", (src, tgt, tuple(data)))',
+           'init(self, "_key", (src, tgt))',
+           ("tests/test_induced.py::test_equal_maps_compare_and_hash_equal_and_no_field_is_assigned",
+            "tests/test_lifting.py::test_certificate_reports_a_rejected_map_at_its_degree")),
+    Mutant("_group returns the group without testing the kind",
+           "src/sympdec/induced.py",
+           "    if kind != GROUP:\n        provenance = ",
+           "    if False:\n        provenance = ",
+           ("tests/test_induced.py::test_the_build_reads_each_part_as_the_public_table_answers",)),
     Mutant("random_sp adds to the A^{-T} column where it should subtract",
            "src/sympdec/groups.py",
            "right[j] = [x - c * y for x, y in zip(right[j], right[i])]",

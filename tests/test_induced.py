@@ -17,12 +17,14 @@ from sympdec.errors import (
     OutOfRangeError,
     SympdecError,
 )
-from sympdec.homotopy import pi_sp
+from sympdec.homotopy import GROUP, OUT_OF_RANGE, TORSION_ONLY, pi_sp, pi_table
 from sympdec.induced import (
+    _PLANS,
     FORMULAS,
     REQUIRED,
     AbHom,
     ZDependent,
+    _group,
     _presentation_matrix,
     compose,
     describe,
@@ -86,6 +88,25 @@ def test_well_definedness_property(src, tgt, data):
             e, x = got[r][c], entries[r * len(src) + c]
             assert (e - x) % t == 0 if t else e == x        # the same map, reduced
             assert not a or killed(a, e, t)
+
+
+def test_equal_maps_compare_and_hash_equal_and_no_field_is_assigned():
+    h = abhom((0, 2), (4, 0), [[1, 0], [3, 0]])
+    for name, value in (("source", Z), ("target", Z), ("matrix", h.matrix), ("_key", ()),
+                        ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(h, name, value)
+    # built apart, from entries that reduce to the same ones
+    same = abhom((0, 2), (4, 0), [[5, -4], [3, 0]])
+    assert same is not h and same == h and hash(same) == hash(h)
+    assert {h: 1}[same] == 1
+    for other in (abhom((0, 2), (4, 0), [[1, 0], [2, 0]]),     # one entry
+                  abhom((0, 2), (4, 0), [[2, 0], [3, 0]]),     # one entry, in Z/4
+                  abhom((0, 2), (5, 0), [[1, 0], [3, 0]]),     # one target order
+                  abhom((0, 2), (0, 4), [[1, 0], [3, 0]]),     # the target orders swapped
+                  abhom((0, 4), (4, 0), [[1, 0], [3, 0]])):    # one source order
+        assert other != h and h != other and not other == h
+    assert h != (h.source, h.target, h.matrix)
 
 
 def test_entries_reduced_mod_target_orders():
@@ -288,7 +309,7 @@ def test_square_tensor_is_two_variable_on_the_diagonal():
         for i in range(0, 4 * m + 2):
             square = hom("square-tensor", i, m=m)
             composed = compose(hom("tensor-sp-sp", i, m=m, n=m), diagonal_hom(pi_sp(i, m).group))
-            assert square.matrix == composed.matrix, (i, m)
+            assert square.matrix.row_lists() == composed.matrix.row_lists(), (i, m)
             assert square.source == composed.source and square.target == composed.target
 
 
@@ -519,6 +540,30 @@ def _error(build):
     with pytest.raises((SympdecError, ValueError, TypeError)) as exc:
         build()
     return type(exc.value), str(exc.value)
+
+
+def test_the_build_reads_each_part_as_the_public_table_answers():
+    """_group, which reads a table's case function, against the public pi_*
+    answer, for every part of every entry: the same group, or an error that
+    carries the answer's provenance."""
+    kinds = set()
+    for op, f in FORMULAS.items():
+        parts = zip(f.sources + f.targets, _PLANS[op][2] + _PLANS[op][3])
+        for (family, _), (case, name, size, _) in parts:
+            # 3, 5 and 7 reach the torsion-only orthogonal degrees
+            for k in (1, 2, 3, 4, 5, 7, 9, 16):
+                for degree in range(4 * k + 6):
+                    answer = pi_table(family, degree, k)
+                    kinds.add((family, answer.kind))
+                    if answer.kind == GROUP:
+                        assert _group((case, name, size, k), degree) == answer.group
+                        continue
+                    with pytest.raises(OutOfRangeError) as exc:
+                        _group((case, name, size, k), degree)
+                    assert answer.provenance in str(exc.value), (op, family, k, degree)
+    assert kinds >= {(family, kind) for family in ("sp", "psp", "so", "o")
+                     for kind in (GROUP, OUT_OF_RANGE)}
+    assert {("so", TORSION_ONLY), ("o", TORSION_ONLY)} <= kinds
 
 
 @pytest.mark.parametrize("op", tuple(FORMULAS))
