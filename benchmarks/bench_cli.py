@@ -12,7 +12,10 @@ postnikov) and prints, per command kind, microseconds per call, best of
   own parser;
 - emit: ``json.dumps(body, sort_keys=True, indent=2)``, which runs json's
   pure-Python encoder because of the indent, against the CLI's writer, on
-  the body each argv prints.
+  the body each argv prints;
+- lookup, for the pi kind only: ``homotopy.pi_table`` on each pi argv's
+  (family, i, n) in the group space and at i + 1 in the classifying space,
+  which shifts onto the same group degree.
 Before timing, it checks that both parses give the same namespace and both
 writers the same text.  Neither part multiplies a matrix, so the timings do
 not depend on the kernel backend.
@@ -26,7 +29,7 @@ import json
 import random
 import time
 
-from sympdec import cli
+from sympdec import cli, homotopy
 
 
 def _argvs(rng: random.Random, per_kind: int) -> dict[str, list[list[str]]]:
@@ -84,6 +87,16 @@ def _best_us(fn, inputs, reps: int) -> float:
     return best / len(inputs) * 1e6
 
 
+def _lookups(argvs) -> list[tuple]:
+    """The pi_table queries of the pi argvs, in both spaces."""
+    queries = []
+    for argv in argvs:
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        family, n, i = flags["--family"], int(flags["--n"]), int(flags["--i"])
+        queries += [(family, i, n, "group"), (family, i + 1, n, "classifying")]
+    return queries
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--per-kind", type=int, default=50)
@@ -95,7 +108,7 @@ def main() -> None:
     dumps = functools.partial(json.dumps, sort_keys=True, indent=2)
 
     print(f"{'kind':<13}{'argvs':>6}{'full parse':>12}{'own parse':>11}"
-          f"{'json.dumps':>12}{'writer':>9}   (us per call, best of {args.reps})")
+          f"{'json.dumps':>12}{'writer':>9}{'lookup':>9}   (us per call, best of {args.reps})")
     for kind, argvs in _argvs(random.Random(args.seed), args.per_kind).items():
         for argv in argvs:
             if cli._parse_args(argv) != full.parse_args(argv):
@@ -108,8 +121,10 @@ def main() -> None:
                _best_us(cli._parse_args, argvs, args.reps),
                _best_us(dumps, bodies, args.reps),
                _best_us(cli._json_text, bodies, args.reps))
+        lookup = (f"{_best_us(lambda q: homotopy.pi_table(*q), _lookups(argvs), args.reps):>9.2f}"
+                  if kind == "pi" else f"{'-':>9}")
         print(f"{kind:<13}{len(argvs):>6}{row[0]:>12.1f}{row[1]:>11.1f}"
-              f"{row[2]:>12.1f}{row[3]:>9.1f}")
+              f"{row[2]:>12.1f}{row[3]:>9.1f}{lookup}")
 
 
 if __name__ == "__main__":

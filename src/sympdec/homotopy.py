@@ -1,9 +1,12 @@
 """Homotopy groups of the classical complex groups in their tabulated ranges.
 
-Answers are exact group descriptions with a provenance naming the table
-rule used.  An answer keeps its provenance as a template and its arguments
-and formats it when it is read, so a lookup whose text nobody reads formats
-none.  Degrees outside a family's tabulated range come back as an explicit
+There is one table per family, in TABLES: a case function that states the
+family's cases once and returns the plain tuple (kind, group, provenance
+template, template arguments).  pi_table, the one public lookup, wraps that
+tuple in a TableAnswer, an exact group description whose provenance names
+the table rule used and is formatted when it is read, so a lookup whose
+text nobody reads formats none; induced reads the case functions directly.
+Degrees outside a family's tabulated range come back as an explicit
 out-of-range marker, never as a guess; three unstable special orthogonal
 degrees are recorded as torsion-only markers because only that much is
 tabulated.
@@ -56,11 +59,6 @@ class TableAnswer(NamedTuple):
         return {"group": body, "provenance": self.provenance}
 
 
-# The sp, psp, so and o tables each state their cases once, in a private case
-# function that returns the plain tuple (kind, group, template, args); the
-# public pi_* wraps that tuple in a TableAnswer.  induced builds its maps from
-# the case functions.
-
 def _sp(i: int, n: int) -> tuple:
     _check(i, n)
     if i < 4 * n:
@@ -84,11 +82,6 @@ def _sp(i: int, n: int) -> tuple:
                 (" doubled for odd n" if n % 2 else "",))
     return (OUT_OF_RANGE, None,
             "degree {} beyond tabulated symplectic range 4n+2 = {}", (i, 4 * n + 2))
-
-
-def pi_sp(i: int, n: int) -> TableAnswer:
-    """Homotopy of the rank-n complex symplectic group (matrices of size 2n)."""
-    return TableAnswer(*_sp(i, n))
 
 
 @cache
@@ -119,11 +112,6 @@ def _psp(i: int, n: int) -> tuple:
     return GROUP, _Z2, "fundamental group of the center quotient is Z/2", ()
 
 
-def pi_psp(i: int, n: int) -> TableAnswer:
-    """Homotopy of the projective symplectic group (quotient by the center)."""
-    return TableAnswer(*_psp(i, n))
-
-
 def _so(i: int, n: int) -> tuple:
     _check(i, n)
     if i == 0:
@@ -138,11 +126,6 @@ def _so(i: int, n: int) -> tuple:
             "degree {} beyond tabulated orthogonal range n-2 = {}", (i, n - 2))
 
 
-def pi_so(i: int, n: int) -> TableAnswer:
-    """Homotopy of the complex special orthogonal group."""
-    return TableAnswer(*_so(i, n))
-
-
 def _o(i: int, n: int) -> tuple:
     if i != 0:
         return _so(i, n)
@@ -150,65 +133,48 @@ def _o(i: int, n: int) -> tuple:
     return GROUP, _Z2, "orthogonal group has two components", ()
 
 
-def pi_o(i: int, n: int) -> TableAnswer:
-    """Homotopy of the full complex orthogonal group (two components)."""
-    return TableAnswer(*_o(i, n))
-
-
-def pi_u_gl(i: int, n: int) -> TableAnswer:
-    """Homotopy of U(n) (equivalently GL(n, C)) in the stable range i < 2n."""
+def _u(i: int, n: int) -> tuple:
     _check(i, n)
     if i >= 2 * n:
-        return TableAnswer(OUT_OF_RANGE, None,
-                           "degree {} beyond tabulated unitary range 2n-1 = {}", (i, 2 * n - 1))
+        return (OUT_OF_RANGE, None,
+                "degree {} beyond tabulated unitary range 2n-1 = {}", (i, 2 * n - 1))
     if i == 0:
-        return TableAnswer(GROUP, _TRIVIAL, "unitary group is connected")
-    return TableAnswer(GROUP, _Z if i % 2 else _TRIVIAL,
-                       "unitary stable table (2-periodic), i = {} < 2n = {}", (i, 2 * n))
+        return GROUP, _TRIVIAL, "unitary group is connected", ()
+    return (GROUP, _Z if i % 2 else _TRIVIAL,
+            "unitary stable table (2-periodic), i = {} < 2n = {}", (i, 2 * n))
 
 
-_GROUP_TABLES = {
-    "sp": pi_sp,
-    "psp": pi_psp,
-    "so": pi_so,
-    "o": pi_o,
-    "u": pi_u_gl,
-    "gl": pi_u_gl,
-}
-FAMILIES = tuple(_GROUP_TABLES)
+# one case function per family: sp the rank-n symplectic group (matrices of
+# size 2n), psp its quotient by the center, so and o the special and full
+# orthogonal groups, u = gl the unitary group U(n) ~ GL(n, C) below degree 2n
+TABLES = {"sp": _sp, "psp": _psp, "so": _so, "o": _o, "u": _u, "gl": _u}
+FAMILIES = tuple(TABLES)
 
 
-def pi_classifying(family: str, i: int, n: int) -> TableAnswer:
-    """Homotopy of the classifying space: degree shift pi_i B G = pi_{i-1} G.
+def pi_table(family: str, i: int, n: int, space: str = "group") -> TableAnswer:
+    """pi_i of the family's group of size n, or of its classifying space when
+    space is 'classifying', as a TableAnswer.
 
-    The single recorded exception: for the projective symplectic family at
-    degree 4n+4 the shifted degree lies one past the boundary pair, and the
-    value Z/2 is stored as a fixed constant rather than derived from the
-    stable table.
+    The classifying space shifts the degree, pi_i B G = pi_{i-1} G, with one
+    recorded exception: for the projective symplectic family at degree 4n+4
+    the shifted degree lies one past the boundary pair, and the value Z/2 is
+    stored as a fixed constant rather than derived from the stable table.
     """
-    if family not in _GROUP_TABLES:
+    if space not in ("group", "classifying"):
+        raise ValueError(f"unknown space {space!r}")
+    if family not in TABLES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if space == "group":
+        return TableAnswer(*TABLES[family](i, n))
     if i < 1:
         raise ValueError("classifying-space degrees start at 1")
     if family == "psp" and i == 4 * n + 4:
         return TableAnswer(GROUP, _Z2,
                            "recorded constant: degree 4n+4 of the projective symplectic "
                            "classifying space is Z/2 (one past the shifted boundary pair)")
-    inner = _GROUP_TABLES[family](i - 1, n)
-    return TableAnswer(inner.kind, inner.group,
-                       "classifying-space shift to degree {}; " + inner.template,
-                       (i - 1, *inner.args))
-
-
-def pi_table(family: str, i: int, n: int, space: str = "group") -> TableAnswer:
-    """Dispatch a table query for the CLI: space is 'group' or 'classifying'."""
-    if space == "classifying":
-        return pi_classifying(family, i, n)
-    if space != "group":
-        raise ValueError(f"unknown space {space!r}")
-    if family not in _GROUP_TABLES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return _GROUP_TABLES[family](i, n)
+    kind, group, template, args = TABLES[family](i - 1, n)
+    return TableAnswer(kind, group, "classifying-space shift to degree {}; " + template,
+                       (i - 1, *args))
 
 
 def _check(i: int, n: int):

@@ -28,9 +28,9 @@ AbHom's equality and hash use that key.  Every AbHom goes through the
 constructor: those hom() and homs() build, those a caller builds, and the
 results of compose and diagonal_hom.
 
-A build looks its parts up through the homotopy tables' private case
-functions, which hand it the group and keep the provenance unformatted; it
-formats a table's provenance only for the error that refuses a part.
+A build looks its parts up through the case functions of homotopy.TABLES,
+which hand it the group and keep the provenance unformatted; it formats a
+table's provenance only for the error that refuses a part.
 
 Generators are identified along the stabilization maps, so a formula's
 matrix is stated relative to that identification.  Trivial factors carry
@@ -52,7 +52,7 @@ from sympdec.errors import (
     NotCoprimeError,
     OutOfRangeError,
 )
-from sympdec.homotopy import GROUP, TableAnswer, _o, _psp, _so, _sp
+from sympdec.homotopy import GROUP, TABLES, TableAnswer
 from sympdec.intmatrix import IntMatrix, smith_normal_form
 
 
@@ -216,7 +216,8 @@ def bezout_uv(m: int, n: int) -> BezoutWitness:
 
 # -- the formula table ---------------------------------------------------------
 
-_FAMILIES = {"sp": (_sp, "Sp"), "psp": (_psp, "PSp"), "so": (_so, "SO"), "o": (_o, "O")}
+_FAMILIES = {f: (TABLES[f], name)
+             for f, name in (("sp", "Sp"), ("psp", "PSp"), ("so", "SO"), ("o", "O"))}
 
 _SIZES = {
     "m": lambda p: p.m,
@@ -376,7 +377,7 @@ def _bound(limits) -> str:
 
 # per op: the checks listed before _WINDOW, those listed after it, and the
 # source and target parts, each as (table case, family name, size text, size
-# rule), where a table case is a homotopy case function such as _sp
+# rule), where a table case is a homotopy.TABLES case function
 _PLANS = {op: (f.checks[:f.checks.index(_WINDOW)], f.checks[f.checks.index(_WINDOW) + 1:],
                *(tuple((*_FAMILIES[family], size, _SIZES[size]) for family, size in parts)
                  for parts in (f.sources, f.targets)))

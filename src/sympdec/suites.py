@@ -17,7 +17,7 @@ from typing import NamedTuple
 from sympdec import groups
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import BoundsTooLargeError
-from sympdec.homotopy import pi_sp
+from sympdec.homotopy import pi_table
 from sympdec.induced import (AbHom, ZDependent, bezout_uv, compose, diagonal_hom, hom, homs,
                              is_isomorphism)
 from sympdec.lifting import connectivity_j
@@ -189,7 +189,7 @@ def _square_tensor_consistent(i: int, m: int) -> bool:
     """square tensor formula equals the two-variable formula composed with the diagonal."""
     square = hom("square-tensor", i, m=m)
     both = hom("tensor-sp-sp", i, m=m, n=m)
-    return square == compose(both, diagonal_hom(pi_sp(i, m).group))
+    return square == compose(both, diagonal_hom(pi_table("sp", i, m).group))
 
 
 def run_formulas(bounds: Bounds, samples: int, seed) -> VerifyReport:

@@ -302,6 +302,41 @@ MUTANTS = [
            "    if kind != GROUP:\n        provenance = ",
            "    if False:\n        provenance = ",
            ("tests/test_induced.py::test_the_build_reads_each_part_as_the_public_table_answers",)),
+    Mutant("the stable symplectic table drops pi_5 to the trivial group",
+           "src/sympdec/homotopy.py",
+           "5: _Z2",
+           "5: _TRIVIAL",
+           ("tests/test_homotopy.py::test_tables_match_the_oracle",
+            "tests/test_homotopy.py::test_sp_stable_values",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("the symplectic boundary pair takes Z/2 for even n",
+           "src/sympdec/homotopy.py",
+           "_Z2 if n % 2 else _TRIVIAL",
+           "_TRIVIAL if n % 2 else _Z2",
+           ("tests/test_homotopy.py::test_tables_match_the_oracle",
+            "tests/test_homotopy.py::test_sp_boundary_parity",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("the classifying space reads degree i of the group, not i - 1",
+           "src/sympdec/homotopy.py",
+           "TABLES[family](i - 1, n)",
+           "TABLES[family](i, n)",
+           ("tests/test_homotopy.py::test_tables_match_the_oracle",
+            "tests/test_homotopy.py::test_classifying_shift",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("the projective symplectic group is simply connected",
+           "src/sympdec/homotopy.py",
+           "return GROUP, _Z2, \"fundamental group",
+           "return GROUP, _TRIVIAL, \"fundamental group",
+           ("tests/test_homotopy.py::test_tables_match_the_oracle",
+            "tests/test_homotopy.py::test_psp",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("the unitary table puts Z in the even degrees",
+           "src/sympdec/homotopy.py",
+           "_Z if i % 2 else _TRIVIAL",
+           "_TRIVIAL if i % 2 else _Z",
+           ("tests/test_homotopy.py::test_tables_match_the_oracle",
+            "tests/test_homotopy.py::test_u_gl_table",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
     Mutant("random_sp adds to the A^{-T} column where it should subtract",
            "src/sympdec/groups.py",
            "right[j] = [x - c * y for x, y in zip(right[j], right[i])]",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from sympdec.abgroup import FgAbGroup
 from sympdec.groups import _basis_pairs
@@ -203,3 +203,50 @@ def canonical(g: FgAbGroup) -> FgAbGroup:
 
 def isomorphic(g: FgAbGroup, h: FgAbGroup) -> bool:
     return canonical(g) == canonical(h)
+
+
+# -- homotopy tables -----------------------------------------------------------
+# Bott periodicity (Bott, "The stable homotopy of the classical groups", Ann.
+# of Math. 70, 1959): pi_i Sp and pi_i SO in their stable ranges by i mod 8,
+# as cyclic orders (0 for Z, 2 for Z/2, none for the trivial group).
+
+SP_BOTT = ((), (), (), (0,), (2,), (2,), (), (0,))
+SO_BOTT = ((2,), (2,), (), (0,), (), (), (), (0,))
+
+
+def tabulated(family: str, i: int, n: int, space: str = "group"):
+    """(kind, cyclic orders) the homotopy tables record for pi_i of the
+    family's group of size n, or of its classifying space; the orders are
+    None unless the kind is "group".  None when the query has no answer:
+    classifying-space degrees start at 1."""
+    if space == "classifying":
+        if i < 1:
+            return None
+        if family == "psp" and i == 4 * n + 4:
+            return "group", (2,)            # the recorded constant
+        return tabulated(family, i - 1, n)
+    if family == "psp" and i in (0, 1):
+        return "group", (2,) if i else ()   # connected, and pi_1 PSp(n) = Z/2
+    if family == "o" and i == 0:
+        return "group", (2,)                # O(n) has two components
+    if family in ("sp", "psp"):
+        if i < 4 * n:
+            return "group", SP_BOTT[i % 8]
+        if i in (4 * n, 4 * n + 1):
+            return "group", (2,) if n % 2 else ()
+        if i == 4 * n + 2:
+            return "group", (factorial(2 * n + 1) * (2 if n % 2 else 1),)
+        return "out-of-range", None
+    if family in ("so", "o"):
+        if i == 0:
+            return "group", ()
+        if i < n - 1:
+            return "group", SO_BOTT[i % 8]
+        if (i, n) in ((7, 3), (11, 5), (15, 7)):
+            return "torsion-only", None
+        return "out-of-range", None
+    if family in ("u", "gl"):
+        if i < 2 * n:
+            return "group", (0,) if i % 2 else ()
+        return "out-of-range", None
+    raise ValueError(f"no table for {family!r}")

@@ -13,7 +13,7 @@ from sympdec.groups import (
     verify_l_conjugation,
     verify_sj_conjugation,
 )
-from sympdec.homotopy import pi_psp, pi_sp
+from sympdec.homotopy import pi_table
 from sympdec.lifting import (
     connectivity_j,
     decide_azumaya,
@@ -81,17 +81,17 @@ def test_criterion_3_orthonormalization():
 def test_criterion_4_homotopy_tables():
     checks = []
     for n in (1, 2, 3):
-        checks.append(pi_sp(3, n).group == FgAbGroup((0,)))
-    checks.append(pi_sp(6, 1).group == FgAbGroup((12,)))
-    checks.append(pi_sp(4, 1).group == FgAbGroup((2,)))
-    checks.append(pi_sp(5, 1).group == FgAbGroup((2,)))
+        checks.append(pi_table("sp", 3, n).group == FgAbGroup((0,)))
+    checks.append(pi_table("sp", 6, 1).group == FgAbGroup((12,)))
+    checks.append(pi_table("sp", 4, 1).group == FgAbGroup((2,)))
+    checks.append(pi_table("sp", 5, 1).group == FgAbGroup((2,)))
     for n in range(1, 7):
         boundary = FgAbGroup((2,)) if n % 2 else FgAbGroup(())
-        checks.append(pi_sp(4 * n, n).group == boundary)
-        checks.append(pi_sp(4 * n + 1, n).group == boundary)
+        checks.append(pi_table("sp", 4 * n, n).group == boundary)
+        checks.append(pi_table("sp", 4 * n + 1, n).group == boundary)
         order = factorial(2 * n + 1) * (2 if n % 2 else 1)
-        checks.append(pi_sp(4 * n + 2, n).group == FgAbGroup((order,)))
-        checks.append(pi_psp(1, n).group == FgAbGroup((2,)))
+        checks.append(pi_table("sp", 4 * n + 2, n).group == FgAbGroup((order,)))
+        checks.append(pi_table("psp", 1, n).group == FgAbGroup((2,)))
     _report(4, all(checks), f"homotopy tables: {len(checks)} exact values")
 
 

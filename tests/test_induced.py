@@ -17,7 +17,7 @@ from sympdec.errors import (
     OutOfRangeError,
     SympdecError,
 )
-from sympdec.homotopy import GROUP, OUT_OF_RANGE, TORSION_ONLY, pi_sp, pi_table
+from sympdec.homotopy import GROUP, OUT_OF_RANGE, TORSION_ONLY, pi_table
 from sympdec.induced import (
     _PLANS,
     FORMULAS,
@@ -308,7 +308,8 @@ def test_square_tensor_is_two_variable_on_the_diagonal():
     for m in (2, 3, 4):
         for i in range(0, 4 * m + 2):
             square = hom("square-tensor", i, m=m)
-            composed = compose(hom("tensor-sp-sp", i, m=m, n=m), diagonal_hom(pi_sp(i, m).group))
+            composed = compose(hom("tensor-sp-sp", i, m=m, n=m),
+                               diagonal_hom(pi_table("sp", i, m).group))
             assert square.matrix.row_lists() == composed.matrix.row_lists(), (i, m)
             assert square.source == composed.source and square.target == composed.target
 
@@ -543,7 +544,7 @@ def _error(build):
 
 
 def test_the_build_reads_each_part_as_the_public_table_answers():
-    """_group, which reads a table's case function, against the public pi_*
+    """_group, which reads a table's case function, against pi_table's
     answer, for every part of every entry: the same group, or an error that
     carries the answer's provenance."""
     kinds = set()
