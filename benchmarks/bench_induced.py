@@ -11,8 +11,11 @@ witness of (m, n).  Printed, in microseconds of thread time per map
 except where noted, best of --reps passes over the run:
 - hom: one induced.hom("J", i, ...) per degree, which binds the params
   each time, as a single `induced` query does;
-- homs: one induced.homs("J", degrees, ...) run, which binds them once, as
-  the certificate does;
+- homs: one induced.homs("J", degrees, ...) run, which binds them once and
+  builds one checked AbHom per distinct key (the part groups and the rule's
+  rows) of the run, as the certificate does;
+- built: the AbHom constructions of that run, counted by a subclass put in
+  place of induced.AbHom for one untimed run;
 - iso: induced.is_isomorphism on each distinct map of the run, counting
   both z candidates of the z-dependent degree;
 - lookup: per build-path table lookup (induced._group), one for each part
@@ -25,6 +28,7 @@ backend.
 import argparse
 import time
 
+from sympdec import induced
 from sympdec.induced import FORMULAS, ZDependent, _bind, _group, hom, homs, is_isomorphism
 from sympdec.lifting import _certificate_degrees, bezout_uv
 
@@ -46,13 +50,35 @@ def _best_us(fn, count: int, reps: int) -> float:
     return best / count * 1e6
 
 
+def _constructions(degrees, params) -> int:
+    """The AbHom constructions of one homs("J", degrees, **params) run."""
+    count = 0
+    real = induced.AbHom
+
+    class Counting(real):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            nonlocal count
+            count += 1
+            super().__init__(*args)
+
+    induced.AbHom = Counting
+    try:
+        for _ in homs("J", degrees, **params):
+            pass
+    finally:
+        induced.AbHom = real
+    return count
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m", type=int, nargs="+", default=[2000, 40])
     ap.add_argument("--reps", type=int, default=60)
     args = ap.parse_args()
 
-    print(f"{'m':>6}{'n':>7}{'maps':>6}{'hom':>9}{'homs':>9}{'distinct':>10}{'iso':>9}"
+    print(f"{'m':>6}{'n':>7}{'maps':>6}{'hom':>9}{'homs':>9}{'built':>7}{'distinct':>10}{'iso':>9}"
           f"{'lookups':>9}{'lookup':>9}   (us each, thread time, best of {args.reps})")
     for m in args.m:
         n = _coprime_odd_above(m, 4 * m + 3)
@@ -91,7 +117,8 @@ def main() -> None:
                _best_us(isos, len(distinct), args.reps),
                _best_us(table_lookups, len(lookups), args.reps))
         print(f"{m:>6}{n:>7}{len(degrees):>6}{row[0]:>9.1f}{row[1]:>9.1f}"
-              f"{len(distinct):>10}{row[2]:>9.1f}{len(lookups):>9}{row[3]:>9.2f}")
+              f"{_constructions(degrees, params):>7}{len(distinct):>10}{row[2]:>9.1f}"
+              f"{len(lookups):>9}{row[3]:>9.2f}")
 
 
 if __name__ == "__main__":

@@ -159,6 +159,7 @@ def pi_table(family: str, i: int, n: int, space: str = "group") -> TableAnswer:
     recorded exception: for the projective symplectic family at degree 4n+4
     the shifted degree lies one past the boundary pair, and the value Z/2 is
     stored as a fixed constant rather than derived from the stable table.
+    The size is checked before that constant, as the tables check it.
     """
     if space not in ("group", "classifying"):
         raise ValueError(f"unknown space {space!r}")
@@ -168,6 +169,7 @@ def pi_table(family: str, i: int, n: int, space: str = "group") -> TableAnswer:
         return TableAnswer(*TABLES[family](i, n))
     if i < 1:
         raise ValueError("classifying-space degrees start at 1")
+    _check(i - 1, n)
     if family == "psp" and i == 4 * n + 4:
         return TableAnswer(GROUP, _Z2,
                            "recorded constant: degree 4n+4 of the projective symplectic "

@@ -6,13 +6,17 @@ finitely generated abelian groups, with entries reduced modulo the target
 orders, and nothing else.  A build has two halves.  The binding does what
 does not depend on the degree, once: it checks the param names, takes the
 Bezout default, runs the checks listed before the window and resolves each
-part to its table and size.  The per-degree step checks the window and the
-checks listed after it, looks each part up in its table, applies the rule
-and checks the AbHom.  homs(op, degrees, **params) runs the per-degree
-step over a run of degrees from one binding; hom(op, i, **params) is its
-one-degree case, and describe(op, i, **params) adds the text the induced
-command prints: generator names, the rule's provenance and the window's
-bound.  Formulas refuse degrees outside their validity windows instead of
+part to its table and size.  The per-degree step checks the window, looks
+each part up in its table and applies the rule, which gives integer rows
+and an unformatted provenance; the checks listed after the window read
+only the binding, so they run once, at its first degree.  The checked
+AbHom is made from the part groups and the rows.  homs(op, degrees,
+**params) runs the per-degree step over a run of degrees from one binding
+and makes one AbHom per distinct (part groups, rows) of the run;
+hom(op, i, **params) is its one-degree case, and describe(op, i, **params)
+adds the text the induced command prints: generator names, the rule's
+provenance and the window's bound, the only text a build formats.
+Formulas refuse degrees outside their validity windows instead of
 extrapolating; the windows are part of the mathematics.
 
 The entries ttilde and J take a Bezout witness (u, v) with
@@ -41,6 +45,7 @@ no generators: a map written (x, y) -> v*y on 0 x Z/2 is emitted as the
 from __future__ import annotations
 
 from math import gcd, prod
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -240,7 +245,8 @@ class Formula(NamedTuple):
     the size in lookup errors.  A window clause is (bound text, exclusive
     upper limit of i, or None where the clause does not apply at i).
     rule(i, p) returns one coefficient row per target part, one coefficient
-    per source part, and the provenance text.
+    per source part, and the provenance as a str.format template and its
+    arguments, which only describe formats.
 
     From degree period_from on, every part the entry reads lies in its
     family's stable range, where the table depends only on i mod 8 (Bott,
@@ -286,66 +292,67 @@ def _bezout(p):
 def _ttilde_rule(i, p):
     r = i % 8
     if i == 1:
-        return [(p.z, 1)], f"auxiliary map in degree 1: z*x + y with z = {p.z}"
+        return [(p.z, 1)], "auxiliary map in degree 1: z*x + y with z = {}", (p.z,)
     if i > 1 and r in (0, 1):
-        return [(0, p.v)], "auxiliary map: v*y in degrees 0, 1 (mod 8)"
+        return [(0, p.v)], "auxiliary map: v*y in degrees 0, 1 (mod 8)", ()
     if r == 3:
-        return [(2 * p.u * p.m, p.v)], "auxiliary map: 2um*x + v*y in degree 3 (mod 8)"
+        return [(2 * p.u * p.m, p.v)], "auxiliary map: 2um*x + v*y in degree 3 (mod 8)", ()
     if r == 7:
-        return [(8 * p.u * p.m, p.v)], "auxiliary map: 8um*x + v*y in degree 7 (mod 8)"
-    return [(0, 0)], "auxiliary map: zero in degrees 2, 4, 5, 6 (mod 8)"
+        return [(8 * p.u * p.m, p.v)], "auxiliary map: 8um*x + v*y in degree 7 (mod 8)", ()
+    return [(0, 0)], "auxiliary map: zero in degrees 2, 4, 5, 6 (mod 8)", ()
 
 
 def _pairing_rule(i, p):
     """The quotient tensor row over the auxiliary row, one group degree down."""
     if i == 2:
-        return [(1, 0), (p.z, 1)], f"pairing map in degree 2: (x, z*x + y) with z = {p.z}"
+        return [(1, 0), (p.z, 1)], "pairing map in degree 2: (x, z*x + y) with z = {}", (p.z,)
     g = i - 1
     rows = FORMULAS["tensor-quotient"].rule(g, p)[0] + FORMULAS["ttilde"].rule(g, p)[0]
     if i == 1:
-        return rows, "pairing map in degree 1: trivial groups"
-    return rows, f"pairing map at classifying degree {i} (group degree {g})"
+        return rows, "pairing map in degree 1: trivial groups", ()
+    return rows, "pairing map at classifying degree {} (group degree {})", (i, g)
 
 
 FORMULAS = {
     "direct-sum": Formula(
         ("m", "n"), (("sp", "m"), ("sp", "n")), (("sp", "m+n"),),
         (("i < 4*min(m,n)+2", lambda i, p: 4 * min(p.m, p.n) + 2),),
-        lambda i, p: ([(1, 1)], "direct sum: x + y")),
+        lambda i, p: ([(1, 1)], "direct sum: x + y", ())),
     "r-fold": Formula(
         ("n", "r"), (("sp", "n"),), (("sp", "rn"),),
         (("i < 4n+2", lambda i, p: 4 * p.n + 2),),
-        lambda i, p: ([(p.r,)], f"{p.r}-fold direct sum: {p.r}*x"),
+        lambda i, p: ([(p.r,)], "{0}-fold direct sum: {0}*x", (p.r,)),
         checks=(_holds("r >= 1", lambda p: p.r >= 1), _WINDOW)),
     "doubling": Formula(
         ("n",), (("o", "n"),), (("sp", "n"),),
         (("i < n-1", lambda i, p: p.n - 1),),
         lambda i, p: ([(2 if i % 8 in (3, 7) else 0,)],
-                      "doubling: 2*x onto the even part in degrees 3, 7 (mod 8); zero otherwise")),
+                      "doubling: 2*x onto the even part in degrees 3, 7 (mod 8); zero otherwise",
+                      ())),
     "tensor-sp-o": Formula(
         ("m", "n"), (("sp", "m"), ("o", "n")), (("sp", "mn"),),
         (("i < 4m+2", lambda i, p: 4 * p.m + 2), ("i < n-1", lambda i, p: p.n - 1)),
-        lambda i, p: ([(p.n, 2 * p.m)], "tensor product: n*x + 2m*y")),
+        lambda i, p: ([(p.n, 2 * p.m)], "tensor product: n*x + 2m*y", ())),
     "tensor-quotient": Formula(
         ("m", "n"), (("psp", "m"), ("so", "n")), (("psp", "mn"),),
         (("i < 4m+2", lambda i, p: 4 * p.m + 2),
          ("i < n-1", lambda i, p: p.n - 1 if i >= 2 else None)),
-        lambda i, p: ([(0, 0)], "quotient tensor product: zero in degrees 0, 1") if i <= 1
-        else ([(p.n, 2 * p.m)], "quotient tensor product: n*x + 2m*y"),
+        lambda i, p: ([(0, 0)], "quotient tensor product: zero in degrees 0, 1", ()) if i <= 1
+        else ([(p.n, 2 * p.m)], "quotient tensor product: n*x + 2m*y", ()),
         checks=(_odd_n("quotient tensor product needs odd n"), _WINDOW), period_from=2),
     "tensor-sp-sp": Formula(
         ("m", "n"), (("sp", "m"), ("sp", "n")), (("o", "4mn"),),
         (("i < 4m+2", lambda i, p: 4 * p.m + 2), ("i < 4mn-1", lambda i, p: 4 * p.m * p.n - 1)),
         lambda i, p: ([{3: (p.n, p.m), 7: (4 * p.n, 4 * p.m)}.get(i % 8, (0, 0))],
                       "orthonormalized tensor product: n*x + m*y in degree 3, "
-                      "4(n*x + m*y) in degree 7 (mod 8), zero otherwise"),
+                      "4(n*x + m*y) in degree 7 (mod 8), zero otherwise", ()),
         checks=(_holds("m <= n", lambda p: p.m <= p.n), _WINDOW)),
     "square-tensor": Formula(
         ("m",), (("sp", "m"),), (("o", "4m^2"),),
         (("i < 4m+2", lambda i, p: 4 * p.m + 2), ("i < 4m^2-1", lambda i, p: 4 * p.m * p.m - 1)),
         lambda i, p: ([({3: 2 * p.m, 7: 8 * p.m}.get(i % 8, 0),)],
                       "squared tensor product: 2m*x in degree 3, 8m*x in degree 7 (mod 8), "
-                      "zero otherwise")),
+                      "zero otherwise", ())),
     # the auxiliary homomorphism into SO(N), N = 4um^2 + vn; in degree 1 the
     # first coefficient is an undetermined z in Z/2
     "ttilde": Formula(
@@ -371,8 +378,10 @@ REQUIRED = {op: tuple(q for q in f.params if q not in ("u", "v", "z"))
             for op, f in FORMULAS.items()}
 
 
-def _bound(limits) -> str:
-    return " and ".join(f"{text} = {limit}" for text, limit in limits if limit is not None)
+def _bound(f: Formula, limits) -> str:
+    """The window's bound text, one clause per limit that applies."""
+    return " and ".join(f"{text} = {limit}" for (text, _), limit in zip(f.window, limits)
+                        if limit is not None)
 
 
 # per op: the checks listed before _WINDOW, those listed after it, and the
@@ -389,9 +398,9 @@ def _bind(op: str, params: dict) -> tuple:
     the checks listed before _WINDOW, and each part's size.
 
     Returns the binding (formula, params namespace, z as given, checks
-    listed after _WINDOW, source parts, target parts), where a part is
-    (table case, family name, size text, size).  A param passed as None
-    counts as left out, so a required one raises TypeError.
+    listed after _WINDOW still to run, source parts, target parts), where a
+    part is (table case, family name, size text, size).  A param passed as
+    None counts as left out, so a required one raises TypeError.
     """
     f = FORMULAS[op]
     if params.keys() - f.params or None in map(params.get, REQUIRED[op]):
@@ -403,7 +412,7 @@ def _bind(op: str, params: dict) -> tuple:
     before, after, sources, targets = _PLANS[op]
     for check in before:
         check(p)
-    return (f, p, params.get("z"), after,
+    return (f, p, params.get("z"), [*after],
             [(case, name, size, k(p)) for case, name, size, k in sources],
             [(case, name, size, k(p)) for case, name, size, k in targets])
 
@@ -421,36 +430,45 @@ def _group(part, degree: int) -> FgAbGroup:
 
 
 def _build(b: tuple, i: int):
-    """The per-degree half of a build, on the binding b: the window, the
-    checks listed after it, one table lookup per part, the rule once per z
-    candidate and the checked AbHom.  Returns (window limits, source groups,
-    target groups, [(z, map, provenance) per z candidate]); two candidates
-    mean the map depends on z."""
+    """The per-degree half of a build, on the binding b: the window, one
+    table lookup per part and the rule once per z candidate.  The checks
+    listed after the window read only the binding's params, so they run at
+    the binding's first degree that passes the window, and then never again.
+    Returns (window limits, source groups, target groups, [(rows,
+    provenance template, template args) per z candidate]); two candidates,
+    for z = 0 and z = 1, mean the map depends on z."""
     f, p, pinned, after, source_parts, target_parts = b
-    limits = [(text, limit(i, p)) for text, limit in f.window]
+    limits = [limit(i, p) for _, limit in f.window]
     if i < f.shift:
         # J's window text states its lower bound (0 < i); the other texts state none
-        raise OutOfRangeError(f"violated bound: {_bound(limits) if f.shift else 'i >= 0'}")
-    if not all(limit is None or i < limit for _, limit in limits):
-        raise OutOfRangeError(f"violated bound: {_bound(limits)}")
-    for check in after:
-        check(p)
-    sources = [_group(part, i - f.shift) for part in source_parts]
-    targets = [_group(part, i - f.shift) for part in target_parts]
-    source, target = FgAbGroup.product(*sources), FgAbGroup.product(*targets)
-    maps = []
+        raise OutOfRangeError(f"violated bound: {_bound(f, limits) if f.shift else 'i >= 0'}")
+    for limit in limits:
+        if limit is not None and i >= limit:
+            raise OutOfRangeError(f"violated bound: {_bound(f, limits)}")
+    if after:
+        for check in after:
+            check(p)
+        after.clear()
+    d = i - f.shift
+    sources = [_group(part, d) for part in source_parts]
+    targets = [_group(part, d) for part in target_parts]
+    rules = []
     for z in (0, 1) if i == f.z_degree and pinned is None else (pinned and pinned % 2,):
         p.z = z
-        rows, provenance = f.rule(i, p)
-        data = [c for t, row in zip(targets, rows) for _ in t.factors
-                for s, c in zip(sources, row) for _ in s.factors]
-        maps.append((z, AbHom(source, target, IntMatrix(target.ngens, source.ngens, data)),
-                     provenance))
-    return limits, sources, targets, maps
+        rules.append(f.rule(i, p))
+    return limits, sources, targets, rules
+
+
+def _hom(sources, targets, rows) -> AbHom:
+    """The checked AbHom that a rule's rows give on the part groups."""
+    source, target = FgAbGroup.product(*sources), FgAbGroup.product(*targets)
+    data = [c for t, row in zip(targets, rows) for _ in t.factors
+            for s, c in zip(sources, row) for _ in s.factors]
+    return AbHom(source, target, IntMatrix(target.ngens, source.ngens, data))
 
 
 def _map(maps):
-    return ZDependent(maps[0][1], maps[1][1]) if len(maps) == 2 else maps[0][1]
+    return ZDependent(*maps) if len(maps) == 2 else maps[0]
 
 
 def hom(op: str, i: int, **params):
@@ -462,9 +480,14 @@ def hom(op: str, i: int, **params):
     (m, n), which replaces both when either is missing.  z pins the
     undetermined mod-2 coefficient of the entry's z-dependent degree; left
     unset there, the result is a ZDependent holding both candidates, and
-    otherwise an AbHom.  This is homs for the one degree i.
+    otherwise an AbHom.  This is homs for the one degree i, built without
+    a memo.
     """
-    return _map(_build(_bind(op, params), i)[3])
+    _, sources, targets, rules = _build(_bind(op, params), i)
+    return _map([_hom(sources, targets, rows) for rows, _, _ in rules])
+
+
+_FACTORS = attrgetter("factors")
 
 
 def homs(op: str, degrees, **params):
@@ -472,12 +495,27 @@ def homs(op: str, degrees, **params):
     one binding of the entry to params.
 
     The params are checked once, when the first map is asked for, so an
-    empty run checks them too.  Each degree still gets its own window check,
-    table lookups and checked AbHom, and raises what hom would raise there.
+    empty run checks them too, and the checks listed after the window run
+    once, at the first degree.  Each degree still gets its own window check,
+    table lookups and rule rows, and raises what hom would raise there.  The
+    checked AbHom is built once per distinct key (the part groups and the
+    rule's rows) of the run: a degree whose key an earlier degree of the
+    run had gets that degree's map, the same object.  The memo lives as
+    long as the generator.
     """
     b = _bind(op, params)
+    built = {}
     for i in degrees:
-        yield i, _map(_build(b, i)[3])
+        _, sources, targets, rules = _build(b, i)
+        groups = tuple(map(_FACTORS, sources + targets))
+        maps = []
+        for rows, _, _ in rules:
+            key = (groups, *rows)
+            h = built.get(key)
+            if h is None:
+                h = built[key] = _hom(sources, targets, rows)
+            maps.append(h)
+        yield i, _map(maps)
 
 
 def describe(op: str, i: int, **params) -> dict:
@@ -485,21 +523,23 @@ def describe(op: str, i: int, **params) -> dict:
     its generator names (degree label and part, once per factor of the
     part's group), the rule's provenance and the window's bound text."""
     b = _bind(op, params)
-    limits, sources, targets, maps = _build(b, i)
+    limits, sources, targets, rules = _build(b, i)
     source_parts, target_parts = b[4:]
     label = FORMULAS[op].label(i)
     source_names, target_names = ([f"{label} {name}({k})" for (_, name, _, k), g in sides
                                    for _ in g.factors]
                                   for sides in (zip(source_parts, sources),
                                                 zip(target_parts, targets)))
-    bound = _bound(limits)
+    bound = _bound(b[0], limits)
 
-    def text(h, provenance):
+    def text(rows, template, args):
+        h = _hom(sources, targets, rows)
         return {"source": list(h.source.factors), "target": list(h.target.factors),
                 "source_names": source_names, "target_names": target_names,
-                "matrix": h.matrix.row_lists(), "provenance": provenance, "valid_range": bound}
+                "matrix": h.matrix.row_lists(), "provenance": template.format(*args),
+                "valid_range": bound}
 
-    if len(maps) == 1:
-        return {"op": op, "i": i, **text(*maps[0][1:])}
+    if len(rules) == 1:
+        return {"op": op, "i": i, **text(*rules[0])}
     return {"op": op, "i": i, "z_dependent": True,
-            "candidates": {str(z): text(h, provenance) for z, h, provenance in maps}}
+            "candidates": {str(z): text(*rule) for z, rule in enumerate(rules)}}

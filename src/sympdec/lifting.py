@@ -98,13 +98,15 @@ def connectivity_j(m: int, n: int) -> int:
     that a failure names the smallest failing degree of the whole window.
 
     The degrees are built as one run of induced.homs, from one binding of
-    the J formula to (m, n, u, v): the params are checked and each part is
-    resolved to its table and size once, while each degree still gets its
-    own window check, table lookups and checked map.  Each degree is built
-    once with the mod-2 parameter z left unset: only degree 2 depends on
-    it, and there both candidates are checked.  The maps repeat across
-    degrees, so verdicts are memoised for this call on the map; each
-    distinct map still gets at most one Smith normal form.
+    the J formula to (m, n, u, v): the params are checked, the Bezout check
+    runs and each part is resolved to its table and size once, while each
+    degree still gets its own window check, table lookups and rule rows.
+    The maps repeat across degrees, and the run makes one checked AbHom per
+    distinct map (part groups and rows), handing a later degree with the
+    same key the same object.  Each degree is built once with the mod-2
+    parameter z left unset: only degree 2 depends on it, and there both
+    candidates are checked.  Verdicts are memoised for this call on the
+    map, so each distinct map gets at most one Smith normal form.
     """
     _check_domain(m, n)
     if n % 2 == 0:

@@ -231,7 +231,9 @@ def run_bezout(bounds: Bounds, samples: int, seed) -> VerifyReport:
 
 def run_j_iso(bounds: Bounds, samples: int, seed) -> VerifyReport:
     """Pairing map invertibility in every required degree, for both z values,
-    over coprime 2 <= m <= max(2, 2*max_m) and odd 9 <= n <= max(9, 6*max_n)."""
+    over coprime 2 <= m <= max(2, 2*max_m) and odd 9 <= n <= max(9, 6*max_n).
+    One record per (m, n, i, z); within an (m, n), a map that repeats across
+    degrees reuses its verdict, as the certificate's does."""
     del samples, seed
     rep = VerifyReport("J-iso")
     for m in range(2, max(2, 2 * bounds.max_m) + 1):
@@ -240,11 +242,13 @@ def run_j_iso(bounds: Bounds, samples: int, seed) -> VerifyReport:
                 continue
             w = bezout_uv(m, n)
             degrees = [i for i in range(1, min(4 * m + 3, n)) if i % 8]
+            verdicts: dict[AbHom, bool] = {}   # one Smith normal form per distinct map
             for i, h in homs("J", degrees, m=m, n=n, u=w.u, v=w.v):
-                # only degree 2 depends on z; elsewhere the one map's verdict holds for both
-                verdicts = ([is_isomorphism(hz) for _, hz in h.candidates]
-                            if isinstance(h, ZDependent) else [is_isomorphism(h)] * 2)
-                for z, iso in enumerate(verdicts):
+                # only degree 2 depends on z; elsewhere the one map stands for both
+                for z, hz in h.candidates if isinstance(h, ZDependent) else ((0, h), (1, h)):
+                    iso = verdicts.get(hz)
+                    if iso is None:
+                        iso = verdicts[hz] = is_isomorphism(hz)
                     rep.record(iso, op="J-iso", m=m, n=n, i=i, z=z)
             rep.record(connectivity_j(m, n) == 7, op="J-connectivity", m=m, n=n)
     return rep

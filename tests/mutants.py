@@ -170,8 +170,8 @@ MUTANTS = [
            ("tests/test_matrix.py::test_block_assembly_matches_entrywise_reference",)),
     Mutant("induced-map windows admit their upper limit",
            "src/sympdec/induced.py",
-           "all(limit is None or i < limit for _, limit in limits)",
-           "all(limit is None or i <= limit for _, limit in limits)",
+           "if limit is not None and i >= limit:",
+           "if limit is not None and i > limit:",
            ("tests/test_induced.py::test_every_entry_is_eight_periodic_from_its_declared_degree",)),
     Mutant("certificate checks only z = 0 in the z-dependent degree",
            "src/sympdec/lifting.py",
@@ -187,8 +187,8 @@ MUTANTS = [
            ("tests/test_lifting.py::test_certificate_reports_a_rejected_map_at_its_degree",)),
     Mutant("J-iso records degree 2's z = 0 map for both z",
            "src/sympdec/suites.py",
-           "[is_isomorphism(hz) for _, hz in h.candidates]",
-           "[is_isomorphism(h.z0)] * 2",
+           "h.candidates if isinstance(h, ZDependent) else ((0, h), (1, h))",
+           "((0, h.z0), (1, h.z0)) if isinstance(h, ZDependent) else ((0, h), (1, h))",
            ("tests/test_lifting.py::test_certificate_agrees_with_the_j_iso_suite",)),
     Mutant("the witness keeps the larger u of the two sign families",
            "src/sympdec/induced.py",
@@ -208,11 +208,11 @@ MUTANTS = [
            ("tests/test_lifting.py::test_no_section_witness_small_n_case",)),
     Mutant("a binding carries the first degree's table answers to later degrees",
            "src/sympdec/induced.py",
-           "    sources = [_group(part, i - f.shift) for part in source_parts]\n"
-           "    targets = [_group(part, i - f.shift) for part in target_parts]\n",
-           "    sources = p.__dict__.setdefault(\"sources\", [_group(part, i - f.shift)\n"
+           "    sources = [_group(part, d) for part in source_parts]\n"
+           "    targets = [_group(part, d) for part in target_parts]\n",
+           "    sources = p.__dict__.setdefault(\"sources\", [_group(part, d)\n"
            "                                                 for part in source_parts])\n"
-           "    targets = p.__dict__.setdefault(\"targets\", [_group(part, i - f.shift)\n"
+           "    targets = p.__dict__.setdefault(\"targets\", [_group(part, d)\n"
            "                                                 for part in target_parts])\n",
            ("tests/test_induced.py::test_a_run_builds_what_each_degree_builds_alone",)),
     Mutant("a binding runs the checks listed after the window before it",
@@ -220,6 +220,18 @@ MUTANTS = [
            "    for check in before:\n",
            "    for check in before + after:\n",
            ("tests/test_induced.py::test_the_window_is_checked_before_the_checks_listed_after_it",)),
+    Mutant("a run's memo key drops the rule's rows, so one map serves different rows",
+           "src/sympdec/induced.py",
+           "            key = (groups, *rows)\n",
+           "            key = groups\n",
+           ("tests/test_induced.py::test_a_run_builds_what_each_degree_builds_alone",
+            "tests/test_lifting.py::test_certificate_constructs_one_abhom_per_distinct_key")),
+    Mutant("the checks listed after the window are marked done before they run",
+           "src/sympdec/induced.py",
+           "        for check in after:\n            check(p)\n        after.clear()\n",
+           "        after.clear()\n        for check in after:\n            check(p)\n",
+           ("tests/test_induced.py::test_a_run_runs_post_window_checks_at_its_first_degree",
+            "tests/test_induced.py::test_the_window_is_checked_before_the_checks_listed_after_it")),
     Mutant("iso test skips the rank count",
            "src/sympdec/induced.py",
            "if a.count(0) != b.count(0) or prod(",
@@ -329,6 +341,12 @@ MUTANTS = [
            "return GROUP, _TRIVIAL, \"fundamental group",
            ("tests/test_homotopy.py::test_tables_match_the_oracle",
             "tests/test_homotopy.py::test_psp",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("the classifying space answers the psp constant before the size check",
+           "src/sympdec/homotopy.py",
+           "    _check(i - 1, n)\n    if family == \"psp\"",
+           "    if family == \"psp\"",
+           ("tests/test_homotopy.py::test_tables_match_the_oracle",
             "tests/test_cli_golden.py::test_cli_matches_golden")),
     Mutant("the unitary table puts Z in the even degrees",
            "src/sympdec/homotopy.py",

@@ -218,7 +218,9 @@ def tabulated(family: str, i: int, n: int, space: str = "group"):
     """(kind, cyclic orders) the homotopy tables record for pi_i of the
     family's group of size n, or of its classifying space; the orders are
     None unless the kind is "group".  None when the query has no answer:
-    classifying-space degrees start at 1."""
+    sizes start at 1, and classifying-space degrees at 1."""
+    if n < 1:
+        return None
     if space == "classifying":
         if i < 1:
             return None

@@ -621,6 +621,16 @@ def test_the_window_is_checked_before_the_checks_listed_after_it():
             build()
 
 
+def test_a_run_runs_post_window_checks_at_its_first_degree():
+    # (1, 1) is no Bezout witness of (2, 9), and degree 3 lies inside J's window
+    run = homs("J", [3, 4, 5], m=2, n=9, u=1, v=1)
+    with pytest.raises(BadBezoutError):
+        next(run)
+    # the witness passes them at the first degree, and every degree is built
+    w = bezout_uv(2, 9)
+    assert [i for i, _ in homs("J", [3, 4, 5], m=2, n=9, u=w.u, v=w.v)] == [3, 4, 5]
+
+
 _RELATIONS = {"<": operator.lt, ">=": operator.ge}
 
 

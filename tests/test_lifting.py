@@ -1,11 +1,13 @@
 from collections import defaultdict
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
 from sympdec import induced, lifting, suites
 from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
-from sympdec.induced import ZDependent, hom, homs, is_isomorphism
+from sympdec.homotopy import pi_table
+from sympdec.induced import FORMULAS, AbHom, ZDependent, hom, homs, is_isomorphism
 from sympdec.intmatrix import smith_normal_form
 from sympdec.lifting import (
     KIND_HIGH_N,
@@ -138,6 +140,49 @@ def test_certificate_builds_each_degree_once_and_one_snf_per_distinct_map(monkey
     assert len(distinct) == 5
     assert len(presentations) <= len(distinct)
     assert len(set(presentations)) == len(presentations)
+
+
+def _run_keys(m, n):
+    """The distinct (part groups, rule rows) of the certificate's run of J:
+    the groups as pi_table answers them one degree down, and the rows of
+    each z the degree reads."""
+    w, f = bezout_uv(m, n), FORMULAS["J"]
+    parts = (("psp", m), ("so", n), ("psp", m * n), ("so", w.N))
+    keys = set()
+    for i in _representative_degrees(m, n):
+        groups = tuple(pi_table(family, i - 1, k).group.factors for family, k in parts)
+        for z in (0, 1) if i == f.z_degree else (None,):
+            rows = f.rule(i, SimpleNamespace(m=m, n=n, u=w.u, v=w.v, z=z))[0]
+            keys.add((groups, tuple(rows)))
+    return keys
+
+
+@pytest.mark.parametrize("m, n", [(2, 9), (3, 11), (50, 201), (2000, 8001)])
+def test_certificate_constructs_one_abhom_per_distinct_key(monkeypatch, m, n):
+    constructed, presentations = [], []
+
+    class SpyAbHom(AbHom):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            constructed.append(self)
+
+    def spy_snf(matrix):
+        presentations.append(matrix)
+        return smith_normal_form(matrix)
+
+    built = _spy_builds(monkeypatch)
+    monkeypatch.setattr(induced, "AbHom", SpyAbHom)
+    monkeypatch.setattr(induced, "smith_normal_form", spy_snf)
+    assert connectivity_j(m, n) == 7
+    assert len(constructed) == len(_run_keys(m, n))
+    # every map the run hands out went through the constructor: it is one of
+    # the constructed objects, not an equal copy
+    handed_out = {id(c) for _, h in built
+                  for _, c in (h.candidates if isinstance(h, ZDependent) else [(0, h)])}
+    assert handed_out == {id(h) for h in constructed}
+    assert len(presentations) <= 5
 
 
 @pytest.mark.parametrize("i, z", [(5, None), (2, 0), (2, 1)])
