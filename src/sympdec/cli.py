@@ -1,10 +1,15 @@
 """Command-line surface: table queries, induced-map matrices, decomposability
 decisions, witnesses, and the batch verification suites.
 
+Only this module decides what a command prints.  main runs the command's
+handler in COMMANDS, which returns the library's result and the exit code,
+and emits the result once, through _plain, the one rule both writers use; a
+ValueError or SympdecError, from the handler or the writer, becomes exit 2.
 JSON goes to stdout (sorted keys, so equal inputs give byte-identical
-output); pass --output human for readable text.  The JSON text is exactly
-``json.dumps(body, sort_keys=True, indent=2)``, written by ``_json_text``
-without json's pure-Python indenting encoder; no command emits a float.
+output); pass --output human for readable text in field order.  The JSON
+text is exactly ``json.dumps(body, sort_keys=True, indent=2)``, written by
+``_json_text`` without json's pure-Python indenting encoder; no command
+emits a float.
 Exit codes: 0 success, 1 verification or hypothesis failure, 2 usage error.
 """
 
@@ -14,9 +19,11 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from sympdec import __version__, homotopy, induced, lifting, suites
+from sympdec.abgroup import FgAbGroup
 from sympdec.errors import HypothesisFailureError, SympdecError
 from sympdec import kernels
 
@@ -29,13 +36,28 @@ def _default_seed() -> int:
         raise ValueError(f"SYMPDEC_SEED must be an integer; got {text!r}") from None
 
 
-def _emit(obj: dict, output: str) -> None:
+def _plain(obj):
+    """obj as both writers print it: a NamedTuple as the dict of its fields, an
+    FgAbGroup as its list of cyclic orders and any other tuple as a list, all
+    the way down through such values; plain dicts and lists are not entered."""
+    if isinstance(obj, FgAbGroup):
+        return list(obj.factors)
+    if isinstance(obj, tuple):
+        if hasattr(obj, "_fields"):
+            return dict(zip(obj._fields, map(_plain, obj)))
+        return list(map(_plain, obj))
+    return obj
+
+
+def _emit(result, output: str, human_tail=()) -> None:
+    """Print result as JSON, or as human text followed by the lines of
+    human_tail.  The text is formed in full before any of it is printed, so
+    a value that cannot be written leaves stdout empty."""
+    obj = _plain(result)
+    text = (_json_text(obj) if output == "json"
+            else "\n".join(chain(_human_lines(obj), human_tail)))
     try:
-        if output == "json":
-            print(_json_text(obj))
-        else:
-            for line in _human_lines(obj):
-                print(line)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone (`sympdec verify all | head -1`): send the rest of
@@ -187,79 +209,73 @@ def _parse_args(argv) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _cmd_induced(args) -> dict:
+def _pi(args):
+    answer = homotopy.pi_table(args.family, args.i, args.n, args.space)
+    group = list(answer.group.factors) if answer.kind == homotopy.GROUP else answer.kind
+    return {"family": args.family, "n": args.n, "i": args.i, "space": args.space,
+            "group": group, "provenance": answer.provenance}, 0
+
+
+def _induced(args):
     missing = [f"--{q}" for q in induced.REQUIRED[args.op] if getattr(args, q) is None]
     if missing:
         raise SympdecError(f"missing required flags: {', '.join(missing)}")
-    return induced.describe(args.op, args.i,
-                            **{q: getattr(args, q) for q in induced.FORMULAS[args.op].params})
+    return induced.describe(args.op, args.i, **{q: getattr(args, q)
+                                                for q in induced.FORMULAS[args.op].params}), 0
+
+
+def _decide(args):
+    decide = lifting.decide_azumaya if args.kind == "azumaya" else lifting.decide_bundle
+    return decide(args.m, args.n, args.dim), 0
+
+
+def _connectivity(args):
+    body = {"m": args.m, "n": args.n}
+    try:
+        return {**body, "connectivity": lifting.connectivity_j(args.m, args.n)}, 0
+    except HypothesisFailureError as exc:
+        return {**body, "connectivity": None, "hypothesis_failure": str(exc)}, 1
+
+
+def _postnikov(args):
+    report = lifting.postnikov_degree_check(args.m, args.n)
+    return report, 0 if report["pass"] else 1
+
+
+def _verify(args):
+    """The body, the exit code and the human-only timing lines, one per suite;
+    the JSON leaves the clock out, so equal inputs and seed give equal bytes."""
+    seed = _default_seed() if args.seed is None else args.seed
+    bounds = suites.Bounds(args.max_m, args.max_n, args.max_r)
+    reports = suites.run_suite(args.suite, bounds, args.samples, seed)
+    ok = all(r.ok for r in reports)
+    body = {"seed": seed, "samples": args.samples, "bounds": bounds._asdict(),
+            "suites": [{"suite": r.suite, "cases": r.cases, "failures": r.failures, "ok": r.ok}
+                       for r in reports],
+            "ok": ok}
+    timing = [f"{r.suite}: {r.cases} cases, {len(r.failures)} failures, {r.elapsed:.2f}s"
+              for r in reports]
+    return body, 0 if ok else 1, timing
+
+
+# each handler returns (result, exit code), and verify its timing lines as well
+COMMANDS = {"pi": _pi, "induced": _induced, "decide": _decide,
+            "bezout": lambda args: (lifting.bezout_uv(args.m, args.n), 0),
+            "connectivity": _connectivity, "postnikov": _postnikov, "verify": _verify}
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        if args.command == "pi":
-            answer = homotopy.pi_table(args.family, args.i, args.n, args.space)
-            body = {"family": args.family, "n": args.n, "i": args.i,
-                    "space": args.space}
-            body.update(answer.to_json())
-            _emit(body, args.output)
-            return 0
-
-        if args.command == "induced":
-            _emit(_cmd_induced(args), args.output)
-            return 0
-
-        if args.command == "decide":
-            decide = lifting.decide_azumaya if args.kind == "azumaya" else lifting.decide_bundle
-            report = decide(args.m, args.n, args.dim)
-            _emit(report.to_json(), args.output)
-            return 0
-
-        if args.command == "bezout":
-            _emit(lifting.bezout_uv(args.m, args.n).to_json(), args.output)
-            return 0
-
-        if args.command == "connectivity":
-            try:
-                c = lifting.connectivity_j(args.m, args.n)
-            except HypothesisFailureError as exc:
-                _emit({"m": args.m, "n": args.n, "connectivity": None,
-                       "hypothesis_failure": str(exc)}, args.output)
-                return 1
-            _emit({"m": args.m, "n": args.n, "connectivity": c}, args.output)
-            return 0
-
-        if args.command == "postnikov":
-            report = lifting.postnikov_degree_check(args.m, args.n)
-            _emit(report, args.output)
-            return 0 if report["pass"] else 1
-
-        if args.command == "verify":
-            seed = _default_seed() if args.seed is None else args.seed
-            bounds = suites.Bounds(args.max_m, args.max_n, args.max_r)
-            reports = suites.run_suite(args.suite, bounds, args.samples, seed)
-            ok = all(r.ok for r in reports)
-            body = {
-                "seed": seed,
-                "samples": args.samples,
-                "bounds": {"max_m": args.max_m, "max_n": args.max_n, "max_r": args.max_r},
-                "suites": [r.to_json() for r in reports],
-                "ok": ok,
-            }
-            _emit(body, args.output)
-            if args.output == "human":
-                for r in reports:
-                    print(f"{r.suite}: {r.cases} cases, "
-                          f"{len(r.failures)} failures, {r.elapsed:.2f}s")
-            return 0 if ok else 1
+        result, code, *timing = COMMANDS[args.command](args)
+        _emit(result, args.output, *timing)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SympdecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -54,10 +54,6 @@ class TableAnswer(NamedTuple):
     def provenance(self) -> str:
         return self.template.format(*self.args)
 
-    def to_json(self) -> dict:
-        body = list(self.group.factors) if self.kind == GROUP else self.kind
-        return {"group": body, "provenance": self.provenance}
-
 
 def _sp(i: int, n: int) -> tuple:
     _check(i, n)

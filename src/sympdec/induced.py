@@ -57,7 +57,7 @@ from sympdec.errors import (
     NotCoprimeError,
     OutOfRangeError,
 )
-from sympdec.homotopy import GROUP, TABLES, TableAnswer
+from sympdec.homotopy import GROUP, TABLES
 from sympdec.intmatrix import IntMatrix, smith_normal_form
 
 
@@ -174,10 +174,6 @@ class BezoutWitness(NamedTuple):
     v: int
     sign: int
     N: int
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "n": self.n, "u": self.u, "v": self.v,
-                "sign": self.sign, "N": self.N}
 
 
 def _check_domain(m: int, n: int, dim: int = 0) -> None:
@@ -424,8 +420,7 @@ def _group(part, degree: int) -> FgAbGroup:
     case, name, size, k = part
     kind, group, template, args = case(degree, k)
     if kind != GROUP:
-        provenance = TableAnswer(kind, group, template, args).provenance
-        raise OutOfRangeError(f"pi_i {name}({size}): {provenance}")
+        raise OutOfRangeError(f"pi_i {name}({size}): {template.format(*args)}")
     return group
 
 

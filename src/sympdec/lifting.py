@@ -38,16 +38,6 @@ class Obstruction(NamedTuple):
     target: FgAbGroup
     note: str
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "image": self.image,
-            "case": self.case,
-            "source": list(self.source.factors),
-            "target": list(self.target.factors),
-            "note": self.note,
-        }
-
 
 class DecisionReport(NamedTuple):
     verdict: str
@@ -60,20 +50,6 @@ class DecisionReport(NamedTuple):
     factors: tuple[str, str] | None = None
     notes: tuple[str, ...] = ()
     evidence: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "rule": self.rule,
-            "m": self.m,
-            "n": self.n,
-            "dim": self.dim,
-            "witness": self.witness.to_json() if self.witness else None,
-            "obstruction": self.obstruction.to_json() if self.obstruction else None,
-            "factors": list(self.factors) if self.factors else None,
-            "notes": list(self.notes),
-            "evidence": self.evidence,
-        }
 
 
 def connectivity_j(m: int, n: int) -> int:

@@ -62,16 +62,6 @@ class VerifyReport:
         if not passed:
             self.failures.append(inputs)
 
-    def to_json(self) -> dict:
-        # elapsed time is reported on the human side only, keeping the JSON
-        # byte-identical across runs with the same inputs and seed
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
-
 
 def _case_seed(seed, suite: str, label: str, k: int) -> str:
     return f"{seed}:{suite}:{label}:{k}"

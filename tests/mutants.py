@@ -269,6 +269,22 @@ MUTANTS = [
            ("tests/test_cli.py::test_json_writer_matches_json_dumps",
             "tests/test_cli_golden.py::test_cli_matches_golden",
             "tests/test_induced_golden.py::test_induced_cli_matches_golden")),
+    Mutant("the writer prints a NamedTuple result as the list of its values",
+           "src/sympdec/cli.py",
+           "        if hasattr(obj, \"_fields\"):\n",
+           "        if False:\n",
+           ("tests/test_cli_golden.py::test_cli_matches_golden",
+            "tests/test_lifting.py::test_reports_serialize")),
+    Mutant("a group prints as its tuple",
+           "src/sympdec/cli.py",
+           "        return list(obj.factors)\n",
+           "        return obj.factors\n",
+           ("tests/test_human_golden.py::test_human_output_matches_golden",)),
+    Mutant("pi states its group as the tuple of its orders",
+           "src/sympdec/cli.py",
+           "group = list(answer.group.factors) if",
+           "group = answer.group.factors if",
+           ("tests/test_human_golden.py::test_human_output_matches_golden",)),
     Mutant("the parse path ignores unrecognised arguments instead of falling back",
            "src/sympdec/cli.py",
            "        if not extras:\n",
@@ -311,8 +327,8 @@ MUTANTS = [
             "tests/test_lifting.py::test_certificate_reports_a_rejected_map_at_its_degree")),
     Mutant("_group returns the group without testing the kind",
            "src/sympdec/induced.py",
-           "    if kind != GROUP:\n        provenance = ",
-           "    if False:\n        provenance = ",
+           "    if kind != GROUP:\n        raise OutOfRangeError(",
+           "    if False:\n        raise OutOfRangeError(",
            ("tests/test_induced.py::test_the_build_reads_each_part_as_the_public_table_answers",)),
     Mutant("the stable symplectic table drops pi_5 to the trivial group",
            "src/sympdec/homotopy.py",

@@ -205,6 +205,22 @@ def isomorphic(g: FgAbGroup, h: FgAbGroup) -> bool:
     return canonical(g) == canonical(h)
 
 
+# -- the Bezout witness ---------------------------------------------------------
+
+def brute_force_witness(m: int, n: int) -> tuple[int, int] | None:
+    """The least (u, v) of positive integers with |v*n - 4*u*m^2| = 1, by a
+    search over u up to n that solves for v; None when no u up to n has one.
+
+    When gcd(4m^2, n) = 1 the residues of u that work are those of
+    +-(4m^2)^(-1) mod n, so the least u is at most n."""
+    for u in range(1, n + 1):
+        for s in (-1, 1):       # the smaller v first
+            v, r = divmod(4 * u * m * m + s, n)
+            if r == 0 and v > 0:
+                return u, v
+    return None
+
+
 # -- homotopy tables -----------------------------------------------------------
 # Bott periodicity (Bott, "The stable homotopy of the classical groups", Ann.
 # of Math. 70, 1959): pi_i Sp and pi_i SO in their stable ranges by i mod 8,

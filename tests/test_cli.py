@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import test_cli_golden
 import test_induced_golden
-from sympdec import cli, homotopy, induced
+from sympdec import cli, homotopy, induced, suites
 from sympdec.cli import main
 
 
@@ -108,7 +110,10 @@ def test_out_of_domain_sizes_exit_two(capsys):
                  ("connectivity", "--m", "0", "--n", "9"),
                  ("pi", "--family", "sp", "--n", "100000000", "--i", "400000002"),
                  ("pi", "--family", "psp", "--n", "780", "--i", "3122"),
-                 ("pi", "--family", "sp", "--n", "779", "--i", "3119", "--space", "classifying")):
+                 ("pi", "--family", "sp", "--n", "779", "--i", "3119", "--space", "classifying"),
+                 # v and N have more digits than Python prints; m, n and u do not
+                 ("bezout", "--m", str(10 ** 2200), "--n", "1"),
+                 ("bezout", "--m", str(10 ** 2200), "--n", "1", "--output", "human")):
         code, out = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
     # the domain is checked before coprimality
@@ -209,7 +214,8 @@ def test_closed_stdout_exits_quietly(output):
 
 
 def _flags(**values):
-    return [x for q, v in values.items() if v is not None for x in (f"--{q}", str(v))]
+    return [x for q, v in values.items() if v is not None
+            for x in (f"--{q.replace('_', '-')}", str(v))]
 
 
 _M = st.integers(-3, 60)
@@ -233,23 +239,54 @@ _ARGVS = st.one_of(
         lambda i, values: ["induced", op, *_flags(i=i, **values)], st.integers(-3, 250),
         st.fixed_dictionaries({q: st.none() | _FLAG_VALUES[q]
                                for q in induced.FORMULAS[op].params}))),
+    st.builds(lambda suite, m, n, samples, seed: ["verify", suite, *_flags(
+                  max_m=m, max_n=n, max_r=1, samples=samples, seed=seed)],
+              st.sampled_from(suites.SUITES), st.integers(1, 2), st.integers(1, 2),
+              st.integers(1, 2), st.integers(0, 2 ** 64)),
 )
 
+# the commands whose answer can be a failed verification or hypothesis
+_EXIT_ONE = {"connectivity", "postnikov", "verify"}
 
-@settings(max_examples=400, deadline=None)
-@given(_ARGVS)
-def test_no_cli_input_produces_a_traceback(argv):
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main(argv); argparse's refusal exits 2."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:   # argparse refusing a flag
             code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ARGVS, st.sampled_from(("json", "human")))
+def test_no_cli_input_produces_a_traceback(argv, output):
+    """Every input ends in an answer (exit 0, or 1 from a command that can
+    fail a verification or hypothesis) with an empty stderr, or in exit 2
+    with a reason and an empty stdout.  The human text ends as the JSON
+    does, and every pi, bezout and decide azumaya answer agrees with an
+    oracle that does not call the package."""
+    code, out, err = _outcome(argv)
     assert code in (0, 1, 2), argv
     if code == 2:
-        assert out.getvalue() == "" and err.getvalue(), argv
+        assert out == "" and err, argv
     else:
-        json.loads(out.getvalue())
+        assert err == "" and (code == 0 or argv[0] in _EXIT_ONE), argv
+        body = json.loads(out)
+    if output == "human":
+        human = _outcome([*argv, "--output", "human"])
+        assert (human[0], bool(human[1]), human[2]) == (code, code != 2, err), argv
+    if code == 0 and argv[0] == "pi":
+        kind, orders = oracles.tabulated(body["family"], body["i"], body["n"], body["space"])
+        assert body["group"] == (list(orders) if kind == "group" else kind), argv
+    if code == 0 and argv[0] == "bezout":
+        assert (body["u"], body["v"]) == oracles.brute_force_witness(body["m"], body["n"]), argv
+    if code == 0 and argv[:2] == ["decide", "azumaya"]:
+        m, n = body["m"], body["n"]
+        covered = body["dim"] <= 7 and gcd(m, n) == 1 and m > 1 and n > 7 and n % 2 == 1
+        assert body["verdict"] == ("decomposable" if covered else "not-covered"), argv
 
 
 _PI = ["pi", "--family", "sp", "--n", "2", "--i", "3"]

@@ -1,8 +1,10 @@
+import json
 import sys
 from math import factorial
 
 import pytest
 
+from sympdec import cli
 from sympdec.abgroup import FgAbGroup
 from sympdec.homotopy import GROUP, OUT_OF_RANGE, TORSION_ONLY, pi_table
 
@@ -152,13 +154,20 @@ def test_provenance_is_always_present():
         assert pi_table(*query).provenance
 
 
-def test_json_shapes():
-    assert pi_table("sp", 6, 1).to_json() == {
+def _pi_body(capsys, family, i, n):
+    assert cli.main(["pi", "--family", family, "--n", str(n), "--i", str(i)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_json_shapes(capsys):
+    assert _pi_body(capsys, "sp", 6, 1) == {
+        "family": "sp", "n": 1, "i": 6, "space": "group",
         "group": [12],
         "provenance": pi_table("sp", 6, 1).provenance,
     }
-    assert pi_table("so", 7, 3).to_json()["group"] == "torsion-only"
-    assert pi_table("sp", 50, 1).to_json()["group"] == "out-of-range"
+    assert _pi_body(capsys, "sp", 1, 1)["group"] == []
+    assert _pi_body(capsys, "so", 7, 3)["group"] == "torsion-only"
+    assert _pi_body(capsys, "sp", 50, 1)["group"] == "out-of-range"
 
 
 def test_bad_queries():

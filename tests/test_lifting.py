@@ -1,10 +1,12 @@
+import json
 from collections import defaultdict
 from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
-from sympdec import induced, lifting, suites
+from oracles import brute_force_witness
+from sympdec import cli, induced, lifting, suites
 from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
 from sympdec.homotopy import pi_table
 from sympdec.induced import FORMULAS, AbHom, ZDependent, hom, homs, is_isomorphism
@@ -20,15 +22,6 @@ from sympdec.lifting import (
     no_section_witness,
     postnikov_degree_check,
 )
-
-
-def brute_force_witness(m, n, cap=400):
-    best = None
-    for u in range(1, cap):
-        for v in range(1, cap):
-            if abs(v * n - 4 * u * m * m) == 1 and (best is None or (u, v) < best):
-                best = (u, v)
-    return best
 
 
 def test_bezout_frozen_examples():
@@ -398,8 +391,18 @@ def test_every_obstruction_names_a_proper_subgroup():
     assert decide_azumaya(1, 9, 7).obstruction is None
 
 
-def test_reports_serialize():
-    body = decide_azumaya(2, 9, 7).to_json()
+def _decide_body(capsys, m, n, dim):
+    assert cli.main(["decide", "azumaya", "--m", str(m), "--n", str(n), "--dim", str(dim)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_reports_serialize(capsys):
+    body = _decide_body(capsys, 2, 9, 7)
+    assert set(body) == set(lifting.DecisionReport._fields)
     assert body["verdict"] == "decomposable" and body["witness"]["N"] == 127
-    body = decide_azumaya(2, 13, 12).to_json()
+    assert body["witness"] == bezout_uv(2, 9)._asdict()
+    assert body["factors"] == list(decide_azumaya(2, 9, 7).factors)
+    body = _decide_body(capsys, 2, 13, 12)
     assert body["obstruction"]["image"] == "2Z"
+    assert body["obstruction"]["source"] == [2, 0] and body["obstruction"]["target"] == [0]
+    assert body["witness"] is None and body["factors"] is None and body["evidence"] is None

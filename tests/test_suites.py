@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sympdec import suites
+from sympdec import cli, suites
 from sympdec.errors import BoundsTooLargeError
 from sympdec.induced import compose, hom
 from sympdec.suites import Bounds, run_suite
@@ -50,13 +50,19 @@ def test_unknown_suite():
         run_suite("closure", Bounds(), 0, 0)
 
 
-def test_reports_are_deterministic_per_seed():
-    a = [r.to_json() for r in run_suite("closure", Bounds(), 4, 99)]
-    b = [r.to_json() for r in run_suite("closure", Bounds(), 4, 99)]
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+def _verify(capsys, *argv):
+    """(exit code, JSON body) of `sympdec verify` with argv."""
+    code = cli.main(["verify", *argv])
+    return code, json.loads(capsys.readouterr().out)
 
 
-def test_failures_carry_replayable_inputs(monkeypatch):
+def test_reports_are_deterministic_per_seed(capsys):
+    a = _verify(capsys, "closure", "--samples", "4", "--seed", "99")
+    b = _verify(capsys, "closure", "--samples", "4", "--seed", "99")
+    assert a == b and a[0] == 0 and [s["suite"] for s in a[1]["suites"]] == ["closure"]
+
+
+def test_failures_carry_replayable_inputs(monkeypatch, capsys):
     from sympdec import groups
 
     from oracles import with_perturbed_entry
@@ -73,10 +79,17 @@ def test_failures_carry_replayable_inputs(monkeypatch):
     assert len(doubles) == 4 and not rep.ok
     for record in doubles:
         assert {"op", "k", "n"} <= set(record)
-    assert rep.to_json()["ok"] is False
+    code, body = _verify(capsys, "closure", "--max-m", "1", "--max-n", "3", "--max-r", "1",
+                         "--samples", "4", "--seed", "7")
+    assert code == 1 and body["ok"] is False
+    assert body["suites"] == [{"suite": "closure", "cases": rep.cases,
+                               "failures": rep.failures, "ok": False}]
 
 
-def test_json_report_has_no_clock_fields():
+def test_json_report_has_no_clock_fields(capsys):
     rep = run_suite("bezout", Bounds(1, 1, 1), 1, 0)[0]
     assert rep.elapsed >= 0
-    assert set(rep.to_json()) == {"suite", "cases", "failures", "ok"}
+    code, body = _verify(capsys, "bezout", "--max-m", "1", "--max-n", "1", "--max-r", "1",
+                         "--samples", "1", "--seed", "0")
+    assert code == 0 and set(body) == {"seed", "samples", "bounds", "suites", "ok"}
+    assert [set(s) for s in body["suites"]] == [{"suite", "cases", "failures", "ok"}]
