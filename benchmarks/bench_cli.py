@@ -5,20 +5,26 @@ Usage: PYTHONPATH=src python benchmarks/bench_cli.py [--per-kind 50] [--reps 5] 
 
 Builds a fixed, seeded list of argvs in the shape of the `queries` mix of
 bench_e2e (pi, induced, bezout, decide azumaya and bundle, connectivity,
-postnikov) and prints, per command kind, microseconds per call, best of
---reps passes over the kind's argvs:
-- parse: the full two-level parser, ``build_parser().parse_args(argv)``,
-  against the parse ``main`` does, which hands argv[1:] to the command's
-  own parser;
+postnikov), all canonical (see below), and prints, per command kind,
+microseconds per call, best of --reps passes over the kind's argvs:
+- parse, three routes: the full two-level parser,
+  ``build_parser().parse_args(argv)``; the command's own parser on
+  argv[1:]; and ``cli._parse_args(argv)`` as ``main`` runs it, which reads a
+  canonical argv straight off the command parser's actions.  Canonical:
+  the command, its positionals in order, then only pairs of one of its
+  option strings and a value that does not start with "-", each value
+  passing its action's type and choices, every required option given.
+  Any other argv goes to the command's own parser and then the full one;
 - emit: ``json.dumps(body, sort_keys=True, indent=2)``, which runs json's
   pure-Python encoder because of the indent, against the CLI's writer, on
   the body each argv prints;
 - lookup, for the pi kind only: ``homotopy.pi_table`` on each pi argv's
   (family, i, n) in the group space and at i + 1 in the classifying space,
   which shifts onto the same group degree.
-Before timing, it checks that both parses give the same namespace and both
-writers the same text.  Neither part multiplies a matrix, so the timings do
-not depend on the kernel backend.
+Before timing, it checks that each argv is canonical, that the three parses
+give the same namespace and that both writers give the same text.  Neither
+part multiplies a matrix, so the timings do not depend on the kernel
+backend.
 """
 
 import argparse
@@ -105,26 +111,36 @@ def main() -> None:
     args = ap.parse_args()
 
     full = cli.build_parser()
+    own = cli._parsers()[1]
+
+    def own_parse(argv):
+        args = own[argv[0]].parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+
     dumps = functools.partial(json.dumps, sort_keys=True, indent=2)
 
-    print(f"{'kind':<13}{'argvs':>6}{'full parse':>12}{'own parse':>11}"
+    print(f"{'kind':<13}{'argvs':>6}{'full parse':>12}{'own parse':>11}{'main parse':>12}"
           f"{'json.dumps':>12}{'writer':>9}{'lookup':>9}   (us per call, best of {args.reps})")
     for kind, argvs in _argvs(random.Random(args.seed), args.per_kind).items():
         for argv in argvs:
-            if cli._parse_args(argv) != full.parse_args(argv):
+            if cli._canonical(argv) is None:
+                raise SystemExit(f"{argv} is not canonical")
+            if not cli._parse_args(argv) == own_parse(argv) == full.parse_args(argv):
                 raise SystemExit(f"the parses differ on {argv}")
         bodies = [b for b in map(_body, argvs) if b is not None]
         for body in bodies:
             if cli._json_text(body) != dumps(body):
                 raise SystemExit(f"the writers differ on the body of a {kind} command")
         row = (_best_us(full.parse_args, argvs, args.reps),
+               _best_us(own_parse, argvs, args.reps),
                _best_us(cli._parse_args, argvs, args.reps),
                _best_us(dumps, bodies, args.reps),
                _best_us(cli._json_text, bodies, args.reps))
         lookup = (f"{_best_us(lambda q: homotopy.pi_table(*q), _lookups(argvs), args.reps):>9.2f}"
                   if kind == "pi" else f"{'-':>9}")
-        print(f"{kind:<13}{len(argvs):>6}{row[0]:>12.1f}{row[1]:>11.1f}"
-              f"{row[2]:>12.1f}{row[3]:>9.1f}{lookup}")
+        print(f"{kind:<13}{len(argvs):>6}{row[0]:>12.1f}{row[1]:>11.1f}{row[2]:>12.1f}"
+              f"{row[3]:>12.1f}{row[4]:>9.1f}{lookup}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,13 @@ text is exactly ``json.dumps(body, sort_keys=True, indent=2)``, written by
 ``_json_text`` without json's pure-Python indenting encoder; no command
 emits a float.
 Exit codes: 0 success, 1 verification or hypothesis failure, 2 usage error.
+
+argparse is the one grammar.  _parse_args reads a canonical argv (the
+command, its positionals in order, then only pairs of a full option string
+and a value that does not start with "-") straight off the actions of the
+command's own parser, and gives the namespace the full parser would; every
+other argv, help, abbreviations, "--flag=value", negative values and every
+refusal included, goes to argparse itself.
 """
 
 from __future__ import annotations
@@ -196,10 +203,69 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
+_MISSING = object()   # the start value of a required action's dest in _canonical
+
+
+@functools.cache
+def _grammars() -> dict[str, tuple]:
+    """Per command, what its own parser's actions say, for _canonical: the
+    positional actions in order, the option actions by option string, the
+    dests of the required actions, and the values argparse starts its
+    namespace from, with _MISSING for a required action.  The help action is
+    left out, so -h and --help are never read."""
+    grammars = {}
+    for name, parser in _parsers()[1].items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        grammars[name] = (tuple(a for a in actions if not a.option_strings),
+                          {s: a for a in actions for s in a.option_strings},
+                          tuple(a.dest for a in actions if a.required),
+                          {a.dest: _MISSING if a.required else a.default for a in actions
+                           if a.required or a.default is not argparse.SUPPRESS})
+    return grammars
+
+
+def _canonical(argv: list) -> argparse.Namespace | None:
+    """The namespace the full parser gives a canonical argv, or None for any
+    other argv.  Canonical: a command, its positionals in order, then only
+    pairs of one of its option strings, exactly, and a value that does not
+    start with "-"; each value passes its action's type and choices, and
+    every required option is given."""
+    grammar = _grammars().get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    positionals, options, required, start = grammar
+    k = len(positionals) + 1
+    if len(argv) < k or (len(argv) - k) % 2:
+        return None
+    values = dict(start)
+    for action, word in zip([*positionals, *map(options.get, argv[k::2])],
+                            argv[1:k] + argv[k + 1::2]):
+        if action is None or word[:1] == "-":
+            return None
+        try:
+            value = action.type(word) if action.type else word
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for dest in required:
+        if values[dest] is _MISSING:
+            return None
+    args = argparse.Namespace()
+    vars(args).update(values, command=argv[0])   # Namespace(**values) costs 4x as much
+    return args
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, at the cost of one parser level
-    when argv starts with a command that its own parser parses in full."""
+    """``build_parser().parse_args(argv)``: read straight off the command's
+    actions when argv is canonical (see _canonical), otherwise at the cost
+    of one parser level when argv starts with a command that its own parser
+    parses in full, and by the full parser for everything else."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _canonical(argv)
+    if args is not None:
+        return args
     command = _parsers()[1].get(argv[0]) if argv else None
     if command is not None:
         args, extras = command.parse_known_args(argv[1:])
@@ -264,13 +330,23 @@ COMMANDS = {"pi": _pi, "induced": _induced, "decide": _decide,
             "connectivity": _connectivity, "postnikov": _postnikov, "verify": _verify}
 
 
+def _reason(exc: ValueError) -> str:
+    """exc's text; Python's refusal to write an integer of more decimal digits
+    than sys.get_int_max_str_digits() allows becomes the package's statement
+    of that bound, as pi states it for the degree-4n+2 order."""
+    if str(exc).startswith("Exceeds the limit ("):
+        return (f"an integer to be printed has more than {sys.get_int_max_str_digits()} digits, "
+                "the integer string conversion limit")
+    return str(exc)
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         result, code, *timing = COMMANDS[args.command](args)
         _emit(result, args.output, *timing)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
     except SympdecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

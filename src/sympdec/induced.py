@@ -68,12 +68,12 @@ class AbHom:
     generators, rows by target generators.
 
     The constructor reduces the entries and checks the map in one pass, and
-    keeps the key (source factors, target factors, reduced entries); equality
-    and hash use the key, so equal maps compare and hash equal.  Assignment
-    raises AttributeError.
+    keeps the key (source factors, target factors, reduced entries) and its
+    hash; equality and hash use the key, so equal maps compare and hash
+    equal.  Assignment raises AttributeError.
     """
 
-    __slots__ = ("source", "target", "matrix", "_key")
+    __slots__ = ("source", "target", "matrix", "_key", "_hash")
     __setattr__ = FgAbGroup.__setattr__
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
@@ -99,6 +99,7 @@ class AbHom:
         init(self, "target", target)
         init(self, "matrix", IntMatrix._raw(matrix.rows, cols, data))
         init(self, "_key", (src, tgt, tuple(data)))
+        init(self, "_hash", hash(self._key))   # the certificate looks each map up many times
 
     def __eq__(self, other):
         if not isinstance(other, AbHom):
@@ -106,7 +107,7 @@ class AbHom:
         return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
 
 class ZDependent(NamedTuple):

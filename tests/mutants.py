@@ -249,8 +249,8 @@ MUTANTS = [
             "tests/test_induced.py::test_isomorphism_agrees_with_sympy_on_composite_torsion")),
     Mutant("the CLI lets ValueError through as a traceback",
            "src/sympdec/cli.py",
-           "    except ValueError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n"
-           "        return 2\n",
+           "    except ValueError as exc:\n"
+           "        print(f\"error: {_reason(exc)}\", file=sys.stderr)\n        return 2\n",
            "",
            ("tests/test_cli.py::test_out_of_domain_sizes_exit_two",
             "tests/test_cli.py::test_no_cli_input_produces_a_traceback",
@@ -290,6 +290,25 @@ MUTANTS = [
            "        if not extras:\n",
            "        if True:\n",
            ("tests/test_cli.py::test_parse_path_matches_the_full_parser",)),
+    Mutant("the canonical reader skips the choices check",
+           "src/sympdec/cli.py",
+           "        if action.choices is not None and value not in action.choices:\n"
+           "            return None\n",
+           "",
+           ("tests/test_cli.py::test_parse_path_matches_the_full_parser",
+            "tests/test_cli.py::test_parse_path_matches_the_full_parser_property")),
+    Mutant("the canonical reader takes a value that starts with -",
+           "src/sympdec/cli.py",
+           'if action is None or word[:1] == "-":',
+           "if action is None:",
+           ("tests/test_cli.py::test_parse_path_matches_the_full_parser",
+            "tests/test_cli.py::test_parse_path_matches_the_full_parser_property")),
+    Mutant("the canonical reader skips the required check",
+           "src/sympdec/cli.py",
+           "if values[dest] is _MISSING:",
+           "if False:",
+           ("tests/test_cli.py::test_parse_path_matches_the_full_parser",
+            "tests/test_cli.py::test_parse_path_matches_the_full_parser_property")),
     Mutant("the induced view names each part once, not once per generator",
            "src/sympdec/induced.py",
            "for (_, name, _, k), g in sides\n                                   for _ in g.factors]",

@@ -93,7 +93,7 @@ def test_well_definedness_property(src, tgt, data):
 def test_equal_maps_compare_and_hash_equal_and_no_field_is_assigned():
     h = abhom((0, 2), (4, 0), [[1, 0], [3, 0]])
     for name, value in (("source", Z), ("target", Z), ("matrix", h.matrix), ("_key", ()),
-                        ("other", 1)):
+                        ("_hash", 0), ("other", 1)):
         with pytest.raises(AttributeError):
             setattr(h, name, value)
     # built apart, from entries that reduce to the same ones
