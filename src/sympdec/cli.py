@@ -220,7 +220,7 @@ def _grammars() -> dict[str, tuple]:
                           {s: a for a in actions for s in a.option_strings},
                           tuple(a.dest for a in actions if a.required),
                           {a.dest: _MISSING if a.required else a.default for a in actions
-                           if a.required or a.default is not argparse.SUPPRESS})
+                           if a.default is not argparse.SUPPRESS})
     return grammars
 
 
