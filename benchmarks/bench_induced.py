@@ -14,11 +14,16 @@ except where noted, best of --reps passes over the run:
 - homs: one induced.homs("J", degrees, ...) run, which binds them once and
   builds one checked AbHom per distinct key (the part groups and the rule's
   rows) of the run, as the certificate does;
-- built: the AbHom constructions of that run, counted by a subclass put in
-  place of induced.AbHom for one untimed run;
+- built: the AbHom constructions of that run, counted by a wrapper put in
+  place of induced._checked, the checking pass every AbHom goes through,
+  for one untimed run;
 - iso: induced.is_isomorphism on each distinct map of the run, counting
   both z candidates of the z-dependent degree;
-- lookup: per build-path table lookup (induced._group), one for each part
+- snf: intmatrix.smith_normal_form of each distinct map's presentation
+  (induced._presentation_matrix), the part of iso that reduces;
+- cert: one lifting._certify_pairing for the run's witness, the whole
+  certificate (binding, builds, memo and verdicts), per call, not per map;
+- lookup: per build-path table lookup (induced._groups), one for each part
   of J at each degree of the run; the lookups column counts them.
 Before timing, it checks that both paths give the same maps.  Nothing here
 multiplies an ExactMatrix, so the timings do not depend on the kernel
@@ -29,8 +34,10 @@ import argparse
 import time
 
 from sympdec import induced
-from sympdec.induced import FORMULAS, ZDependent, _bind, _group, hom, homs, is_isomorphism
-from sympdec.lifting import _certificate_degrees, bezout_uv
+from sympdec.induced import (FORMULAS, ZDependent, _bind, _groups, _presentation_matrix, hom, homs,
+                             is_isomorphism)
+from sympdec.intmatrix import smith_normal_form
+from sympdec.lifting import _certificate_degrees, _certify_pairing, bezout_uv
 
 
 def _coprime_odd_above(m: int, low: int) -> int:
@@ -53,22 +60,19 @@ def _best_us(fn, count: int, reps: int) -> float:
 def _constructions(degrees, params) -> int:
     """The AbHom constructions of one homs("J", degrees, **params) run."""
     count = 0
-    real = induced.AbHom
+    real = induced._checked
 
-    class Counting(real):
-        __slots__ = ()
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
 
-        def __init__(self, *args):
-            nonlocal count
-            count += 1
-            super().__init__(*args)
-
-    induced.AbHom = Counting
+    induced._checked = counting
     try:
         for _ in homs("J", degrees, **params):
             pass
     finally:
-        induced.AbHom = real
+        induced._checked = real
     return count
 
 
@@ -79,7 +83,8 @@ def main() -> None:
     args = ap.parse_args()
 
     print(f"{'m':>6}{'n':>7}{'maps':>6}{'hom':>9}{'homs':>9}{'built':>7}{'distinct':>10}{'iso':>9}"
-          f"{'lookups':>9}{'lookup':>9}   (us each, thread time, best of {args.reps})")
+          f"{'snf':>9}{'lookups':>9}{'lookup':>9}{'cert':>9}"
+          f"   (us each, thread time, best of {args.reps})")
     for m in args.m:
         n = _coprime_odd_above(m, 4 * m + 3)
         w = bezout_uv(m, n)
@@ -103,22 +108,31 @@ def main() -> None:
             for h in distinct:
                 is_isomorphism(h)
 
-        # the (part, degree) pairs the run's builds look up, source parts
-        # before target parts, as _build reads them
+        presentations = [_presentation_matrix(h) for h in distinct]
+
+        def snfs():
+            for p in presentations:
+                smith_normal_form(p)
+
+        # the parts each of the run's builds looks up, source parts before
+        # target parts, as _build reads them
         binding, shift = _bind("J", params), FORMULAS["J"].shift
-        lookups = [(part, i - shift) for i in degrees for part in binding[4] + binding[5]]
+        parts = binding[4] + binding[5]
+        count = len(parts) * len(degrees)
 
         def table_lookups():
-            for part, degree in lookups:
-                _group(part, degree)
+            for i in degrees:
+                _groups(parts, i - shift)
 
         row = (_best_us(per_degree, len(degrees), args.reps),
                _best_us(one_binding, len(degrees), args.reps),
                _best_us(isos, len(distinct), args.reps),
-               _best_us(table_lookups, len(lookups), args.reps))
+               _best_us(snfs, len(distinct), args.reps),
+               _best_us(table_lookups, count, args.reps),
+               _best_us(lambda: _certify_pairing(w), 1, args.reps))
         print(f"{m:>6}{n:>7}{len(degrees):>6}{row[0]:>9.1f}{row[1]:>9.1f}"
               f"{_constructions(degrees, params):>7}{len(distinct):>10}{row[2]:>9.1f}"
-              f"{len(lookups):>9}{row[3]:>9.2f}")
+              f"{row[3]:>9.1f}{count:>9}{row[4]:>9.2f}{row[5]:>9.1f}")
 
 
 if __name__ == "__main__":

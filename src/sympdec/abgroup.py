@@ -24,13 +24,13 @@ class FgAbGroup:
         for f in factors:
             if f == 1 or f < 0:
                 raise ValueError(f"invalid cyclic order {f}; use 0 for Z or k >= 2 for Z/k")
-        object.__setattr__(self, "factors", factors)
+        _set_factors(self, factors)
 
     @classmethod
     def _raw(cls, factors: tuple[int, ...]) -> "FgAbGroup":
         """The group on factors, a tuple of ints each 0 or >= 2, taken unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "factors", factors)
+        _set_factors(self, factors)
         return self
 
     def __setattr__(self, name, value):
@@ -54,3 +54,7 @@ class FgAbGroup:
 
     def __hash__(self):
         return hash(self.factors)
+
+
+# the slot's own descriptor stores the field past the immutability guard
+_set_factors = FgAbGroup.__dict__["factors"].__set__

@@ -55,15 +55,21 @@ class TableAnswer(NamedTuple):
         return self.template.format(*self.args)
 
 
-def _sp(i: int, n: int) -> tuple:
+# the provenance of each symplectic case that answers a group, in the order
+# _sp tests them; the center quotient states the same cases above degree 1
+# behind one prefix, joined here once rather than at every lookup
+_SP_NOTES = ("symplectic stable table (8-periodic), i = {} < 4n = {}",
+             "symplectic boundary degree {}: Z/2 for odd n, trivial for even n (n = {})",
+             "first unstable symplectic degree 4n+2: cyclic of order (2n+1)!{}")
+_PSP_NOTES = tuple("center quotient agrees above degree 1; " + note for note in _SP_NOTES)
+
+
+def _sp(i: int, n: int, notes: tuple = _SP_NOTES) -> tuple:
     _check(i, n)
     if i < 4 * n:
-        return (GROUP, _SP_STABLE[i % 8],
-                "symplectic stable table (8-periodic), i = {} < 4n = {}", (i, 4 * n))
+        return GROUP, _SP_STABLE[i % 8], notes[0], (i, 4 * n)
     if i in (4 * n, 4 * n + 1):
-        return (GROUP, _Z2 if n % 2 else _TRIVIAL,
-                "symplectic boundary degree {}: Z/2 for odd n, trivial for even n (n = {})",
-                (i, n))
+        return GROUP, _Z2 if n % 2 else _TRIVIAL, notes[1], (i, n)
     if i == 4 * n + 2:
         digits = sys.get_int_max_str_digits() or 4300
         largest = _largest_printable_sp_n(digits)
@@ -73,9 +79,7 @@ def _sp(i: int, n: int) -> tuple:
                 f"than {digits} digits, the integer string conversion limit; "
                 f"n <= {largest} prints")
         order = factorial(2 * n + 1) * (2 if n % 2 else 1)
-        return (GROUP, FgAbGroup((order,)),
-                "first unstable symplectic degree 4n+2: cyclic of order (2n+1)!{}",
-                (" doubled for odd n" if n % 2 else "",))
+        return GROUP, FgAbGroup((order,)), notes[2], (" doubled for odd n" if n % 2 else "",)
     return (OUT_OF_RANGE, None,
             "degree {} beyond tabulated symplectic range 4n+2 = {}", (i, 4 * n + 2))
 
@@ -98,10 +102,7 @@ def _largest_printable_sp_n(digits: int) -> int:
 
 def _psp(i: int, n: int) -> tuple:
     if i > 1:
-        kind, group, template, args = _sp(i, n)
-        if kind == GROUP:
-            template = "center quotient agrees above degree 1; " + template
-        return kind, group, template, args
+        return _sp(i, n, _PSP_NOTES)
     _check(i, n)
     if i == 0:
         return GROUP, _TRIVIAL, "projective symplectic group is connected", ()

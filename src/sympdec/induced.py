@@ -9,28 +9,30 @@ Bezout default, runs the checks listed before the window and resolves each
 part to its table and size.  The per-degree step checks the window, looks
 each part up in its table and applies the rule, which gives integer rows
 and an unformatted provenance; the checks listed after the window read
-only the binding, so they run once, at its first degree.  The checked
-AbHom is made from the part groups and the rows.  homs(op, degrees,
-**params) runs the per-degree step over a run of degrees from one binding
-and makes one AbHom per distinct (part groups, rows) of the run;
-hom(op, i, **params) is its one-degree case, and describe(op, i, **params)
-adds the text the induced command prints: generator names, the rule's
-provenance and the window's bound, the only text a build formats.
-Formulas refuse degrees outside their validity windows instead of
-extrapolating; the windows are part of the mathematics.
+only the binding, so they run once, at its first degree.  The AbHom is
+made straight from the part groups and the rows, in one checking pass
+(below).  homs(op, degrees, **params) runs the per-degree step over a run
+of degrees from one binding and makes one AbHom per distinct (part groups,
+rows) of the run; hom(op, i, **params) is its one-degree case, and
+describe(op, i, **params) adds the text the induced command prints:
+generator names, the rule's provenance and the window's bound, the only
+text a build formats.  Formulas refuse degrees outside their validity
+windows instead of extrapolating; the windows are part of the mathematics.
 
 The entries ttilde and J take a Bezout witness (u, v) with
 |v*n - 4*u*m^2| = 1.  It is made here too: bezout_uv(m, n) makes the
 minimal one, which is their default, and their checks refuse a given
 (u, v) that is not a witness.
 
-The AbHom constructor reduces the entries modulo the target orders and
-checks the shape and the well-definedness invariant (each generator of
-finite order a maps to an element that a kills) in one pass, which also
-makes the map's key: (source factors, target factors, reduced entries).  An
-AbHom's equality and hash use that key.  Every AbHom goes through the
-constructor: those hom() and homs() build, those a caller builds, and the
-results of compose and diagonal_hom.
+Every AbHom is made by one checking pass over its integers, _checked:
+those hom() and homs() build, straight from the rule's rows with no
+IntMatrix checked on the way, and those the public constructor
+AbHom(source, target, IntMatrix) makes, including the results of compose
+and diagonal_hom.  The pass applies operator.index to each entry, reduces
+it modulo its target order and checks well-definedness (each generator of
+finite order a maps to an element that a kills), and forms the map's key,
+(source factors, target factors, reduced entries), and its hash, which
+equality and hash use.
 
 A build looks its parts up through the case functions of homotopy.TABLES,
 which hand it the group and keep the provenance unformatted; it formats a
@@ -45,7 +47,7 @@ no generators: a map written (x, y) -> v*y on 0 x Z/2 is emitted as the
 from __future__ import annotations
 
 from math import gcd, prod
-from operator import attrgetter
+from operator import attrgetter, index
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -56,9 +58,12 @@ from sympdec.errors import (
     MalformedHomError,
     NotCoprimeError,
     OutOfRangeError,
+    ShapeMismatchError,
 )
 from sympdec.homotopy import GROUP, TABLES
 from sympdec.intmatrix import IntMatrix, smith_normal_form
+
+_FACTORS = attrgetter("factors")
 
 
 # -- homomorphisms of finitely generated abelian groups -----------------------
@@ -67,7 +72,8 @@ class AbHom:
     """A homomorphism source -> target: matrix columns are indexed by source
     generators, rows by target generators.
 
-    The constructor reduces the entries and checks the map in one pass, and
+    The constructor checks the matrix's shape against the groups and makes
+    the map by the checking pass every AbHom goes through (_checked), which
     keeps the key (source factors, target factors, reduced entries) and its
     hash; equality and hash use the key, so equal maps compare and hash
     equal.  Assignment raises AttributeError.
@@ -78,28 +84,11 @@ class AbHom:
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
         src, tgt = source.factors, target.factors
-        cols = len(src)
-        if matrix.rows != len(tgt) or matrix.cols != cols:
+        if matrix.rows != len(tgt) or matrix.cols != len(src):
             raise MalformedHomError(
-                f"matrix is {matrix.rows}x{matrix.cols}, need {len(tgt)}x{cols}")
-        # each row reduced modulo its finite target order
-        data = [x % t if t else x
-                for r, t in enumerate(tgt) for x in matrix.data[r * cols:(r + 1) * cols]]
-        for c, a in enumerate(src):
-            if a:
-                for r, t in enumerate(tgt):
-                    e = data[r * cols + c]
-                    if (a * e) % t if t else e:
-                        raise MalformedHomError(
-                            f"generator of order {a} maps to an element of infinite or "
-                            f"incompatible order (entry {e} at row {r})"
-                        )
-        init = object.__setattr__
-        init(self, "source", source)
-        init(self, "target", target)
-        init(self, "matrix", IntMatrix._raw(matrix.rows, cols, data))
-        init(self, "_key", (src, tgt, tuple(data)))
-        init(self, "_hash", hash(self._key))   # the certificate looks each map up many times
+                f"matrix is {matrix.rows}x{matrix.cols}, need {len(tgt)}x{len(src)}")
+        # one part per generator on each side, one coefficient per entry
+        _checked(self, source, target, [*zip(src)], zip(tgt), matrix.row_lists())
 
     def __eq__(self, other):
         if not isinstance(other, AbHom):
@@ -108,6 +97,51 @@ class AbHom:
 
     def __hash__(self):
         return self._hash
+
+
+# the slots' own descriptors store each field past the immutability guard
+_set_source, _set_target, _set_matrix, _set_key, _set_hash = (
+    AbHom.__dict__[name].__set__ for name in AbHom.__slots__)
+
+
+def _checked(h: AbHom, source: FgAbGroup, target: FgAbGroup, source_parts, target_parts,
+             rows) -> AbHom:
+    """Make h the map source -> target whose rows give one coefficient per
+    source part, one row per target part, where a part is a tuple of cyclic
+    orders and source and target are the products of the parts.
+
+    One pass over the coefficients expands each over its parts' factors,
+    applies operator.index (a float raises TypeError), reduces it modulo
+    the target order and checks well-definedness: a generator of finite
+    order a must map to an element that a kills.  A wrong number of entries
+    raises ShapeMismatchError, an ill-defined map MalformedHomError, naming
+    the first offending entry in column order.  Returns h.
+    """
+    src, tgt = source.factors, target.factors
+    cols = len(src)
+    data = []
+    bad = []   # (column, row, order, entry) of each ill-defined entry
+    for tf, row in zip(target_parts, rows):
+        for t in tf:
+            for sf, x in zip(source_parts, row):
+                for a in sf:
+                    e = index(x) % t if t else index(x)
+                    if a and (a * e % t if t else e):
+                        bad.append((len(data) % cols, len(data) // cols, a, e))
+                    data.append(e)
+    if len(data) != len(tgt) * cols:
+        raise ShapeMismatchError(f"expected {len(tgt) * cols} entries, got {len(data)}")
+    if bad:
+        _, r, a, e = min(bad)
+        raise MalformedHomError(f"generator of order {a} maps to an element of infinite or "
+                                f"incompatible order (entry {e} at row {r})")
+    key = (src, tgt, tuple(data))
+    _set_source(h, source)
+    _set_target(h, target)
+    _set_matrix(h, IntMatrix._raw(len(tgt), cols, data))
+    _set_key(h, key)
+    _set_hash(h, hash(key))   # the certificate looks each map up many times
+    return h
 
 
 class ZDependent(NamedTuple):
@@ -139,14 +173,21 @@ def compose(outer: AbHom, inner: AbHom) -> AbHom:
 
 
 def _presentation_matrix(h: AbHom) -> IntMatrix:
-    """[matrix | target-order relation columns]."""
-    m, c = h.matrix, h.matrix.cols
-    rel = [(r, order) for r, order in enumerate(h.target.factors) if order]
-    data = []
-    for r, row in enumerate(m.row_lists()):
-        data += row
-        data += [order if rr == r else 0 for rr, order in rel]
-    return IntMatrix._raw(m.rows, c + len(rel), data)
+    """[matrix | target-order relation columns], built straight from the
+    matrix's entries: row r is the map's row r, then the order of target
+    generator r in its own relation column and 0 in the others."""
+    m, tgt = h.matrix, h.target.factors
+    c, entries = m.cols, m.data
+    orders = [order for order in tgt if order]
+    data, k = [], 0
+    for r, order in enumerate(tgt):
+        data += entries[r * c:(r + 1) * c]
+        relations = [0] * len(orders)
+        if order:
+            relations[k] = order
+            k += 1
+        data += relations
+    return IntMatrix._raw(m.rows, c + len(orders), data)
 
 
 def is_isomorphism(h: AbHom) -> bool:
@@ -414,15 +455,17 @@ def _bind(op: str, params: dict) -> tuple:
             [(case, name, size, k(p)) for case, name, size, k in targets])
 
 
-def _group(part, degree: int) -> FgAbGroup:
-    """The group of one part at degree, read off its table's case function;
-    refuses a degree where the table answers no group, and only then formats
-    the table's provenance."""
-    case, name, size, k = part
-    kind, group, template, args = case(degree, k)
-    if kind != GROUP:
-        raise OutOfRangeError(f"pi_i {name}({size}): {template.format(*args)}")
-    return group
+def _groups(parts, degree: int) -> list[FgAbGroup]:
+    """The group of each part at degree, read off its table's case function;
+    refuses a degree where a table answers no group, and only then formats
+    that table's provenance."""
+    groups = []
+    for case, name, size, k in parts:
+        kind, group, template, args = case(degree, k)
+        if kind != GROUP:
+            raise OutOfRangeError(f"pi_i {name}({size}): {template.format(*args)}")
+        groups.append(group)
+    return groups
 
 
 def _build(b: tuple, i: int):
@@ -446,8 +489,7 @@ def _build(b: tuple, i: int):
             check(p)
         after.clear()
     d = i - f.shift
-    sources = [_group(part, d) for part in source_parts]
-    targets = [_group(part, d) for part in target_parts]
+    sources, targets = _groups(source_parts, d), _groups(target_parts, d)
     rules = []
     for z in (0, 1) if i == f.z_degree and pinned is None else (pinned and pinned % 2,):
         p.z = z
@@ -456,11 +498,11 @@ def _build(b: tuple, i: int):
 
 
 def _hom(sources, targets, rows) -> AbHom:
-    """The checked AbHom that a rule's rows give on the part groups."""
-    source, target = FgAbGroup.product(*sources), FgAbGroup.product(*targets)
-    data = [c for t, row in zip(targets, rows) for _ in t.factors
-            for s, c in zip(sources, row) for _ in s.factors]
-    return AbHom(source, target, IntMatrix(target.ngens, source.ngens, data))
+    """The AbHom that a rule's rows give on the part groups, made by the one
+    checking pass straight from the rows."""
+    return _checked(object.__new__(AbHom), FgAbGroup.product(*sources),
+                    FgAbGroup.product(*targets), [*map(_FACTORS, sources)],
+                    map(_FACTORS, targets), rows)
 
 
 def _map(maps):
@@ -481,9 +523,6 @@ def hom(op: str, i: int, **params):
     """
     _, sources, targets, rules = _build(_bind(op, params), i)
     return _map([_hom(sources, targets, rows) for rows, _, _ in rules])
-
-
-_FACTORS = attrgetter("factors")
 
 
 def homs(op: str, degrees, **params):

@@ -2,9 +2,16 @@
 
 smith_normal_form(M) returns the invariant factors of M: the diagonal
 d1 | d2 | ... of its Smith normal form, min(rows, cols) entries, each
-nonnegative.  Pivots are always the entry of smallest nonzero absolute value
-in the remaining block, scanned row-major, which keeps the reduction
-deterministic.
+nonnegative.  It works on M's rows as plain lists.  At each step the pivot
+is the entry of smallest nonzero absolute value in the remaining block,
+the first in a row-major scan, which keeps the reduction deterministic; the
+scan stops at a 1, since no later entry can be smaller.  Row operations
+clear the pivot's column, column operations its row, and a row holding an
+entry the pivot does not divide is added to the pivot row, until the pivot
+divides the whole remaining block.  A unit pivot (+1 or -1) ends its step
+as soon as its column is clear: it divides every entry, and the column
+operations that would clear its row leave the rest of the remaining block
+as it is, so neither the row nor the divisibility scan is needed.
 
 The public constructor accepts integers only (operator.index, so a float
 raises TypeError) and checks the shape.  The private IntMatrix._raw takes a
@@ -71,78 +78,73 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
     """The invariant factors d1 | d2 | ... of m, min(rows, cols) of them:
     the diagonal left by unimodular row and column operations, made
     nonnegative."""
-    r, c = m.rows, m.cols
-    a = m.row_lists()
-
-    def row_sub(i, k, q):
-        # row i -= q * row k
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-
-    def col_sub(j, k, q):
-        # col j -= q * col k
-        for row in a:
-            row[j] -= q * row[k]
-
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    while t < min(r, c):
-        # minimal-absolute-value pivot in the trailing block, row-major scan
-        best = None
+    r, c, data = m.rows, m.cols, m.data
+    n = min(r, c)
+    a = [data[i * c:(i + 1) * c] for i in range(r)]
+    for t in range(n):
+        # the pivot: the first entry of least absolute value in the trailing
+        # block, row-major; no later entry is below a 1, so the scan stops there
+        least = 0
         for i in range(t, r):
+            row = a[i]
             for j in range(t, c):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            a[t], a[best[0]] = a[best[0]], a[t]
-        if best[1] != t:
-            swap_cols(t, best[1])
-
-        while True:
-            p = a[t][t]
-            moved = False
-            for i in range(t + 1, r):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        row_sub(i, t, q)
-                    if a[i][t]:
-                        # remainder is strictly smaller: promote it to the pivot
-                        a[t], a[i] = a[i], a[t]
-                        moved = True
+                x = abs(row[j])
+                if x and (x < least or not least):
+                    least, pi, pj = x, i, j
+                    if x == 1:
                         break
-            if moved:
-                continue
-            for j in range(t + 1, c):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        col_sub(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        moved = True
-                        break
-            if moved:
-                continue
-            # row and column are clear; enforce divisibility of the rest
-            bad = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
+            if least == 1:
                 break
-            row_sub(t, bad, -1)
-
-        t += 1
-
-    return [abs(a[i][i]) for i in range(min(r, c))]
-
+        if not least:
+            break
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        pivot_row = a[t]
+        while True:
+            p = pivot_row[t]
+            # clear the column below the pivot; a nonzero remainder is smaller
+            # than p, so its row becomes the pivot row
+            for i in range(t + 1, r):
+                row = a[i]
+                if row[t]:
+                    q = row[t] // p
+                    if q:
+                        for j in range(t, c):
+                            row[j] -= q * pivot_row[j]
+                    if row[t]:
+                        a[t], a[i] = row, pivot_row
+                        pivot_row = row
+                        break
+            else:
+                if p == 1 or p == -1:
+                    # a unit divides every entry, and the column operations
+                    # that would clear its row leave the rows below as they are
+                    break
+                # clear the row right of the pivot; a nonzero remainder is
+                # swapped into the pivot column
+                for j in range(t + 1, c):
+                    if pivot_row[j]:
+                        q = pivot_row[j] // p
+                        if q:
+                            for row in a:
+                                row[j] -= q * row[t]
+                        if pivot_row[j]:
+                            for row in a:
+                                row[t], row[j] = row[j], row[t]
+                            break
+                else:
+                    # row and column are clear: the first row holding an entry
+                    # that p does not divide is added to the pivot row, and the
+                    # reduction repeats
+                    for i in range(t + 1, r):
+                        row = a[i]
+                        if any(x % p for x in row[t + 1:]):
+                            for j in range(t, c):
+                                pivot_row[j] += row[j]
+                            break
+                    else:
+                        break
+    return [abs(a[i][i]) for i in range(n)]

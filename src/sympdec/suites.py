@@ -20,6 +20,7 @@ from sympdec.errors import BoundsTooLargeError
 from sympdec.homotopy import pi_table
 from sympdec.induced import (AbHom, ZDependent, bezout_uv, compose, diagonal_hom, hom, homs,
                              is_isomorphism)
+from sympdec.intmatrix import IntMatrix
 from sympdec.lifting import connectivity_j
 from sympdec.matrix import ExactMatrix
 
@@ -166,13 +167,15 @@ def run_center(bounds: Bounds, samples: int, seed) -> VerifyReport:
 
 
 def _tensor_decomposition_consistent(tensor: AbHom, left: AbHom, right: AbHom) -> bool:
-    """tensor is [left | right]: its source is left's beside right's, the
-    three share a target, and each row of its matrix is left's row followed
-    by right's."""
+    """tensor is [left | right]: left and right share a target, and tensor
+    is the map on left's source beside right's whose rows are left's rows
+    followed by right's, stated through the public constructors."""
+    if left.target != right.target:
+        return False
     rows = zip(left.matrix.row_lists(), right.matrix.row_lists())
-    return (tensor.source == FgAbGroup.product(left.source, right.source)
-            and tensor.target == left.target == right.target
-            and tensor.matrix.row_lists() == [a + b for a, b in rows])
+    source = FgAbGroup.product(left.source, right.source)
+    joined = IntMatrix(left.target.ngens, source.ngens, [x for a, b in rows for x in a + b])
+    return tensor == AbHom(source, left.target, joined)
 
 
 def _square_tensor_consistent(i: int, m: int) -> bool:

@@ -127,23 +127,30 @@ MUTANTS = [
             "tests/test_groups.py::test_orthogonal_predicates")),
     Mutant("SNF leaves negative diagonal entries",
            "src/sympdec/intmatrix.py",
-           "    return [abs(a[i][i]) for i in range(min(r, c))]",
-           "    return [a[i][i] for i in range(min(r, c))]",
+           "    return [abs(a[i][i]) for i in range(n)]",
+           "    return [a[i][i] for i in range(n)]",
            ("tests/test_snf.py::test_randomized_snf",
             "tests/test_snf.py::test_snf_property")),
     Mutant("SNF skips the divisibility step",
            "src/sympdec/intmatrix.py",
-           "            row_sub(t, bad, -1)",
-           "            break",
+           "                        if any(x % p for x in row[t + 1:]):",
+           "                        if False:",
            ("tests/test_snf.py::test_randomized_snf",
             "tests/test_snf.py::test_diagonal_matches_sympy_on_random_matrices")),
     Mutant("SNF leaves the entry right of each pivot uncleared",
            "src/sympdec/intmatrix.py",
-           "            for j in range(t + 1, c):\n                if a[t][j]:",
-           "            for j in range(t + 2, c):\n                if a[t][j]:",
+           "                for j in range(t + 1, c):\n                    if pivot_row[j]:",
+           "                for j in range(t + 2, c):\n                    if pivot_row[j]:",
            # test_randomized_snf reaches a matrix where this mutant cycles forever
            ("tests/test_snf.py::test_rectangular_shapes",
             "tests/test_snf.py::test_diagonal_matches_sympy_on_random_matrices")),
+    Mutant("unit-pivot exit also taken for |p| = 2",
+           "src/sympdec/intmatrix.py",
+           "                if p == 1 or p == -1:",
+           "                if -2 <= p <= 2:",
+           ("tests/test_snf.py::test_a_pivot_of_two_is_not_a_unit",
+            "tests/test_snf.py::test_rectangular_shapes",
+            "tests/test_snf.py::test_randomized_snf")),
     Mutant("constructions take unmarked non-members on trust",
            "src/sympdec/groups.py",
            "    if isinstance(m, group):\n        return\n",
@@ -208,12 +215,9 @@ MUTANTS = [
            ("tests/test_lifting.py::test_no_section_witness_small_n_case",)),
     Mutant("a binding carries the first degree's table answers to later degrees",
            "src/sympdec/induced.py",
-           "    sources = [_group(part, d) for part in source_parts]\n"
-           "    targets = [_group(part, d) for part in target_parts]\n",
-           "    sources = p.__dict__.setdefault(\"sources\", [_group(part, d)\n"
-           "                                                 for part in source_parts])\n"
-           "    targets = p.__dict__.setdefault(\"targets\", [_group(part, d)\n"
-           "                                                 for part in target_parts])\n",
+           "    sources, targets = _groups(source_parts, d), _groups(target_parts, d)\n",
+           "    sources = p.__dict__.setdefault(\"sources\", _groups(source_parts, d))\n"
+           "    targets = p.__dict__.setdefault(\"targets\", _groups(target_parts, d))\n",
            ("tests/test_induced.py::test_a_run_builds_what_each_degree_builds_alone",)),
     Mutant("a binding runs the checks listed after the window before it",
            "src/sympdec/induced.py",
@@ -334,20 +338,26 @@ MUTANTS = [
             "tests/test_cli_golden.py::test_cli_matches_golden")),
     Mutant("the AbHom constructor skips its well-definedness scan",
            "src/sympdec/induced.py",
-           "        for c, a in enumerate(src):\n            if a:",
-           "        for c, a in enumerate(()):\n            if a:",
+           "if a and (a * e % t if t else e):",
+           "if False:",
            ("tests/test_induced.py::test_well_definedness_enforced",
-            "tests/test_induced.py::test_well_definedness_property")),
+            "tests/test_induced.py::test_well_definedness_property",
+            "tests/test_induced.py::test_the_build_refuses_what_the_public_constructors_refuse")),
+    Mutant("AbHom build skips operator.index on a coefficient",
+           "src/sympdec/induced.py",
+           "e = index(x) % t if t else index(x)",
+           "e = index(x) % t if t else x",
+           ("tests/test_induced.py::test_rule_builds_match_the_public_constructors",)),
     Mutant("AbHom's key drops the matrix entries",
            "src/sympdec/induced.py",
-           'init(self, "_key", (src, tgt, tuple(data)))',
-           'init(self, "_key", (src, tgt))',
+           "    key = (src, tgt, tuple(data))",
+           "    key = (src, tgt)",
            ("tests/test_induced.py::test_equal_maps_compare_and_hash_equal_and_no_field_is_assigned",
             "tests/test_lifting.py::test_certificate_reports_a_rejected_map_at_its_degree")),
-    Mutant("_group returns the group without testing the kind",
+    Mutant("_groups returns the group without testing the kind",
            "src/sympdec/induced.py",
-           "    if kind != GROUP:\n        raise OutOfRangeError(",
-           "    if False:\n        raise OutOfRangeError(",
+           "        if kind != GROUP:\n            raise OutOfRangeError(",
+           "        if False:\n            raise OutOfRangeError(",
            ("tests/test_induced.py::test_the_build_reads_each_part_as_the_public_table_answers",)),
     Mutant("the stable symplectic table drops pi_5 to the trivial group",
            "src/sympdec/homotopy.py",

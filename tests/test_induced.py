@@ -15,6 +15,7 @@ from sympdec.errors import (
     MalformedHomError,
     NotCoprimeError,
     OutOfRangeError,
+    ShapeMismatchError,
     SympdecError,
 )
 from sympdec.homotopy import GROUP, OUT_OF_RANGE, TORSION_ONLY, pi_table
@@ -24,7 +25,10 @@ from sympdec.induced import (
     REQUIRED,
     AbHom,
     ZDependent,
-    _group,
+    _bind,
+    _build,
+    _groups,
+    _hom,
     _presentation_matrix,
     compose,
     describe,
@@ -544,7 +548,7 @@ def _error(build):
 
 
 def test_the_build_reads_each_part_as_the_public_table_answers():
-    """_group, which reads a table's case function, against pi_table's
+    """_groups, which reads a table's case function, against pi_table's
     answer, for every part of every entry: the same group, or an error that
     carries the answer's provenance."""
     kinds = set()
@@ -557,10 +561,10 @@ def test_the_build_reads_each_part_as_the_public_table_answers():
                     answer = pi_table(family, degree, k)
                     kinds.add((family, answer.kind))
                     if answer.kind == GROUP:
-                        assert _group((case, name, size, k), degree) == answer.group
+                        assert _groups([(case, name, size, k)], degree) == [answer.group]
                         continue
                     with pytest.raises(OutOfRangeError) as exc:
-                        _group((case, name, size, k), degree)
+                        _groups([(case, name, size, k)], degree)
                     assert answer.provenance in str(exc.value), (op, family, k, degree)
     assert kinds >= {(family, kind) for family in ("sp", "psp", "so", "o")
                      for kind in (GROUP, OUT_OF_RANGE)}
@@ -658,3 +662,66 @@ def test_a_negative_degree_is_refused_by_a_bound_it_violates():
             assert text.startswith("violated bound: "), (op, text)
             clauses = text.removeprefix("violated bound: ").split(" and ")
             assert not all(_holds(-1, c) for c in clauses), (op, text)
+
+
+# -- the build's one checking pass against the public constructors -------------
+
+def _public(sources, targets, rows) -> AbHom:
+    """The map a rule's rows give, stated through the public constructors:
+    each coefficient repeated over its parts' generators."""
+    data = [c for t, row in zip(targets, rows) for _ in t.factors
+            for s, c in zip(sources, row) for _ in s.factors]
+    source = FgAbGroup([a for s in sources for a in s.factors])
+    target = FgAbGroup([t for g in targets for t in g.factors])
+    return AbHom(source, target, IntMatrix(target.ngens, source.ngens, data))
+
+
+@pytest.mark.parametrize("op", tuple(FORMULAS))
+def test_rule_builds_match_the_public_constructors(op):
+    """Over a grid of params and every degree of each window: the build's map
+    equals the public one, field by field; a float coefficient raises
+    TypeError and a short row ShapeMismatchError on both paths, and an
+    ill-defined coefficient MalformedHomError with the same text."""
+    sizes = {"m": (1, 2, 3), "n": (3, 4, 5, 9, 11, 17), "r": (1, 3)}
+    names = REQUIRED[op]
+    compared = floats = 0
+    for combo in product(*(sizes[q] for q in names)):
+        params = dict(zip(names, combo))
+        maps = _window_maps(op, params)
+        if maps is None:
+            continue
+        for i in maps:
+            _, sources, targets, rules = _build(_bind(op, params), i)
+            for rows, _, _ in rules:
+                h, want = _hom(sources, targets, rows), _public(sources, targets, rows)
+                assert h == want and hash(h) == hash(want), (op, params, i)
+                assert (h.source, h.target) == (want.source, want.target)
+                assert h.matrix.row_lists() == want.matrix.row_lists()
+                compared += 1
+                # a float on each entry the coefficients reach, one at a time
+                for r, t in enumerate(targets):
+                    for c, s in enumerate(sources):
+                        if not (t.factors and s.factors):
+                            continue
+                        bad = [list(row) for row in rows]
+                        bad[r][c] += 0.5
+                        assert _error(lambda: _hom(sources, targets, bad))[0] is TypeError
+                        assert _error(lambda: _public(sources, targets, bad))[0] is TypeError
+                        floats += 1
+    assert compared >= 20 and floats >= 3, (op, compared, floats)
+
+
+def test_the_build_refuses_what_the_public_constructors_refuse():
+    cases = [([Z2, Z], [Z], [(1, 0)]),                 # Z/2 onto a free generator
+             ([Z, Z2], [Z2, Z], [(1, 1), (0, 3)]),     # the second column is ill-defined twice
+             ([Z2], [FgAbGroup((4,))], [(1,)]),        # order 2 with an image of order 4
+             ([Z, Z2, Z2], [Z2, Z], [(5, 3, 1), (0, 0, 7)])]
+    for sources, targets, rows in cases:
+        want = _error(lambda: _public(sources, targets, rows))
+        assert want[0] is MalformedHomError
+        assert _error(lambda: _hom(sources, targets, rows)) == want
+    # a row one coefficient short: the entries the public matrix would miss
+    short = _error(lambda: _hom([Z, Z], [Z], [(1,)]))
+    assert short == (ShapeMismatchError, "expected 2 entries, got 1")
+    with pytest.raises(ShapeMismatchError, match="^expected 2 entries, got 1$"):
+        IntMatrix(1, 2, [1])

@@ -9,7 +9,7 @@ from oracles import brute_force_witness
 from sympdec import cli, induced, lifting, suites
 from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
 from sympdec.homotopy import pi_table
-from sympdec.induced import FORMULAS, AbHom, ZDependent, hom, homs, is_isomorphism
+from sympdec.induced import FORMULAS, ZDependent, hom, homs, is_isomorphism
 from sympdec.intmatrix import smith_normal_form
 from sympdec.lifting import (
     KIND_HIGH_N,
@@ -153,25 +153,24 @@ def _run_keys(m, n):
 @pytest.mark.parametrize("m, n", [(2, 9), (3, 11), (50, 201), (2000, 8001)])
 def test_certificate_constructs_one_abhom_per_distinct_key(monkeypatch, m, n):
     constructed, presentations = [], []
+    checked = induced._checked
 
-    class SpyAbHom(AbHom):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            constructed.append(self)
+    def spy_checked(*args):
+        h = checked(*args)
+        constructed.append(h)
+        return h
 
     def spy_snf(matrix):
         presentations.append(matrix)
         return smith_normal_form(matrix)
 
     built = _spy_builds(monkeypatch)
-    monkeypatch.setattr(induced, "AbHom", SpyAbHom)
+    monkeypatch.setattr(induced, "_checked", spy_checked)
     monkeypatch.setattr(induced, "smith_normal_form", spy_snf)
     assert connectivity_j(m, n) == 7
     assert len(constructed) == len(_run_keys(m, n))
-    # every map the run hands out went through the constructor: it is one of
-    # the constructed objects, not an equal copy
+    # every map the run hands out went through the checking pass: it is one
+    # of the checked objects, not an equal copy
     handed_out = {id(c) for _, h in built
                   for _, c in (h.candidates if isinstance(h, ZDependent) else [(0, h)])}
     assert handed_out == {id(h) for h in constructed}

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
@@ -94,6 +94,42 @@ def int_matrices(draw, max_dim=5):
 def test_snf_property(m):
     # a nonnegative divisibility chain, equal to sympy's invariant factors
     check_snf(m)
+
+
+@st.composite
+def unit_heavy_matrices(draw):
+    """Matrices up to 4 x 6 whose entries are 0, +-1 and +-2, now and then
+    +-10^30, with some rows and columns zeroed: the pivots are mostly units,
+    at every pivot position, and a huge entry beside a unit still has to be
+    cleared."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 0, 1, -1, 1, -1, 2, -2, 10 ** 30, -10 ** 30])
+    data = draw(st.lists(entry, min_size=r * c, max_size=r * c))
+    zero_rows = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    zero_cols = draw(st.lists(st.booleans(), min_size=c, max_size=c))
+    return IntMatrix(r, c, [0 if zero_rows[k // c] or zero_cols[k % c] else x
+                            for k, x in enumerate(data)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_heavy_matrices())
+# a unit pivot at each of the four positions, then a 2 beside a -1
+@example(IntMatrix(4, 6, [1, 2, 0, 0, 10 ** 30, 0,
+                          0, -1, 2, 0, 0, 2,
+                          0, 0, 1, -2, 0, 0,
+                          2, 0, 0, -1, 0, 10 ** 30]))
+@example(IntMatrix(2, 3, [2, 2, 1, 2, -1, 0]))
+def test_snf_unit_heavy_property(m):
+    # the unit-pivot exit gives sympy's invariant factors wherever it is taken
+    check_snf(m)
+
+
+def test_a_pivot_of_two_is_not_a_unit():
+    # 2 divides neither 3 nor 1, so the step at a pivot 2 must go on past
+    # its column: clearing the row, then the divisibility scan
+    assert check_snf(IntMatrix(2, 2, [2, 0, 0, 3])) == [1, 6]
+    assert check_snf(IntMatrix(1, 2, [-2, 3])) == [1]
+    assert check_snf(IntMatrix(2, 3, [2, 0, 0, 0, 2, 3])) == [1, 2]
 
 
 def test_determinism():
