@@ -15,19 +15,19 @@ A product of numerator lists (kernels.matmul_num) is d^2 times the product
 of the matrices, so it is read against d^2 times the target, J or I; a
 symmetry condition needs no scaling.  Neither J nor I is ever built: the
 reader checks the target's nonzero components and counts the zeros.  The
-Gram route never multiplies by J: J is a signed permutation, so for
-M = [X; Y] (row halves) J^T M = [-Y; X] is M's numerators with the row
-halves swapped and the new top half negated, and M^T J M = (J^T M)^T M is
-one dense product.  For M of size 2k, d^2 J has component 0 of entry
-(r, k + r) equal to d^2, that of entry (k + r, r) equal to -d^2, and no
-other nonzero.  The block route makes one product of its own,
-P = X^T Y of the row halves X = [A11 A12] and Y = [A21 A22], whose
-quadrants are the four block products: P11 = A11^T A21, P12 = A11^T A22,
-P21 = A12^T A21 and P22 = A12^T A22 (and A21^T A12 = P21^T).  It reads the
-conditions off those quadrants: P11 and P22 symmetric, P12 - P21^T = d^2 I.
-M^T J M equals P - P^T, but the Gram route does not take it from P: each
-route computes its own product from M, so a fault in one product or its
-reading cannot hide from the other check.
+Gram route never multiplies by J: for M = [X; Y] (row halves of size
+k x 2k), J M = [Y; -X], so M^T J M = X^T Y - Y^T X.  It makes the one
+product Q = Y^T X, of shape (2k, k, 2k), and reads M^T J M as Q^T - Q.  For
+M of size 2k, d^2 J has component 0 of entry (r, k + r) equal to d^2, that
+of entry (k + r, r) equal to -d^2, and no other nonzero.  The block route
+makes one product of its own, P = X^T Y of the row halves X = [A11 A12]
+and Y = [A21 A22], whose quadrants are the four block products:
+P11 = A11^T A21, P12 = A11^T A22, P21 = A12^T A21 and P22 = A12^T A22 (and
+A21^T A12 = P21^T).  It reads the conditions off those quadrants: P11 and
+P22 symmetric, P12 - P21^T = d^2 I.  Q equals P^T as a matrix, but neither
+route takes the other's product: each multiplies its own operands (Y^T by
+X, X^T by Y) and reads the result its own way, so a fault in one product or
+its reading cannot hide from the other check.
 
 The conjugation lemmas gather instead of multiplying by permutations:
 for the permutation matrix P whose column k is e_{cols[k]}, P X P^T is X
@@ -96,20 +96,19 @@ def _quadrants(num: list[int], k: int) -> tuple[list[int], list[int], list[int],
 def is_symplectic_gram(m: ExactMatrix) -> bool:
     """Gram route: M^T J M == J.
 
-    J^T = [[0, -I], [I, 0]] is a signed permutation, so for M = [X; Y] (row
-    halves) J^T M = [-Y; X] is read off M's numerators, and M^T J M =
-    (J^T M)^T M costs one dense product of numerators.  The product is read
-    against den^2 J by structure, as is_scaled_identity reads den^2 I, with
-    a reader of its own: for k = n/2 and each r < k, component 0 of entry
-    (r, k + r) is den^2 and that of entry (k + r, r) is -den^2, and those 2k
-    components are the only nonzeros.
+    For M = [X; Y] (row halves), M^T J M = X^T Y - Y^T X, so the one product
+    Q = Y^T X, of shape (2k, k, 2k) for M of size 2k, gives M^T J M as
+    Q^T - Q.  That is read against den^2 J by structure, as
+    is_scaled_identity reads den^2 I, with a reader of its own: for each
+    r < k, component 0 of entry (r, k + r) is den^2 and that of entry
+    (k + r, r) is -den^2, and those 2k components are the only nonzeros.
     """
     if not m.is_square() or m.rows % 2:
         raise ShapeMismatchError("symplectic matrices have even size")
     n, half = m.rows, len(m.num) // 2
     k, d2 = n // 2, m.den * m.den
-    mt_j = transposed_num([-x for x in m.num[half:]] + m.num[:half], n, n)
-    p = kernels.matmul_num(mt_j, m.num, n, n, n)
+    q = kernels.matmul_num(transposed_num(m.num[half:], k, n), m.num[:half], n, k, n)
+    p = list(map(sub, transposed_num(q, n, n), q))
     step = 4 * (n + 1)      # from entry (r, c) to entry (r + 1, c + 1)
     return (all(x == d2 for x in p[4 * k:4 * n * k:step])
             and all(x == -d2 for x in p[4 * n * k::step])
@@ -359,6 +358,10 @@ def verify_mixed_product(a: ExactMatrix, b: ExactMatrix) -> bool:
 
 # -- seeded exact random elements ----------------------------------------------
 
+# (bytes per read, rejection limit) of a draw from range(k), by k
+_READS: dict[int, tuple[int, int]] = {}
+
+
 class _Stream:
     """Seeded uniform draws from the bytes of SHAKE-256(label), by rejection sampling.
 
@@ -381,10 +384,13 @@ class _Stream:
         self._pos = 0
 
     def randrange(self, k: int) -> int:
-        if k < 1:
-            raise ValueError(f"empty range({k})")
-        n = (k - 1).bit_length() + 7 >> 3
-        limit = (1 << 8 * n) // k * k
+        reads = _READS.get(k)
+        if reads is None:
+            if k < 1:
+                raise ValueError(f"empty range({k})")
+            n = (k - 1).bit_length() + 7 >> 3
+            reads = _READS[k] = n, (1 << 8 * n) // k * k
+        n, limit = reads
         while True:
             pos = self._pos
             end = pos + n
@@ -481,6 +487,15 @@ def _int_matrix(rows) -> ExactMatrix:
     return ExactMatrix(k, cols, num)
 
 
+def _plus(x: list[int], c: int, y: list[int]) -> list[int]:
+    """x + c y entrywise; a coefficient of +-1 adds or subtracts without multiplying."""
+    if c == 1:
+        return list(map(add, x, y))
+    if c == -1:
+        return list(map(sub, x, y))
+    return [a + c * b for a, b in zip(x, y)]
+
+
 def random_sp(m: int, seed=0) -> ExactMatrix:
     """Product of exact symplectic generators: diag(A, A^{-T}) and shear blocks.
 
@@ -502,17 +517,17 @@ def random_sp(m: int, seed=0) -> ExactMatrix:
         kind = rng.randrange(3)
         if kind == 0:
             for i, j, c in reversed(_row_ops(m, rng)):
-                left[i] = [x + c * y for x, y in zip(left[i], left[j])]
-                right[j] = [x - c * y for x, y in zip(right[j], right[i])]
+                left[i] = _plus(left[i], c, left[j])
+                right[j] = _plus(right[j], -c, right[i])
         else:
             src, dst = (left, right) if kind == 1 else (right, left)
             for i in range(m):
                 for j in range(i, m):
                     c = rng.randint(-2, 2)      # S[i][j] = S[j][i]
                     if c:
-                        dst[j] = [x + c * y for x, y in zip(dst[j], src[i])]
+                        dst[j] = _plus(dst[j], c, src[i])
                         if i != j:
-                            dst[i] = [x + c * y for x, y in zip(dst[i], src[j])]
+                            dst[i] = _plus(dst[i], c, src[j])
     return _marked(_Sp, _int_matrix(list(zip(*left, *right))))
 
 

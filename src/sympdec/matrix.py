@@ -4,14 +4,21 @@ Storage is a flat tuple of integer numerators (four components per entry,
 row-major) over a single positive denominator shared by the whole matrix,
 with the joint content reduced to 1.  That form is canonical, so equality
 is structural, and it feeds the multiplication kernel integer-only work.
-kron scales each block by its left entry: a rational integer times each
-numerator, any other scalar through the kernel as a 1 x 1 by 1 x pq product.
+The block constructions copy rows and runs, not single entries.  kron
+splits B into its rows once and writes each output row as row k of the
+blocks A[i, j] B in turn.  The block of a rational integer is scaled once
+per call and its rows reused wherever that entry recurs: 0 is one shared
+zero row and 1 is B's own rows.  Any other scalar goes through the kernel
+as a 1 x 1 by 1 x pq product.  place_blocks copies each run of consecutive
+column indices with one slice per row, and gather picks each row's
+components with one operator.itemgetter.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd
+from operator import itemgetter
 
 from sympdec import kernels
 from sympdec.errors import ShapeMismatchError
@@ -57,12 +64,12 @@ class ExactMatrix:
         if (any(not 0 <= r < self.rows for r in row_indices)
                 or any(not 0 <= c < self.cols for c in col_indices)):
             raise ShapeMismatchError(f"gather index outside {self.rows}x{self.cols}")
-        w = 4 * self.cols
-        pick = [4 * c + t for c in col_indices for t in range(4)]
         num = []
-        for r in row_indices:
-            row = self.num[r * w:(r + 1) * w]
-            num.extend([row[q] for q in pick])
+        if col_indices:
+            w = 4 * self.cols
+            pick = itemgetter(*[4 * c + t for c in col_indices for t in range(4)])
+            for r in row_indices:
+                num += pick(self.num[r * w:(r + 1) * w])
         return ExactMatrix(len(row_indices), len(col_indices), num, self.den)
 
     # -- arithmetic --------------------------------------------------------
@@ -85,18 +92,31 @@ class ExactMatrix:
         """Kronecker product, left factor major: (A kron B)[ip+k, jq+l] = A[i,j]*B[k,l]."""
         r, c, p, q = self.rows, self.cols, other.rows, other.cols
         w = 4 * q
-        zero = [0] * (p * w)
+
+        def rows(flat: list[int]) -> list[list[int]]:
+            return [flat[k * w:(k + 1) * w] for k in range(p)]
+
+        # the block of each rational integer met so far, as its list of rows:
+        # 0 is one shared zero row, 1 is B's rows
+        scaled = {0: [[0] * w] * p, 1: rows(other.num)}
         num = []
         for i in range(r):
-            # block (i, j) is A[i, j] * B, scaled whole; output row (i, k) is
-            # row k of each block in turn
+            # block (i, j) is A[i, j] * B; output row (i, k) is row k of each
+            # block in turn
             blocks = []
             for s in range(4 * i * c, 4 * (i + 1) * c, 4):
                 a = self.num[s:s + 4]
-                blocks.append(_times(a, other.num) if any(a) else zero)
+                a0, a1, a2, a3 = a
+                if a1 or a2 or a3:
+                    blocks.append(rows(kernels.matmul_num(a, other.num, 1, 1, p * q)))
+                    continue
+                block = scaled.get(a0)
+                if block is None:
+                    block = scaled[a0] = rows([a0 * x for x in other.num])
+                blocks.append(block)
             for k in range(p):
                 for b in blocks:
-                    num.extend(b[k * w:(k + 1) * w])
+                    num += b[k]
         return ExactMatrix(r * p, c * q, num, self.den * other.den)
 
     # -- comparison ----------------------------------------------------------
@@ -149,14 +169,6 @@ def _reduce_content(num: list[int], den: int) -> tuple[list[int], int]:
     return num, den
 
 
-def _times(a, num: list[int]) -> list[int]:
-    """Flat numerators of the scalar with components a times each entry of num."""
-    a0, a1, a2, a3 = a
-    if not (a1 or a2 or a3):
-        return [a0 * x for x in num]
-    return kernels.matmul_num(a, num, 1, 1, len(num) // 4)
-
-
 def place_blocks(rows: int, cols: int, placements) -> ExactMatrix:
     """A rows x cols matrix, zero except where blocks are placed.
 
@@ -178,13 +190,18 @@ def place_blocks(rows: int, cols: int, placements) -> ExactMatrix:
             raise ShapeMismatchError(f"block index outside {rows}x{cols}")
         f = den // b.den
         src = b.num if f == 1 else [x * f for x in b.num]
-        s = 0
-        for r in row_idx:
-            base = r * cols * 4
-            for c in col_idx:
-                o = base + c * 4
-                num[o:o + 4] = src[s:s + 4]
-                s += 4
+        # each run of consecutive column indices is copied as one slice per row
+        runs, j = [], 0
+        for e in range(1, b.cols + 1):
+            if e == b.cols or col_idx[e] != col_idx[e - 1] + 1:
+                c = 4 * col_idx[j]
+                runs.append((4 * j, 4 * e, c, c + 4 * (e - j)))
+                j = e
+        w, bw = 4 * cols, 4 * b.cols
+        for i, r in enumerate(row_idx):
+            s, o = i * bw, r * w
+            for lo, hi, c_lo, c_hi in runs:
+                num[o + c_lo:o + c_hi] = src[s + lo:s + hi]
     return ExactMatrix(rows, cols, num, den)
 
 

@@ -91,14 +91,22 @@ MUTANTS = [
            "    return True\n",
            ("tests/test_groups.py::test_is_symplectic_agrees_with_sympy_property",
             "tests/test_groups.py::test_gram_and_block_routes_form_a_biconditional",
-            "tests/test_groups.py::test_row_swap_gram_route_matches_the_dense_gram_product")),
+            "tests/test_groups.py::test_gram_route_matches_the_dense_gram_product")),
     Mutant("Gram target check skips the zero count",
            "src/sympdec/groups.py",
            "            and p.count(0) == len(p) - n)\n",
            "            )\n",
            ("tests/test_groups.py::test_is_symplectic_agrees_with_sympy_property",
             "tests/test_groups.py::test_gram_and_block_routes_form_a_biconditional",
-            "tests/test_groups.py::test_row_swap_gram_route_matches_the_dense_gram_product")),
+            "tests/test_groups.py::test_gram_route_matches_the_dense_gram_product",
+            "tests/test_groups.py::test_gram_route_refuses_a_matrix_that_breaks_one_antisymmetric_pair")),
+    Mutant("Gram route reads Q - Q^T",
+           "src/sympdec/groups.py",
+           "p = list(map(sub, transposed_num(q, n, n), q))",
+           "p = list(map(sub, q, transposed_num(q, n, n)))",
+           ("tests/test_groups.py::test_is_symplectic_agrees_with_sympy_property",
+            "tests/test_groups.py::test_gram_and_block_routes_form_a_biconditional",
+            "tests/test_groups.py::test_gram_route_matches_the_dense_gram_product")),
     Mutant("block route accepts every input",
            "src/sympdec/groups.py",
            "    p11, p12, p21, p22 = _quadrants(p, k)\n",
@@ -170,6 +178,19 @@ MUTANTS = [
            ("tests/test_matrix.py::test_content_is_reduced_against_the_denominator",
             "tests/test_cyclotomic.py::test_canonical_form_makes_equality_structural",
             "tests/test_cyclotomic.py::test_field_laws_randomized")),
+    Mutant("kron's -1 block reuses B's rows unnegated",
+           "src/sympdec/matrix.py",
+           "scaled = {0: [[0] * w] * p, 1: rows(other.num)}",
+           "scaled = {0: [[0] * w] * p, 1: rows(other.num), -1: rows(other.num)}",
+           ("tests/test_matrix.py::test_kron_matches_the_entrywise_reference_property",
+            "tests/test_matrix.py::test_kron_and_transpose_match_entrywise_references",
+            "tests/test_groups.py::test_tensor_sp_o_center_to_center")),
+    Mutant("place_blocks runs past a gap in the column indices",
+           "src/sympdec/matrix.py",
+           "if e == b.cols or col_idx[e] != col_idx[e - 1] + 1:",
+           "if e == b.cols or col_idx[e] < col_idx[e - 1]:",
+           ("tests/test_matrix.py::test_place_blocks_copies_runs_of_any_index_list",
+            "tests/test_matrix.py::test_place_blocks_scatters_and_rejects_bad_indices")),
     Mutant("place_blocks does not bring blocks over the common denominator",
            "src/sympdec/matrix.py",
            "src = b.num if f == 1 else [x * f for x in b.num]",
@@ -402,8 +423,8 @@ MUTANTS = [
             "tests/test_cli_golden.py::test_cli_matches_golden")),
     Mutant("random_sp adds to the A^{-T} column where it should subtract",
            "src/sympdec/groups.py",
-           "right[j] = [x - c * y for x, y in zip(right[j], right[i])]",
-           "right[j] = [x + c * y for x, y in zip(right[j], right[i])]",
+           "right[j] = _plus(right[j], -c, right[i])",
+           "right[j] = _plus(right[j], c, right[i])",
            ("tests/test_groups.py::test_random_sp_is_the_product_of_its_generators",
             "tests/test_groups.py::test_random_sp_and_gl_draws_are_pinned",
             "tests/test_groups.py::test_random_sp_passes_both_routes_property")),

@@ -71,6 +71,12 @@ def dense_gram(k: int) -> ExactMatrix:
                        for c in range(2 * k)] for r in range(2 * k)], 2 * k)
 
 
+def dense_gram_product(m: ExactMatrix) -> ExactMatrix:
+    """M^T J M for M of even size, as the dense product (J^T M)^T M with J built entry by
+    entry and each transpose read entry by entry."""
+    return transpose(transpose(dense_gram(m.rows // 2)) @ m) @ m
+
+
 def with_perturbed_entry(m: ExactMatrix, delta: int = 1) -> ExactMatrix:
     """Copy of m with delta added to the top-left entry: a non-member of m's group."""
     num = list(m.num)

@@ -22,6 +22,7 @@ SMALLEST = {
     "bench_cli.py": ["--per-kind", "2", "--reps", "1"],
     "bench_random.py": ["--seeds", "1", "--reps", "1"],
     "bench_matmul.py": ["--sizes", "8", "--reps", "1"],
+    "bench_constructions.py": ["--seeds", "1", "--number", "1", "--reps", "1"],
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,12 +30,12 @@ from sympdec.groups import (
     verify_mixed_product,
     verify_sj_conjugation,
 )
-from sympdec.matrix import ExactMatrix, block_diag
+from sympdec.matrix import ExactMatrix, block_diag, transposed_num
 
 from conftest import Q_ZETA8, over_q_zeta8
-from oracles import (I, change_of_basis_p, dense_gram, entry, from_rows, perm_matrix, perm_pj,
-                     perm_pmn, random_symmetric, random_unimodular, scale, shake_draws, transpose,
-                     with_perturbed_entry)
+from oracles import (I, change_of_basis_p, dense_gram, dense_gram_product, entry, from_rows,
+                     perm_matrix, perm_pj, perm_pmn, random_symmetric, random_unimodular, scale,
+                     shake_draws, transpose, with_perturbed_entry)
 
 
 # -- membership predicates ---------------------------------------------------
@@ -435,7 +436,24 @@ def anti_symplectic(a):
     return a @ dense_block_diag(ExactMatrix.identity(k), -ExactMatrix.identity(k))
 
 
-def test_row_swap_gram_route_matches_the_dense_gram_product():
+def _gram_route_product(m, monkeypatch):
+    """The one product the Gram route makes on m, Q = Y^T X, as flat numerators."""
+    products = []
+    real = groups.kernels.matmul_num
+
+    def logging(*args):
+        products.append(real(*args))
+        return products[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groups.kernels, "matmul_num", logging)
+        is_symplectic_gram(m)
+    [q] = products
+    return q
+
+
+def test_gram_route_matches_the_dense_gram_product(monkeypatch):
+    """Q^T - Q, read off the Gram route's one product, is d^2 M^T J M, the dense (J^T M)^T M."""
     for k in range(1, 5):
         j = dense_gram(k)
         for seed in range(4):
@@ -444,11 +462,34 @@ def test_row_swap_gram_route_matches_the_dense_gram_product():
                      anti_symplectic(member), off_target(member), scale(member, I), -member,
                      ExactMatrix(2 * k, 2 * k, [x for x in member.num], 3)]
             for m in cases:
-                assert is_symplectic_gram(m) == (transpose(m) @ j @ m == j)
+                n, q = m.rows, _gram_route_product(m, monkeypatch)
+                gram = dense_gram_product(m)
+                read = list(map(sub, transposed_num(q, n, n), q))
+                assert ExactMatrix(n, n, read, m.den * m.den) == gram
+                assert is_symplectic_gram(m) == (gram == j)
                 assert is_symplectic_gram(m) == is_symplectic_blocks(m)
             assert is_symplectic_gram(member) and is_symplectic_gram(-member)
             assert not is_symplectic_gram(anti_symplectic(member))
     assert is_symplectic_gram(ExactMatrix(0, 0, []))
+
+
+def test_gram_route_refuses_a_matrix_that_breaks_one_antisymmetric_pair():
+    """M = I - s J e_a e_b^T has M^T J M = J + s (E_ab - E_ba), which differs from J
+    at (a, b) and (b, a) only: Q^T - Q is antisymmetric, so this is the least
+    a non-member can break.  (a, b) = (r, k + r) changes an entry of J itself."""
+    for k in (1, 2, 3):
+        n, j = 2 * k, dense_gram(k)
+        for a in range(n):
+            for b in range(a + 1, n):
+                for s in (1, -2, 3):
+                    # column b of J e_a e_b^T is column a of J, the rest zero
+                    m = from_rows([[int(t == c) - (s * entry(j, t, a)[0] if c == b else 0)
+                                    for c in range(n)] for t in range(n)])
+                    gram = dense_gram_product(m)
+                    broken = {(r, c) for r in range(n) for c in range(n)
+                              if entry(gram, r, c) != entry(j, r, c)}
+                    assert broken == {(a, b), (b, a)}
+                    assert not is_symplectic_gram(m) and not is_symplectic_blocks(m)
 
 
 def test_block_route_refuses_each_broken_condition_alone():
@@ -470,6 +511,8 @@ def test_block_route_refuses_each_broken_condition_alone():
 
 
 def test_each_route_makes_one_product_of_its_own(monkeypatch):
+    """Each route makes one (2k, k, 2k) product: the block route X^T Y and the Gram
+    route Y^T X, from different left operands, so neither reads the other's."""
     calls = []
     real = groups.kernels.matmul_num
 
@@ -481,13 +524,17 @@ def test_each_route_makes_one_product_of_its_own(monkeypatch):
     for k in range(1, 5):
         member = random_sp(k, seed=f"one-product:{k}")
         for m in (member, with_perturbed_entry(member)):
+            half = len(m.num) // 2
             calls.clear()
             blocks = is_symplectic_blocks(m)
             assert [shape for _, shape in calls] == [(2 * k, k, 2 * k)]
             block_left = calls.pop()[0]
             assert is_symplectic_gram(m) == blocks
-            assert [shape for _, shape in calls] == [(2 * k, 2 * k, 2 * k)]
-            assert block_left != calls[0][0]
+            assert [shape for _, shape in calls] == [(2 * k, k, 2 * k)]
+            gram_left = calls[0][0]
+            assert block_left == transposed_num(m.num[:half], k, 2 * k)        # X^T
+            assert gram_left == transposed_num(m.num[half:], k, 2 * k)         # Y^T
+            assert block_left != gram_left
 
 
 def test_quadrant_reader_matches_gather():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import I as I_, QQ, exp, pi, sqrt
 
 from sympdec.errors import ShapeMismatchError
@@ -90,6 +91,20 @@ def test_place_blocks_scatters_and_rejects_bad_indices():
             place_blocks(4, 3, [(b, rows, cols)])
 
 
+def test_place_blocks_copies_runs_of_any_index_list():
+    """Column lists with gaps, descending runs and runs of one: each run is one slice per row."""
+    rng = random.Random(9)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+        r_idx = rng.sample(range(rows), rng.randint(0, rows))
+        c_idx = rng.sample(range(cols), rng.randint(0, cols))
+        if rng.randrange(2):
+            c_idx.sort(reverse=rng.randrange(2))
+        b = rand_block(len(r_idx), len(c_idx), rng)
+        cells = {(r, c): entry(b, i, j) for i, r in enumerate(r_idx) for j, c in enumerate(c_idx)}
+        assert place_blocks(rows, cols, [(b, r_idx, c_idx)]) == entrywise(rows, cols, cells)
+
+
 def test_entries_with_cyclotomic_values():
     m = from_rows([[I, 0], [SQRT2, Fraction(1, 2)]])
     assert (m.num, m.den) == ([0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, -2, 1, 0, 0, 0], 2)
@@ -147,6 +162,13 @@ def test_gather_rejects_bad_indices():
     assert m.gather([], [0, 1]) == ExactMatrix(0, 2, [])
 
 
+def test_gather_with_an_empty_index_list_is_the_empty_matrix():
+    m = rand_block(3, 4, random.Random(14))
+    for rows, cols in (([], []), ([], [3, 0]), ([2, 2, 0], []), (range(0), range(4))):
+        assert m.gather(rows, cols) == ExactMatrix(len(rows), len(cols), [])
+    assert ExactMatrix(0, 0, []).gather([], []) == ExactMatrix(0, 0, [])
+
+
 def test_gather_reduces_content_and_transpose_and_negation_keep_it():
     # a sub-block can have a smaller content than the whole matrix: 2/2 comes out over 1
     g = ExactMatrix(1, 2, [2, 0, 0, 0, 1, 0, 0, 0], 2).gather([0], [0])
@@ -187,6 +209,36 @@ def test_kron_and_transpose_match_entrywise_references():
     z = from_rows([[0, 1], [I, 0]])
     assert z.kron(ExactMatrix.identity(2)) == entrywise(
         4, 4, {(0, 2): 1, (1, 3): 1, (2, 0): I, (3, 1): I})
+
+
+# a left-factor entry by the cases kron treats apart: 0, +-1 and +-2 (rational
+# integers, 0 and 1 shared, every integer scaled once), a Gaussian integer and a
+# dense element of Q(z) (both through the kernel)
+_KRON_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2]).map(lambda a: (a, 0, 0, 0)),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda c: (c[0], 0, c[1], 0)),
+    st.tuples(*[st.integers(-4, 4)] * 4))
+
+
+@st.composite
+def _kron_factors(draw):
+    def matrix(rows, cols, entries):
+        num = [x for _ in range(rows * cols) for x in draw(entries)]
+        return ExactMatrix(rows, cols, num, draw(st.integers(1, 6)))
+
+    r, c = draw(st.sampled_from([(0, 2), (2, 0), (0, 0), (1, 1), (1, 3), (2, 2), (3, 2)]))
+    p, q = draw(st.sampled_from([(0, 3), (3, 0), (1, 1), (2, 3), (3, 3), (1, 4)]))
+    return matrix(r, c, _KRON_ENTRIES), matrix(p, q, st.tuples(*[st.integers(-5, 5)] * 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kron_factors())
+def test_kron_matches_the_entrywise_reference_property(factors):
+    a, b = factors
+    cells = {(i * b.rows + k, j * b.cols + l): product(entry(a, i, j), entry(b, k, l))
+             for i in range(a.rows) for j in range(a.cols)
+             for k in range(b.rows) for l in range(b.cols)}
+    assert a.kron(b) == entrywise(a.rows * b.rows, a.cols * b.cols, cells)
 
 
 def test_is_identity_compares_without_building_it():
