@@ -19,12 +19,18 @@ or imaginary entry times a real or imaginary one costs 1, against the 16 of
 the schoolbook rule over Z[z].  Such a factor a lists only z^0 b and z^2 b,
 and an integer a (a signed permutation, a block-diagonal matrix) only b.
 A dense entry of Q(z) still costs 16 multiplications, one loop step each.
+The zero components are skipped by itertools.compress, without a Python-level
+test per component.
 """
+
+from itertools import compress
 
 
 def matmul_num(a, b, n, k, m):
     """(n x k) times (k x m) over Z[z]; returns a flat list of length n*m*4."""
     m4, k4 = m * 4, k * 4
+    # compress over these ranges gives the offsets of a row's nonzero components
+    row_b, row_a = range(m4), range(k4)
     powers = [j for j in (1, 2, 3) if any(a[j::4])]
     # shifted[4t + j]: the (offset, value) pairs of z^j times row t of b, or ()
     # for a power j no entry of a uses
@@ -34,19 +40,21 @@ def matmul_num(a, b, n, k, m):
         lists = [z0, (), (), ()]
         for j in powers:
             lists[j] = []
-        for o, v in enumerate(b[t * m4:(t + 1) * m4]):
-            if v:
-                z0.append((o, v))
-                for j in powers:
-                    lists[j].append((o + j, v) if o & 3 < 4 - j else (o + j - 4, -v))
+        row = b[t * m4:(t + 1) * m4]
+        for o in compress(row_b, row):
+            v = row[o]
+            z0.append((o, v))
+            for j in powers:
+                lists[j].append((o + j, v) if o & 3 < 4 - j else (o + j - 4, -v))
         shifted += lists
     c = []
     for i in range(n):
-        row = [0] * m4
+        out = [0] * m4
+        row = a[i * k4:(i + 1) * k4]
         # component j of entry t of the row meets z^j times row t of b
-        for x, pairs in zip(a[i * k4:(i + 1) * k4], shifted):
-            if x:
-                for o, v in pairs:
-                    row[o] += x * v
-        c += row
+        for s in compress(row_a, row):
+            x = row[s]
+            for o, v in shifted[s]:
+                out[o] += x * v
+        c += out
     return c

@@ -1,9 +1,13 @@
 """Dense exact matrices over Q(z), the degree-8 cyclotomic field.
 
-Storage is a flat tuple of integer numerators (four components per entry,
+Storage is a flat list of integer numerators (four components per entry,
 row-major) over a single positive denominator shared by the whole matrix,
 with the joint content reduced to 1.  That form is canonical, so equality
 is structural, and it feeds the multiplication kernel integer-only work.
+A matrix owns its numerators: the constructor keeps a list it is handed, so
+the caller must not change that list afterwards, and copies any other
+iterable.  Every construction in the package hands over a list it has just
+built, and none changes the numerators of a matrix it reads.
 The block constructions copy rows and runs, not single entries.  kron
 splits B into its rows once and writes each output row as row k of the
 blocks A[i, j] B in turn.  The block of a rational integer is scaled once
@@ -28,16 +32,27 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: int, cols: int, num, den: int = 1):
+        """The rows x cols matrix num / den, brought to canonical form.
+
+        A list num becomes the matrix's own storage, not a copy: the caller
+        hands it over and must not change it afterwards.  Any other iterable
+        is copied.
+        """
         if rows < 0 or cols < 0:
             raise ShapeMismatchError("negative dimensions")
-        num = list(num)
+        if type(num) is not list:
+            num = list(num)
         if len(num) != rows * cols * 4:
             raise ShapeMismatchError(
                 f"expected {rows * cols * 4} numerator components, got {len(num)}"
             )
         self.rows = rows
         self.cols = cols
-        self.num, self.den = _reduce_content(num, den)
+        # the content over 1 is 1 already
+        if den == 1:
+            self.num, self.den = num, den
+        else:
+            self.num, self.den = _reduce_content(num, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -156,8 +171,8 @@ def _reduce_content(num: list[int], den: int) -> tuple[list[int], int]:
     if den < 0:
         den = -den
         num = [-x for x in num]
-    # starting at den, the common gcd stops at once for integer matrices; an
-    # all-zero matrix ends with g = den and so comes out over 1
+    # starting at den, the common gcd stops once it reaches 1; an all-zero
+    # matrix ends with g = den and so comes out over 1
     g = den
     for x in num:
         if g == 1:

@@ -65,6 +65,20 @@ MUTANTS = [
             "tests/test_matrix.py::test_kron_and_transpose_match_entrywise_references",
             "tests/test_matrix.py::test_scale_and_negate",
             "tests/test_cyclotomic.py::test_i_squared_is_minus_one")),
+    Mutant("kernel's zero-skip over b's rows stops one component short",
+           "src/sympdec/_kernels_py.py",
+           "row_b, row_a = range(m4), range(k4)",
+           "row_b, row_a = range(m4 - 1), range(k4)",
+           ("tests/test_kernels.py::test_python_kernel_on_empty_shapes_zero_lines_and_single_nonzeros",
+            "tests/test_kernels.py::test_backend_matches_scalar_reference",
+            "tests/test_kernels.py::test_python_kernel_matches_scalar_reference_property")),
+    Mutant("kernel's zero-skip over a's rows stops one component short",
+           "src/sympdec/_kernels_py.py",
+           "row_b, row_a = range(m4), range(k4)",
+           "row_b, row_a = range(m4), range(k4 - 1)",
+           ("tests/test_kernels.py::test_python_kernel_on_empty_shapes_zero_lines_and_single_nonzeros",
+            "tests/test_kernels.py::test_backend_matches_scalar_reference",
+            "tests/test_kernels.py::test_python_kernel_matches_scalar_reference_property")),
     Mutant("slot swap of P_j misses the last column of each slot",
            "src/sympdec/groups.py",
            "    for t in range(n):\n        cols[lo + t]",
@@ -185,6 +199,13 @@ MUTANTS = [
            ("tests/test_matrix.py::test_kron_matches_the_entrywise_reference_property",
             "tests/test_matrix.py::test_kron_and_transpose_match_entrywise_references",
             "tests/test_groups.py::test_tensor_sp_o_center_to_center")),
+    Mutant("constructor skips the content reduction for every den >= 1",
+           "src/sympdec/matrix.py",
+           "        if den == 1:\n            self.num, self.den = num, den\n",
+           "        if den >= 1:\n            self.num, self.den = num, den\n",
+           ("tests/test_matrix.py::test_content_is_reduced_against_the_denominator",
+            "tests/test_matrix.py::test_common_denominator_is_canonical",
+            "tests/test_matrix.py::test_a_matrix_from_a_tuple_a_generator_or_a_list_is_the_same")),
     Mutant("place_blocks runs past a gap in the column indices",
            "src/sympdec/matrix.py",
            "if e == b.cols or col_idx[e] != col_idx[e - 1] + 1:",

@@ -30,7 +30,7 @@ from sympdec.groups import (
     verify_mixed_product,
     verify_sj_conjugation,
 )
-from sympdec.matrix import ExactMatrix, block_diag, transposed_num
+from sympdec.matrix import ExactMatrix, block_diag, place_blocks, transposed_num
 
 from conftest import Q_ZETA8, over_q_zeta8
 from oracles import (I, change_of_basis_p, dense_gram, dense_gram_product, entry, from_rows,
@@ -846,3 +846,37 @@ def test_random_so_lies_in_so_property(n, seed):
 def test_random_sp_passes_both_routes_property(m, seed):
     a = random_sp(m, seed)
     assert is_symplectic_gram(a) and is_symplectic_blocks(a)
+
+
+def _constructions(a, b, o, g):
+    """(inputs, call) for each construction of the package, on Sp draws a and b, an
+    SO draw o and a GL draw g; the identity-like ones (a 1 x 1 identity factor, one
+    block filling the whole matrix, a 1-fold sum) are where storage could be shared."""
+    one, ident = ExactMatrix.identity(1), ExactMatrix.identity(o.cols)
+    whole = [range(o.rows), range(o.cols)]
+    return [
+        ((g, g), lambda: g @ g), ((o, ident), lambda: o @ ident),
+        ((a, o), lambda: a.kron(o)), ((o, a), lambda: o.kron(a)),
+        ((one, a), lambda: one.kron(a)), ((a, one), lambda: a.kron(one)),
+        ((a,), lambda: -a), ((o,), lambda: -o),
+        ((o,), lambda: o.gather(*whole)),
+        ((o,), lambda: place_blocks(o.rows, o.cols, [(o, *whole)])),
+        ((o,), lambda: block_diag(o)), ((a, g), lambda: block_diag(a, g)),
+        ((a, b), lambda: direct_sum_sp(a, b)), ((a,), lambda: r_fold_sum_sp(a, 1)),
+        ((a,), lambda: stabilization_sj(a, 1, 1)), ((o,), lambda: doubling(o)),
+        ((a, o), lambda: tensor_sp_o(a, o)), ((a, b), lambda: tensor_sp_sp(a, b)),
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_constructions_neither_share_nor_change_their_inputs_numerators_property(seed):
+    """A matrix owns the numerator list it is built with, so no construction may hand
+    back an input's list, or change one."""
+    a, b = random_sp(2, seed), random_sp(1, seed + 1)
+    o, g = random_so(3, seed), random_gl(3, seed)
+    for inputs, call in _constructions(a, b, o, g):
+        before = [(list(x.num), x.den) for x in inputs]
+        out = call()
+        assert all(out.num is not x.num for x in inputs)
+        assert [(x.num, x.den) for x in inputs] == before

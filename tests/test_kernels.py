@@ -161,6 +161,47 @@ def test_gaussian_inputs_match_the_compiled_kernel_property(compiled_speedups, c
     assert _kernels_py.matmul_num(a, b, n, k, m) == compiled_speedups.matmul_num(a, b, n, k, m)
 
 
+def _kernel_matches_reference(n, k, m, a, b):
+    got = _kernels_py.matmul_num(a, b, n, k, m)
+    assert len(got) == 4 * n * m
+    assert over_q_zeta8(ExactMatrix(n, m, got)) == scalar_reference(ExactMatrix(n, k, a),
+                                                                    ExactMatrix(k, m, b))
+
+
+def test_python_kernel_on_empty_shapes_zero_lines_and_single_nonzeros():
+    """The kernel finds a row's nonzero components without testing each one; it must
+    still see every one: shapes with a zero dimension, all-zero rows and columns,
+    and rows whose one nonzero component sits at each offset, the last included."""
+    rng = random.Random(41)
+    for n, k, m in ((0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 2), (2, 0, 0)):
+        _kernel_matches_reference(n, k, m, random_flat(n, k, 9, rng), random_flat(k, m, 9, rng))
+    for n, k, m in ((3, 3, 3), (2, 4, 3), (1, 1, 1)):
+        a, b = random_flat(n, k, 9, rng), random_flat(k, m, 9, rng)
+        a[4 * k * (n - 1):] = [0] * (4 * k)             # a's last row
+        b[:4 * m] = [0] * (4 * m)                       # b's first row
+        for i in range(n):                              # a's first column
+            a[4 * k * i:4 * k * i + 4] = [0] * 4
+        for t in range(k):                              # b's last column
+            b[4 * (m * t + m - 1):4 * m * (t + 1)] = [0] * 4
+        _kernel_matches_reference(n, k, m, a, b)
+        _kernel_matches_reference(n, k, m, [0] * (4 * n * k), b)
+        _kernel_matches_reference(n, k, m, a, [0] * (4 * k * m))
+    # one nonzero component in a's row, at every offset, against a dense b; and in
+    # each row of b, at every offset, against a dense a
+    for k, m in ((1, 1), (3, 2), (2, 3)):
+        b = random_flat(k, m, 9, rng)
+        for p in range(4 * k):
+            a = [0] * (4 * k)
+            a[p] = rng.choice((-3, 2, 1 << 70))
+            _kernel_matches_reference(1, k, m, a, b)
+        a = random_flat(2, k, 9, rng)
+        for p in range(4 * m):
+            b = [0] * (4 * k * m)
+            for t in range(k):
+                b[4 * m * t + p] = rng.choice((-3, 2, 1 << 70))
+            _kernel_matches_reference(2, k, m, a, b)
+
+
 def test_odd_components_in_one_factor_match_the_scalar_reference():
     """Z[i] factors leave z b and z^3 b unlisted; an odd component in either factor,
     or a factor of pure z or z^3 entries, must still give the full product."""

@@ -120,6 +120,20 @@ def test_entries_with_cyclotomic_values():
     assert over_q_zeta8(from_rows([[HALF_SQRT2]]))[0, 0].element == Q_ZETA8.from_sympy(1 / sqrt(2))
 
 
+def test_a_matrix_from_a_tuple_a_generator_or_a_list_is_the_same():
+    """The constructor keeps a list it is handed as the matrix's storage and copies
+    any other iterable; the three give equal matrices, reduced alike."""
+    num = [3, 0, -6, 0, 9, 0, 0, 3]
+    for den, reduced in ((1, (num, 1)), (6, ([1, 0, -2, 0, 3, 0, 0, 1], 2)),
+                         (-3, ([-1, 0, 2, 0, -3, 0, 0, -1], 1))):
+        made = [ExactMatrix(1, 2, tuple(num), den), ExactMatrix(1, 2, iter(num), den),
+                ExactMatrix(1, 2, (x for x in num), den), ExactMatrix(1, 2, list(num), den)]
+        assert all(type(m.num) is list and (m.num, m.den) == reduced for m in made)
+        assert all(m == made[0] for m in made)
+    handed = list(num)
+    assert ExactMatrix(1, 2, handed).num is handed
+
+
 def test_common_denominator_is_canonical():
     a = ExactMatrix(1, 2, [1, 0, 0, 0, 2, 0, 0, 0], 2)
     b = ExactMatrix(1, 2, [2, 0, 0, 0, 4, 0, 0, 0], 4)
@@ -212,11 +226,14 @@ def test_kron_and_transpose_match_entrywise_references():
 
 
 # a left-factor entry by the cases kron treats apart: 0, +-1 and +-2 (rational
-# integers, 0 and 1 shared, every integer scaled once), a Gaussian integer and a
-# dense element of Q(z) (both through the kernel)
+# integers, 0 and 1 shared, every integer scaled once), a Gaussian integer, a
+# multiple of z, z^2 or z^3 alone and a dense element of Q(z) (all three through
+# the kernel)
 _KRON_ENTRIES = st.one_of(
     st.sampled_from([0, 1, -1, 2, -2]).map(lambda a: (a, 0, 0, 0)),
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda c: (c[0], 0, c[1], 0)),
+    st.tuples(st.sampled_from([1, 2, 3]), st.integers(-4, 4)).map(
+        lambda jc: tuple(jc[1] if t == jc[0] else 0 for t in range(4))),
     st.tuples(*[st.integers(-4, 4)] * 4))
 
 
