@@ -9,8 +9,8 @@ decide-large workload of bench_e2e.  The run is the certificate's list of
 representative degrees (lifting._certificate_degrees), with the Bezout
 witness of (m, n).  Printed, in microseconds of thread time per map
 except where noted, best of --reps passes over the run:
-- hom: one induced.hom("J", i, ...) per degree, which binds the params
-  each time, as a single `induced` query does;
+- one: a one-degree induced.homs("J", [i], ...) run per degree, which
+  binds the params each time, as a single `induced` query does;
 - homs: one induced.homs("J", degrees, ...) run, which binds them once and
   builds one checked AbHom per distinct key (the part groups and the rule's
   rows) of the run, as the certificate does;
@@ -25,16 +25,16 @@ except where noted, best of --reps passes over the run:
   certificate (binding, builds, memo and verdicts), per call, not per map;
 - lookup: per build-path table lookup (induced._groups), one for each part
   of J at each degree of the run; the lookups column counts them.
-Before timing, it checks that both paths give the same maps.  Nothing here
-multiplies an ExactMatrix, so the timings do not depend on the kernel
-backend.
+Before timing, it checks that the run gives the maps the one-degree runs
+give.  Nothing here multiplies an ExactMatrix, so the timings do not depend
+on the kernel backend.
 """
 
 import argparse
 import time
 
 from sympdec import induced
-from sympdec.induced import (FORMULAS, ZDependent, _bind, _groups, _presentation_matrix, hom, homs,
+from sympdec.induced import (FORMULAS, ZDependent, _bind, _groups, _presentation_matrix, homs,
                              is_isomorphism)
 from sympdec.intmatrix import smith_normal_form
 from sympdec.lifting import _certificate_degrees, _certify_pairing, bezout_uv
@@ -82,7 +82,7 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=60)
     args = ap.parse_args()
 
-    print(f"{'m':>6}{'n':>7}{'maps':>6}{'hom':>9}{'homs':>9}{'built':>7}{'distinct':>10}{'iso':>9}"
+    print(f"{'m':>6}{'n':>7}{'maps':>6}{'one':>9}{'homs':>9}{'built':>7}{'distinct':>10}{'iso':>9}"
           f"{'snf':>9}{'lookups':>9}{'lookup':>9}{'cert':>9}"
           f"   (us each, thread time, best of {args.reps})")
     for m in args.m:
@@ -91,14 +91,16 @@ def main() -> None:
         params = {"m": m, "n": n, "u": w.u, "v": w.v}
         degrees = _certificate_degrees(m, n)
         run = list(homs("J", degrees, **params))
-        if run != [(i, hom("J", i, **params)) for i in degrees]:
-            raise SystemExit(f"hom and homs build different maps for (m, n) = ({m}, {n})")
+        if run != [pair for i in degrees for pair in homs("J", [i], **params)]:
+            raise SystemExit(f"a run and its one-degree runs build different maps "
+                             f"for (m, n) = ({m}, {n})")
         distinct = list(dict.fromkeys(c for _, h in run for _, c in
                                       (h.candidates if isinstance(h, ZDependent) else [(0, h)])))
 
         def per_degree():
             for i in degrees:
-                hom("J", i, **params)
+                for _ in homs("J", [i], **params):
+                    pass
 
         def one_binding():
             for _ in homs("J", degrees, **params):

@@ -25,16 +25,16 @@ Sp(6), the sizes `sympdec verify` checks, and of Sp(16); and is_orthogonal
 on tensor_sp_sp outputs of size 4 x 4 to 24 x 24.
 
 The compiled kernel is the installed sympdec._speedups if it imports;
-otherwise the shipped _speedups.c is compiled with the system C compiler into
-a temporary directory (nothing is written under src/), and without a
-compiler only the pure-Python timings are shown.
+otherwise setup.py's build_ext compiles the shipped _speedups.c into a
+temporary directory, with the flags an install uses (nothing is written under
+src/), and where that build fails only the pure-Python timings are shown.
 """
 
 import argparse
 import importlib.util
 import random
-import shutil
 import subprocess
+import sys
 import sysconfig
 import tempfile
 import time
@@ -44,24 +44,25 @@ from sympdec import _kernels_py, kernels
 from sympdec.groups import (is_orthogonal, is_symplectic_blocks, is_symplectic_gram, random_sp,
                             tensor_sp_sp)
 
-SPEEDUPS_C = Path(__file__).resolve().parents[1] / "src" / "sympdec" / "_speedups.c"
+SETUP_PY = Path(__file__).resolve().parents[1] / "setup.py"
+SPEEDUPS_C = SETUP_PY.parent / "src" / "sympdec" / "_speedups.c"
 
 
 def _compiled_kernel(tmp: str):
-    """The compiled matmul_num: installed, or built from the shipped .c into tmp."""
+    """The compiled matmul_num: installed, or built from the shipped .c into tmp
+    by setup.py's build_ext, with the flags an install uses."""
     try:
         from sympdec import _speedups
         return _speedups.matmul_num
     except ImportError:
         pass
-    cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) or shutil.which("cc")
-    if cc is None or not SPEEDUPS_C.is_file():
+    if not (SETUP_PY.is_file() and SPEEDUPS_C.is_file()):
         return None
-    out = Path(tmp) / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
-    includes = {sysconfig.get_paths()[key] for key in ("include", "platinclude")}
-    build = subprocess.run([cc, "-O2", "-shared", "-fPIC", *(f"-I{d}" for d in sorted(includes)),
-                            str(SPEEDUPS_C), "-o", str(out)], capture_output=True)
-    if build.returncode != 0:
+    subprocess.run([sys.executable, SETUP_PY.name, "-q", "build_ext", "--build-lib", tmp,
+                    "--build-temp", tmp], cwd=SETUP_PY.parent, capture_output=True)
+    # setup.py turns a failed build into a warning, so a failure leaves no extension
+    out = Path(tmp) / "sympdec" / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not out.is_file():
         return None
     spec = importlib.util.spec_from_file_location("sympdec._speedups", out)
     module = importlib.util.module_from_spec(spec)

@@ -11,12 +11,12 @@ each part up in its table and applies the rule, which gives integer rows
 and an unformatted provenance; the checks listed after the window read
 only the binding, so they run once, at its first degree.  The AbHom is
 made straight from the part groups and the rows, in one checking pass
-(below).  homs(op, degrees, **params) runs the per-degree step over a run
-of degrees from one binding and makes one AbHom per distinct (part groups,
-rows) of the run; hom(op, i, **params) is its one-degree case, and
-describe(op, i, **params) adds the text the induced command prints:
-generator names, the rule's provenance and the window's bound, the only
-text a build formats.  Formulas refuse degrees outside their validity
+(below).  homs(op, degrees, **params), the one builder, runs the
+per-degree step over a run of degrees from one binding and makes one AbHom
+per distinct (part groups, rows) of the run; one degree is homs(op, [i],
+**params).  describe(op, i, **params) adds the text the induced command
+prints: generator names, the rule's provenance and the window's bound, the
+only text a build formats.  Formulas refuse degrees outside their validity
 windows instead of extrapolating; the windows are part of the mathematics.
 
 The entries ttilde and J take a Bezout witness (u, v) with
@@ -25,7 +25,7 @@ minimal one, which is their default, and their checks refuse a given
 (u, v) that is not a witness.
 
 Every AbHom is made by one checking pass over its integers, _checked:
-those hom() and homs() build, straight from the rule's rows with no
+those homs() builds, straight from the rule's rows with no
 IntMatrix checked on the way, and those the public constructor
 AbHom(source, target, IntMatrix) makes, including the results of compose
 and diagonal_hom.  The pass applies operator.index to each entry, reduces
@@ -295,7 +295,7 @@ class Formula(NamedTuple):
     parts, or a z-dependent degree, break the pattern.
     """
 
-    params: tuple[str, ...]                 # the names hom takes after i
+    params: tuple[str, ...]                 # the names homs takes after the degrees
     sources: tuple[tuple[str, str], ...]
     targets: tuple[tuple[str, str], ...]
     window: tuple[tuple[str, Callable], ...]
@@ -411,7 +411,7 @@ FORMULAS = {
         shift=1, z_degree=2, label=lambda i: "pi_2 B" if i == 2 else f"pi_{i - 1}",
         period_from=3),
 }
-# the params hom needs, per op: u, v default to the Bezout witness and z to both candidates
+# the params homs needs, per op: u, v default to the Bezout witness and z to both candidates
 REQUIRED = {op: tuple(q for q in f.params if q not in ("u", "v", "z"))
             for op, f in FORMULAS.items()}
 
@@ -505,38 +505,27 @@ def _hom(sources, targets, rows) -> AbHom:
                     map(_FACTORS, targets), rows)
 
 
-def _map(maps):
-    return ZDependent(*maps) if len(maps) == 2 else maps[0]
-
-
-def hom(op: str, i: int, **params):
-    """Build table entry op at degree i, e.g. hom("tensor-sp-o", 3, m=2, n=5).
+def homs(op: str, degrees, **params):
+    """Build table entry op at each i of degrees, in order, from one binding
+    of the entry to params, and yield (i, map); e.g. homs("tensor-sp-o", [3],
+    m=2, n=5) is the one degree 3.
 
     params are the entry's FORMULAS[op].params, passed by name; a name the
     entry does not take, or a missing required one (None counts as missing),
     raises TypeError.  u and v default to the minimal Bezout witness of
     (m, n), which replaces both when either is missing.  z pins the
     undetermined mod-2 coefficient of the entry's z-dependent degree; left
-    unset there, the result is a ZDependent holding both candidates, and
-    otherwise an AbHom.  This is homs for the one degree i, built without
-    a memo.
-    """
-    _, sources, targets, rules = _build(_bind(op, params), i)
-    return _map([_hom(sources, targets, rows) for rows, _, _ in rules])
-
-
-def homs(op: str, degrees, **params):
-    """Yield (i, hom(op, i, **params)) for each i of degrees, in order, from
-    one binding of the entry to params.
+    unset there, the map is a ZDependent holding both candidates, and
+    otherwise an AbHom.
 
     The params are checked once, when the first map is asked for, so an
     empty run checks them too, and the checks listed after the window run
     once, at the first degree.  Each degree still gets its own window check,
-    table lookups and rule rows, and raises what hom would raise there.  The
-    checked AbHom is built once per distinct key (the part groups and the
-    rule's rows) of the run: a degree whose key an earlier degree of the
-    run had gets that degree's map, the same object.  The memo lives as
-    long as the generator.
+    table lookups and rule rows, and raises what a run of that degree alone
+    would raise.  The checked AbHom is built once per distinct key (the part
+    groups and the rule's rows) of the run: a degree whose key an earlier
+    degree of the run had gets that degree's map, the same object.  The memo
+    lives as long as the generator.
     """
     b = _bind(op, params)
     built = {}
@@ -550,13 +539,14 @@ def homs(op: str, degrees, **params):
             if h is None:
                 h = built[key] = _hom(sources, targets, rows)
             maps.append(h)
-        yield i, _map(maps)
+        yield i, ZDependent(*maps) if len(maps) == 2 else maps[0]
 
 
 def describe(op: str, i: int, **params) -> dict:
-    """What `sympdec induced` prints for hom(op, i, **params): each map with
-    its generator names (degree label and part, once per factor of the
-    part's group), the rule's provenance and the window's bound text."""
+    """What `sympdec induced` prints for the map homs(op, [i], **params)
+    yields: each map with its generator names (degree label and part, once
+    per factor of the part's group), the rule's provenance and the window's
+    bound text."""
     b = _bind(op, params)
     limits, sources, targets, rules = _build(b, i)
     source_parts, target_parts = b[4:]

@@ -2,8 +2,8 @@
 
 Every sample derives its randomness from (seed, suite, case label, index):
 its draws come from SHAKE-256 of that case label, by rejection sampling
-(groups._Stream), so reruns and parallel execution produce identical
-reports and every failure record replays from its recorded inputs.
+(groups._Stream), so a record's inputs and the seed fix its draws, and a
+rerun with the same seed and bounds produces the same report.
 run_suite holds matrix sizes to the exact-arithmetic guard
 2 * max_m * max_n * max_r <= 64.
 """
@@ -18,7 +18,7 @@ from sympdec import groups
 from sympdec.abgroup import FgAbGroup
 from sympdec.errors import BoundsTooLargeError
 from sympdec.homotopy import pi_table
-from sympdec.induced import (AbHom, ZDependent, bezout_uv, compose, diagonal_hom, hom, homs,
+from sympdec.induced import (AbHom, ZDependent, bezout_uv, compose, diagonal_hom, homs,
                              is_isomorphism)
 from sympdec.intmatrix import IntMatrix
 from sympdec.lifting import connectivity_j
@@ -178,29 +178,28 @@ def _tensor_decomposition_consistent(tensor: AbHom, left: AbHom, right: AbHom) -
     return tensor == AbHom(source, left.target, joined)
 
 
-def _square_tensor_consistent(i: int, m: int) -> bool:
-    """square tensor formula equals the two-variable formula composed with the diagonal."""
-    square = hom("square-tensor", i, m=m)
-    both = hom("tensor-sp-sp", i, m=m, n=m)
-    return square == compose(both, diagonal_hom(pi_table("sp", i, m).group))
-
-
 def run_formulas(bounds: Bounds, samples: int, seed) -> VerifyReport:
-    """Structural consistency of the induced-map formula table."""
+    """Structural consistency of the induced-map formula table.  Each window
+    is one homs run per entry, joined degree by degree."""
     del samples, seed  # the enumeration is exhaustive over the bounds
     rep = VerifyReport("formulas")
     top = max(bounds.max_m, bounds.max_n, 5)
     for m in range(1, top + 1):
         for n in range(1, top + 1):
-            for i in range(0, min(4 * m + 2, n - 1)):
-                # the n-fold sum on Sp(m) beside the m-fold sum of doubling on O(n)
-                tensor = hom("tensor-sp-o", i, m=m, n=n)
-                left = hom("r-fold", i, n=m, r=n)
-                right = compose(hom("r-fold", i, n=n, r=m), hom("doubling", i, n=n))
-                rep.record(_tensor_decomposition_consistent(tensor, left, right),
+            # the n-fold sum on Sp(m) beside the m-fold sum of doubling on O(n)
+            window = range(0, min(4 * m + 2, n - 1))
+            runs = zip(homs("tensor-sp-o", window, m=m, n=n), homs("r-fold", window, n=m, r=n),
+                       homs("r-fold", window, n=n, r=m), homs("doubling", window, n=n),
+                       strict=True)
+            for (i, tensor), (_, left), (_, fold), (_, double) in runs:
+                rep.record(_tensor_decomposition_consistent(tensor, left, compose(fold, double)),
                            op="tensor-left-right", i=i, m=m, n=n)
-        for i in range(0, min(4 * m + 2, 4 * m * m - 1)):
-            rep.record(_square_tensor_consistent(i, m),
+        # the square tensor formula is the two-variable formula on the diagonal
+        window = range(0, min(4 * m + 2, 4 * m * m - 1))
+        runs = zip(homs("square-tensor", window, m=m), homs("tensor-sp-sp", window, m=m, n=m),
+                   strict=True)
+        for (i, square), (_, both) in runs:
+            rep.record(square == compose(both, diagonal_hom(pi_table("sp", i, m).group)),
                        op="square-diagonal", i=i, m=m)
     return rep
 

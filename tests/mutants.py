@@ -378,6 +378,20 @@ MUTANTS = [
            ("tests/test_suites.py::test_each_suite_runs_clean",
             "tests/test_suites.py::test_tensor_left_right_check_reads_each_block",
             "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("formulas builds the left run one degree above the tensor run",
+           "src/sympdec/suites.py",
+           'homs("r-fold", window, n=m, r=n)',
+           'homs("r-fold", [i + 1 for i in window], n=m, r=n)',
+           ("tests/test_suites.py::test_each_suite_runs_clean",
+            "tests/test_suites.py::test_formulas_records_every_degree_of_both_windows_in_order",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
+    Mutant("square-diagonal composes through the diagonal one degree up",
+           "src/sympdec/suites.py",
+           'diagonal_hom(pi_table("sp", i, m).group)',
+           'diagonal_hom(pi_table("sp", i + 1, m).group)',
+           ("tests/test_suites.py::test_each_suite_runs_clean",
+            "tests/test_suites.py::test_formulas_records_every_degree_of_both_windows_in_order",
+            "tests/test_cli_golden.py::test_cli_matches_golden")),
     Mutant("the AbHom constructor skips its well-definedness scan",
            "src/sympdec/induced.py",
            "if a and (a * e % t if t else e):",

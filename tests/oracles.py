@@ -8,6 +8,9 @@ check it against a scan of J kron J made in sympy.  Matrix entries are given
 as an int or Fraction, or as the 4-tuple of rational coefficients of
 1, z, z^2, z^3 (z^4 = -1); for instance i = (0, 0, 1, 0) and
 1/sqrt2 = (z - z^3)/2 = (0, 1/2, 0, -1/2).
+
+hom is no reference: it is the one-degree run of the library's one builder,
+induced.homs, shared by the tests that state a map one degree at a time.
 """
 
 from __future__ import annotations
@@ -18,11 +21,19 @@ from math import factorial, gcd, lcm
 
 from sympdec.abgroup import FgAbGroup
 from sympdec.groups import _basis_pairs
+from sympdec.induced import homs
 from sympdec.matrix import ExactMatrix
 
 I = (0, 0, 1, 0)
 HALF_SQRT2 = (0, Fraction(1, 2), 0, Fraction(-1, 2))      # 1/sqrt2
 HALF_I_SQRT2 = (0, Fraction(1, 2), 0, Fraction(1, 2))     # i/sqrt2
+
+
+def hom(op: str, i: int, **params):
+    """Table entry op at degree i: homs(op, (i,), **params)'s one map, raising
+    what that run raises."""
+    (_, h), = homs(op, (i,), **params)
+    return h
 
 
 def coeffs(x) -> tuple[Fraction, Fraction, Fraction, Fraction]:

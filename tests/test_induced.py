@@ -33,14 +33,13 @@ from sympdec.induced import (
     compose,
     describe,
     diagonal_hom,
-    hom,
     homs,
     is_isomorphism,
 )
 from sympdec.intmatrix import IntMatrix, smith_normal_form
 from sympdec.lifting import bezout_uv
 
-from oracles import isomorphic
+from oracles import hom, isomorphic
 
 Z = FgAbGroup((0,))
 Z2 = FgAbGroup((2,))

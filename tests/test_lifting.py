@@ -5,11 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import brute_force_witness
+from oracles import brute_force_witness, hom
 from sympdec import cli, induced, lifting, suites
 from sympdec.errors import EvenNError, HypothesisFailureError, NotCoprimeError
 from sympdec.homotopy import pi_table
-from sympdec.induced import FORMULAS, ZDependent, hom, homs, is_isomorphism
+from sympdec.induced import FORMULAS, ZDependent, homs, is_isomorphism
 from sympdec.intmatrix import smith_normal_form
 from sympdec.lifting import (
     KIND_HIGH_N,

@@ -1,8 +1,8 @@
 """Every function in the library is entered by some command.
 
 A function stays in src/sympdec when a command runs it; the Python API the
-README documents (sympdec.__all__, induced.homs and induced.hom) is what
-the commands run as well.  A reference construction that only a test needs lives in
+README documents (sympdec.__all__, induced.homs, whose one-degree case is
+homs(op, [i], ...), and homotopy.pi_table) is what the commands run as well.  A reference construction that only a test needs lives in
 tests/oracles.py.  This test runs a short fixed list of argv through
 cli.main in a fresh interpreter under sys.setprofile, import included, and
 fails, naming them, if any function or lambda defined in src/sympdec/*.py

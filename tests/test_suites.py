@@ -4,8 +4,10 @@ import pytest
 
 from sympdec import cli, suites
 from sympdec.errors import BoundsTooLargeError
-from sympdec.induced import compose, hom
+from sympdec.induced import compose
 from sympdec.suites import Bounds, run_suite
+
+from oracles import hom
 
 
 def test_bounds_guard():
@@ -41,6 +43,29 @@ def test_tensor_left_right_check_reads_each_block():
     assert suites._tensor_decomposition_consistent(tensor, left, right)
     for a, b in ((right, left), (left, left), (right, right)):
         assert not suites._tensor_decomposition_consistent(tensor, a, b)
+
+
+@pytest.mark.parametrize("bounds", [Bounds(1, 1, 1), Bounds(1, 7, 1)])
+def test_formulas_records_every_degree_of_both_windows_in_order(monkeypatch, bounds):
+    """run_formulas joins one homs run per entry over each window; its records
+    are still one per degree, in order, all passing.  n <= 2 leaves the
+    tensor window empty, and at m = 1 square-tensor's window stops at 4m^2 - 1."""
+    records = []
+
+    def record(self, passed, op, i, m, n=None):
+        records.append((op, i, m, n, passed))
+
+    monkeypatch.setattr(suites.VerifyReport, "record", record)
+    suites.run_formulas(bounds, 1, 0)
+    top = max(*bounds, 5)
+    want = []
+    for m in range(1, top + 1):
+        want += [("tensor-left-right", i, m, n) for n in range(1, top + 1)
+                 for i in range(min(4 * m + 2, n - 1))]
+        want += [("square-diagonal", i, m, None) for i in range(min(4 * m + 2, 4 * m * m - 1))]
+    assert [r[:4] for r in records] == want
+    assert all(r[4] for r in records)
+    assert [i for op, i, m, _ in want if op == "square-diagonal" and m == 1] == [0, 1, 2]
 
 
 def test_unknown_suite():
